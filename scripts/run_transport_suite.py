@@ -26,10 +26,11 @@ def modulus_errors(B, mtilde, s_list):
     errs = {}
     for s in s_list:
         B1 = math.floor(B * s) / s
-        pts = np.array([tr.Phi(B1, mtilde, b) for b in grid])
+        table = tr.PhaseTable(B=B1, mtilde=mtilde)
+        pts = table.Phi(grid)
         _, closed, _ = W.ascend(mtilde * s, s, B, pts)
         w0 = W.solve_wave(0.0, mtilde, s, "I", grid)
-        f3s = np.array([tr.f3(B1, b, mtilde) for b in grid])
+        f3s = table.f3(grid, pts)
         pred = np.abs(w0.values) * np.exp(f3s + tr.wave_norm_shift(B1, mtilde))
         errs[s] = float(np.max(np.abs(np.abs(closed) / pred - 1.0)))
     return errs

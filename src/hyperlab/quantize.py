@@ -8,7 +8,6 @@ the measure-transport comparison, and energy-shell localization checks.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -186,9 +185,9 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
             continue
         if B1 > 0:
             table = tr.PhaseTable(B=B1, mtilde=mt)
-            pts = np.array([table.Phi(b) for b in grid])
-            f3v = np.array([table.f3(b) for b in grid])
-            f4v = np.array([table.f4(b) for b in grid])
+            pts = table.Phi(grid)
+            f3v = table.f3(grid, pts)
+            f4v = table.f4(grid, pts)
             shift = tr.wave_norm_shift(B1, mt)
             weight = obs.phi2(grid) * np.exp(-2.0 * (f3v + shift))
         else:
@@ -272,11 +271,10 @@ def a1_density(obs: Observable, B: float, beta_p: float, sigma: float,
     """Transported symbol a1 at a phase-space point (beta', sigma, eta)."""
     table = tr.PhaseTable(B=B, mtilde=eta)
     pre = table.Phi_inv(beta_p)
-    h = 1e-6
-    dinv = (table.Phi_inv(beta_p + h) - table.Phi_inv(beta_p - h)) / (2 * h)
+    dinv = 1.0 / table.dPhi_dbeta(pre, beta_p)
     return (dinv * float(obs.phi1(eta)) * float(obs.phi2(pre))
-            * float(obs.phi3(sigma - table.f4(pre)))
-            * math.exp(-2.0 * table.f3(pre)))
+            * float(obs.phi3(sigma - table.f4(pre, beta_p)))
+            * math.exp(-2.0 * table.f3(pre, beta_p)))
 
 
 def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,

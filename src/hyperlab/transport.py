@@ -2,7 +2,9 @@
 
 Travel-time phases P, the reparametrization Phi matching magnetic and
 free phases, its eta-derivative, the amplitude/shift corrections f3, f4,
-and the induced boundary map G with density A.
+and the induced boundary map G with density A.  Functions of an angle map
+scalars to scalars and arrays to arrays (P by one broadcast quadrature,
+Phi by masked Newton); `PhaseTable` implements Phi, Phi_inv, f3 and f4.
 """
 
 from __future__ import annotations
@@ -18,30 +20,33 @@ _PTOL = 1e-11
 _HALF_PI = np.pi / 2
 
 
-def _beta_integral(f_of_u, beta: float) -> float:
-    """int_0^beta f(tan b) db via the substitution u = tan b.
+def _like(beta, values):
+    """values as a float when beta is a scalar, else as an array."""
+    return float(values) if np.ndim(beta) == 0 else values
 
-    The integrand becomes f(u)/(1+u^2) on [0, tan beta]; the tail beyond
-    |u| = 1 is handled with a further u = +-e^v substitution so that
-    composite Gauss-Legendre stays accurate arbitrarily close to the
-    boundary |beta| = pi/2.
+
+def _beta_integral(f_of_u, beta):
+    """int_0^beta f(tan b) db per point, as int_0^tan(beta) f(u)/(1+u^2) du.
+
+    The tail beyond |u| = 1 uses u = +-e^v, so the rule stays accurate up to
+    |beta| = pi/2; all tail points share the largest panel count needed.
     """
-    if beta == 0.0:
-        return 0.0
-    T = math.tan(beta)
-    sgn = 1.0 if T > 0 else -1.0
-    aT = abs(T)
+    b = np.asarray(beta, dtype=float)
+    T = np.tan(b.ravel())
+    aT = np.abs(T)
+    sgn = np.where(T > 0, 1.0, -1.0)
 
     def g(u):
         return f_of_u(u) / (1.0 + u * u)
 
-    if aT <= 1.0:
-        return gauss_quad(g, 0.0, T, panels=16)
-    inner = gauss_quad(g, 0.0, sgn, panels=16)
-    L = math.log(aT)
-    tail = sgn * gauss_quad(lambda v: g(sgn * np.exp(v)) * np.exp(v), 0.0, L,
-                            panels=max(16, int(8 * L)))
-    return inner + tail
+    out = gauss_quad(g, 0.0, np.where(aT <= 1.0, T, sgn), panels=16)
+    tail = aT > 1.0
+    if np.any(tail):
+        L, sg = np.log(aT[tail]), sgn[tail][..., None]
+        out[tail] += sgn[tail] * gauss_quad(
+            lambda v: g(sg * np.exp(v)) * np.exp(v), 0.0, L,
+            panels=max(16, int(8 * L.max())))
+    return _like(beta, out.reshape(b.shape))
 
 
 def _Q_of_u(B1: float, mtilde: float, u):
@@ -49,29 +54,30 @@ def _Q_of_u(B1: float, mtilde: float, u):
     return u * u + 2.0 * B1 * mtilde * u + 1.0 + B1 * B1 - mtilde * mtilde
 
 
-def phase_P(B1: float, mtilde: float, beta: float) -> float:
+def phase_P(B1: float, mtilde: float, beta):
     """Travel-time phase P(beta) = B1*beta + int_0^beta sqrt(Q)."""
-    if not abs(beta) < _HALF_PI:
+    b = np.asarray(beta, dtype=float)
+    if not np.all(np.abs(b) < _HALF_PI):
         raise ValueError("beta must lie in (-pi/2, pi/2)")
-    return B1 * beta + _beta_integral(
-        lambda u: np.sqrt(_Q_of_u(B1, mtilde, u)), beta)
+    return _like(beta, B1 * b + _beta_integral(
+        lambda u: np.sqrt(_Q_of_u(B1, mtilde, u)), b))
 
 
-def phase_P_deriv(B1: float, mtilde: float, beta: float) -> float:
+def phase_P_deriv(B1: float, mtilde: float, beta):
     """dP/dbeta = B1 + sqrt(Q(beta))."""
-    return B1 + math.sqrt(Q(B1, mtilde, beta))
+    return B1 + np.sqrt(Q(B1, mtilde, beta))
 
 
-def b1(B2: float, mtilde: float) -> float:
+def b1(B2, mtilde: float):
     """Angular defect rate -arctan(m / sqrt(B2^2 - m^2 + 1))."""
-    return -math.atan2(mtilde, math.sqrt(B2 * B2 - mtilde * mtilde + 1.0))
+    return -np.arctan2(mtilde, np.sqrt(B2 * B2 - mtilde * mtilde + 1.0))
 
 
 def b4(B: float, mtilde: float) -> float:
     """Accumulated phase offset int_0^B b1(B2, m) dB2."""
     if B == 0.0 or mtilde == 0.0:
         return 0.0
-    return gauss_quad(lambda B2: np.vectorize(b1)(B2, mtilde), 0.0, B,
+    return gauss_quad(lambda B2: b1(B2, mtilde), 0.0, B,
                       panels=max(16, int(8 * abs(B))))
 
 
@@ -81,7 +87,7 @@ def db4_deta(B: float, eta: float) -> float:
             - math.log(B + math.sqrt(B * B - eta * eta + 1.0)))
 
 
-def b3(B2: float, mtilde: float) -> float:
+def b3(B2, mtilde: float):
     """Real part of the first-order log-coefficient of the raising constant."""
     D = B2 * B2 - mtilde * mtilde + 1.0
     return -B2 / (2.0 * (1.0 + B2 * B2)) * (1.0 + mtilde * mtilde / D)
@@ -91,57 +97,42 @@ def b7(B: float, mtilde: float) -> float:
     """Accumulated amplitude drift int_0^B b3(B2, m) dB2."""
     if B == 0.0:
         return 0.0
-    return gauss_quad(lambda B2: np.vectorize(b3)(B2, mtilde), 0.0, B,
+    return gauss_quad(lambda B2: b3(B2, mtilde), 0.0, B,
                       panels=max(16, int(8 * abs(B))))
 
 
-def _solve_P(B1: float, mtilde: float, target: float, x0: float) -> float:
-    """Solve P_{B1,m}(x) = target by safeguarded Newton with bisection."""
+def _solve_P(B1: float, mtilde: float, target, x0):
+    """Solve P_{B1,m}(x) = target pointwise by safeguarded Newton.
+
+    Each point keeps its own bisection bracket and stops once its residual
+    is below _PTOL or its iterate stalls; a step evaluates P once on the
+    points still open.
+    """
     delta = 1e-12
-    lo, hi = -_HALF_PI + delta, _HALF_PI - delta
-    x = min(max(x0, lo), hi)
+    target = np.ravel(target)
+    lo = np.full(target.size, -_HALF_PI + delta)
+    hi = -lo
+    x = np.clip(np.ravel(x0).astype(float), lo, hi)
+    idx = np.arange(x.size)
     for _ in range(120):
-        g = phase_P(B1, mtilde, x) - target
-        if abs(g) < _PTOL:
-            return x
-        if g > 0:
-            hi = x
-        else:
-            lo = x
-        step = g / phase_P_deriv(B1, mtilde, x)
-        xn = x - step
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if xn == x:
-            return x
-        x = xn
+        xa = x[idx]
+        g = phase_P(B1, mtilde, xa) - target[idx]
+        open_ = np.abs(g) >= _PTOL
+        idx, xa, g = idx[open_], xa[open_], g[open_]
+        up = g > 0
+        hi[idx[up]] = xa[up]
+        lo[idx[~up]] = xa[~up]
+        xn = xa - g / phase_P_deriv(B1, mtilde, xa)
+        outside = ~((lo[idx] < xn) & (xn < hi[idx]))
+        xn[outside] = 0.5 * (lo[idx[outside]] + hi[idx[outside]])
+        x[idx] = xn
+        idx = idx[xn != xa]
+        if idx.size == 0:
+            return _like(x0, x.reshape(np.shape(x0)))
     raise RuntimeError("phase equation solve failed to converge")
 
 
-def Phi(B: float, mtilde: float, beta: float) -> float:
-    """Reparametrization defined by P_B(Phi(beta)) = P_0(beta) - b4."""
-    if B == 0.0:
-        return beta
-    target = phase_P(0.0, mtilde, beta) - b4(B, mtilde)
-    return _solve_P(B, mtilde, target, beta)
-
-
-def Phi_inv(B: float, mtilde: float, beta_prime: float) -> float:
-    """Inverse of Phi: solve P_0(beta) = P_B(beta') + b4."""
-    if B == 0.0:
-        return beta_prime
-    target = phase_P(B, mtilde, beta_prime) + b4(B, mtilde)
-    return _solve_P(0.0, mtilde, target, beta_prime)
-
-
-def dPhi_dbeta(B: float, mtilde: float, beta: float) -> float:
-    """Closed-form dPhi/dbeta = sqrt(Q_0(beta)) / (B + sqrt(Q_B(Phi)))."""
-    ph = Phi(B, mtilde, beta)
-    return math.sqrt(Q(0.0, mtilde, beta)) / phase_P_deriv(B, mtilde, ph)
-
-
-def _dPhi_dm_numerator(B: float, mtilde: float, beta: float,
-                       phi_val: float) -> float:
+def _dPhi_dm_numerator(B: float, mtilde: float, beta, phi_val):
     """int_0^beta dsqrtQ_0/dm - int_0^Phi dsqrtQ_B/dm - db4/dm."""
     i0 = _beta_integral(
         lambda u: -mtilde / np.sqrt(_Q_of_u(0.0, mtilde, u)), beta)
@@ -150,34 +141,76 @@ def _dPhi_dm_numerator(B: float, mtilde: float, beta: float,
     return i0 - iB - db4_deta(B, mtilde)
 
 
-def dPhi_dm(B: float, mtilde: float, beta: float) -> float:
-    """eta-derivative of Phi via the quotient of phase integrals."""
-    if B == 0.0:
-        return 0.0
-    ph = Phi(B, mtilde, beta)
-    return (_dPhi_dm_numerator(B, mtilde, beta, ph)
-            / phase_P_deriv(B, mtilde, ph))
+@dataclass(frozen=True)
+class PhaseTable:
+    """Phase layer of one (B >= 0, mtilde): offsets b4, b7 and the maps.
 
-
-def f3(B: float, beta: float, mtilde: float) -> float:
-    """Log-amplitude correction b7 + (ln Q_0(beta) - ln Q_B(Phi)) / 4."""
-    if B == 0.0:
-        return 0.0
-    ph = Phi(B, mtilde, beta)
-    return b7(B, mtilde) + 0.25 * (math.log(Q(0.0, mtilde, beta))
-                                   - math.log(Q(B, mtilde, ph)))
-
-
-def f4(B: float, beta: float, mtilde: float) -> float:
-    """Base-point shift (B + sqrt(Q_B(Phi))) * dPhi/dm.
-
-    The denominator of dPhi/dm cancels, so this is the bare phase-integral
-    numerator; it vanishes like O(pi/2 - beta) at the boundary.
+    Each method takes a scalar or an array of angles and returns the same
+    shape.  `f3`, `f4` and the derivatives accept precomputed values
+    `phi = Phi(beta)`, so a grid needs one Phi solve for all of them.
     """
-    if B == 0.0:
-        return 0.0
-    ph = Phi(B, mtilde, beta)
-    return _dPhi_dm_numerator(B, mtilde, beta, ph)
+
+    B: float
+    mtilde: float
+    b4_val: float = field(init=False)
+    b7_val: float = field(init=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.mtilde) and 0.0 <= self.B < math.inf):
+            raise ValueError("need finite B >= 0 and finite mtilde")
+        object.__setattr__(self, "b4_val", b4(self.B, self.mtilde))
+        object.__setattr__(self, "b7_val", b7(self.B, self.mtilde))
+
+    def Phi(self, beta):
+        """Reparametrization defined by P_B(Phi(beta)) = P_0(beta) - b4."""
+        if self.B == 0.0:
+            return beta
+        target = phase_P(0.0, self.mtilde, beta) - self.b4_val
+        return _solve_P(self.B, self.mtilde, target, beta)
+
+    def Phi_inv(self, beta_prime):
+        """Inverse of Phi: solve P_0(beta) = P_B(beta') + b4."""
+        if self.B == 0.0:
+            return beta_prime
+        target = phase_P(self.B, self.mtilde, beta_prime) + self.b4_val
+        return _solve_P(0.0, self.mtilde, target, beta_prime)
+
+    def _phi(self, beta, phi):
+        return self.Phi(beta) if phi is None else phi
+
+    def dPhi_dbeta(self, beta, phi=None):
+        """Closed form sqrt(Q_0(beta)) / (B + sqrt(Q_B(Phi)))."""
+        return (np.sqrt(Q(0.0, self.mtilde, beta))
+                / phase_P_deriv(self.B, self.mtilde, self._phi(beta, phi)))
+
+    def dPhi_dm(self, beta, phi=None):
+        """eta-derivative of Phi via the quotient of phase integrals."""
+        phi = self._phi(beta, phi)
+        return self.f4(beta, phi) / phase_P_deriv(self.B, self.mtilde, phi)
+
+    def f3(self, beta, phi=None):
+        """Log-amplitude correction b7 + (ln Q_0(beta) - ln Q_B(Phi)) / 4."""
+        return self.b7_val + 0.25 * (
+            np.log(Q(0.0, self.mtilde, beta))
+            - np.log(Q(self.B, self.mtilde, self._phi(beta, phi))))
+
+    def f4(self, beta, phi=None):
+        """Base-point shift (B + sqrt(Q_B(Phi))) * dPhi/dm.
+
+        The denominator of dPhi/dm cancels, so this is the bare phase-integral
+        numerator; it vanishes like O(pi/2 - beta) at the boundary.
+        """
+        return _dPhi_dm_numerator(self.B, self.mtilde, beta,
+                                  self._phi(beta, phi))
+
+
+# Module-level forms of the PhaseTable maps, for one-off evaluations.
+def Phi(B, m, beta): return PhaseTable(B, m).Phi(beta)
+def Phi_inv(B, m, beta_prime): return PhaseTable(B, m).Phi_inv(beta_prime)
+def dPhi_dbeta(B, m, beta): return PhaseTable(B, m).dPhi_dbeta(beta)
+def dPhi_dm(B, m, beta): return PhaseTable(B, m).dPhi_dm(beta)
+def f3(B, beta, m): return PhaseTable(B, m).f3(beta)
+def f4(B, beta, m): return PhaseTable(B, m).f4(beta)
 
 
 def wave_norm_shift(B: float, eta: float) -> float:
@@ -191,62 +224,27 @@ def wave_norm_shift(B: float, eta: float) -> float:
     return 0.25 * (math.log(Q(B, eta, 0.0)) - math.log(Q(0.0, eta, 0.0)))
 
 
-def _check_eta(B: float, eta: float) -> None:
+def _check_point(B: float, point) -> PhaseTable:
+    """Table for a phase-space point (beta, sigma, eta) inside the window."""
+    beta, sigma, eta = point
+    if not (all(math.isfinite(v) for v in (B, beta, sigma, eta)) and B >= 0):
+        raise ValueError("need finite B >= 0 and a finite (beta, sigma, eta)")
     if abs(eta) >= 0.5 or B * abs(eta) >= math.sqrt(1.0 - eta * eta):
         raise ValueError("eta outside the admissible window")
+    return PhaseTable(B, eta)
 
 
 def G_map(B: float, point):
     """Boundary map G(beta, sigma, eta) = (Phi(beta), sigma + f4, eta)."""
     beta, sigma, eta = point
-    _check_eta(B, eta)
-    return (Phi(B, eta, beta), sigma + f4(B, beta, eta), eta)
+    table = _check_point(B, point)
+    phi = table.Phi(beta)
+    return (phi, sigma + table.f4(beta, phi), eta)
 
 
 def A_density(B: float, point) -> float:
     """Transported density (dPhi_inv/dbeta)^{-1} * exp(2 f3) at a point."""
-    beta, _sigma, eta = point
-    _check_eta(B, eta)
-    pre = Phi_inv(B, eta, beta)
-    return dPhi_dbeta(B, eta, pre) * math.exp(2.0 * f3(B, pre, eta))
-
-
-@dataclass(frozen=True)
-class PhaseTable:
-    """Immutable per-(B, mtilde) cache of the scalar phase offsets."""
-
-    B: float
-    mtilde: float
-    b4_val: float = field(init=False)
-    b7_val: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "b4_val", b4(self.B, self.mtilde))
-        object.__setattr__(self, "b7_val", b7(self.B, self.mtilde))
-
-    def P(self, beta: float, magnetic: bool = True) -> float:
-        return phase_P(self.B if magnetic else 0.0, self.mtilde, beta)
-
-    def Phi(self, beta: float) -> float:
-        if self.B == 0.0:
-            return beta
-        target = phase_P(0.0, self.mtilde, beta) - self.b4_val
-        return _solve_P(self.B, self.mtilde, target, beta)
-
-    def Phi_inv(self, beta_prime: float) -> float:
-        if self.B == 0.0:
-            return beta_prime
-        target = phase_P(self.B, self.mtilde, beta_prime) + self.b4_val
-        return _solve_P(0.0, self.mtilde, target, beta_prime)
-
-    def f3(self, beta: float) -> float:
-        if self.B == 0.0:
-            return 0.0
-        ph = self.Phi(beta)
-        return self.b7_val + 0.25 * (math.log(Q(0.0, self.mtilde, beta))
-                                     - math.log(Q(self.B, self.mtilde, ph)))
-
-    def f4(self, beta: float) -> float:
-        if self.B == 0.0:
-            return 0.0
-        return _dPhi_dm_numerator(self.B, self.mtilde, beta, self.Phi(beta))
+    beta = point[0]
+    table = _check_point(B, point)
+    pre = table.Phi_inv(beta)
+    return table.dPhi_dbeta(pre, beta) * math.exp(2.0 * table.f3(pre, beta))

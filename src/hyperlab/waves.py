@@ -31,14 +31,24 @@ from scipy.integrate import solve_ivp
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def gauss_quad(f, a: float, b: float, panels: int = 8) -> float:
-    """Fixed-order composite Gauss-Legendre quadrature (deterministic)."""
-    edges = np.linspace(a, b, panels + 1)
+def gauss_quad(f, a, b, panels: int = 8):
+    """Fixed-order composite Gauss-Legendre quadrature (deterministic).
+
+    The limits may be arrays: they broadcast to one shape, f is called on
+    nodes of that shape plus a trailing axis of 32, and the result has the
+    broadcast shape.  Panel edges are those of np.linspace(a, b, panels + 1)
+    at each point.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    step = (b - a) / panels
+    edges = (np.arange(panels + 1, dtype=float).reshape((-1,) + (1,) * step.ndim)
+             * step + a)
+    edges[-1] = b
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
-        xs = 0.5 * (hi + lo) + half * _GL_NODES
-        total += half * np.sum(_GL_WEIGHTS * f(xs))
+        xs = (0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES
+        total += half * np.sum(_GL_WEIGHTS * f(xs), axis=-1)
     return total
 
 
@@ -55,14 +65,6 @@ def Q_prime(B1: float, mtilde: float, beta):
     """d/dbeta of Q."""
     c = np.cos(beta)
     return 2 * B1 * mtilde / c**2 + 2 * np.sin(beta) / c**3
-
-
-def sqrtQ_integral(B1: float, mtilde: float, beta: float, panels_per_unit: int = 8) -> float:
-    """int_0^beta sqrt(Q), with panel count scaled to the 1/cos^2 growth."""
-    if beta == 0:
-        return 0.0
-    panels = max(8, int(abs(beta) * panels_per_unit) + int(8 / (np.pi / 2 - abs(beta))))
-    return gauss_quad(lambda b: np.sqrt(Q(B1, mtilde, b)), 0.0, beta, panels=min(panels, 400))
 
 
 @dataclass(frozen=True)
@@ -166,16 +168,19 @@ def solve_wave_ic(B1: float, mtilde: float, s: float, w0: complex, dw0: complex,
 
 
 def wkb_eval(B1: float, mtilde: float, s: float, branch: str, beta):
-    """Leading-plus-first-correction WKB value of the branch at beta."""
-    sign = +1 if branch == "I" else -1
-    tau = B1 * s
-    beta_arr = np.atleast_1d(np.asarray(beta, dtype=float))
-    out = np.empty(len(beta_arr), dtype=complex)
-    for i, b in enumerate(beta_arr):
-        phase = tau * b + sign * s * sqrtQ_integral(B1, mtilde, b)
-        amp = (Q(B1, mtilde, 0.0) / Q(B1, mtilde, b)) ** 0.25
-        out[i] = amp * np.exp(1j * phase)
-    return out if np.ndim(beta) else out[0]
+    """Leading-plus-first-correction WKB value of the branch at beta.
+
+    The branch-I phase tau*beta + s*int_0^beta sqrt(Q) is s times the
+    travel-time phase P_{B1}(beta); branch II flips the sign of the
+    integral, giving s*(2*B1*beta - P).
+    """
+    from .transport import phase_P  # transport imports Q from this module
+
+    b = np.asarray(beta, dtype=float)
+    P = phase_P(B1, mtilde, b)
+    phase = s * (P if branch == "I" else 2.0 * B1 * b - P)
+    out = (Q(B1, mtilde, 0.0) / Q(B1, mtilde, b)) ** 0.25 * np.exp(1j * phase)
+    return out if np.ndim(beta) else complex(out)
 
 
 # --- raising / eigen operators (separated form, sigma factor dropped) ---
@@ -261,16 +266,6 @@ def c1(B1: float, mtilde: float, s: float) -> complex:
     rD = np.sqrt(D)
     main = (1j * mtilde - rD) / np.sqrt(1 + B1 * B1)
     corr = ((rD - 1j * mtilde) * B1 / (2 * (1 + B1 * B1))
-            - 1j * mtilde * B1 / (2 * D)) / np.sqrt(1 + B1 * B1)
-    return main + corr / s
-
-
-def c2_II(B1: float, mtilde: float, s: float) -> complex:
-    """Transfer coefficient on the w^II branch (sign of the sqrt flipped)."""
-    D = B1 * B1 - mtilde * mtilde + 1.0
-    rD = np.sqrt(D)
-    main = (1j * mtilde + rD) / np.sqrt(1 + B1 * B1)
-    corr = ((-rD - 1j * mtilde) * B1 / (2 * (1 + B1 * B1))
             - 1j * mtilde * B1 / (2 * D)) / np.sqrt(1 + B1 * B1)
     return main + corr / s
 

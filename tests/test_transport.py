@@ -46,6 +46,24 @@ def test_phase_P_strictly_increasing(B1, m, b1, b2):
     assert tr.phase_P(B1, m, hi) > tr.phase_P(B1, m, lo)
 
 
+@pytest.mark.parametrize("B1, m", [(0.0, 0.2), (0.5, 0.2), (1.0, -0.3),
+                                   (3.0, 0.45)])
+def test_phase_P_array_matches_mpmath_quad(B1, m):
+    # both the |tan beta| <= 1 rule and the logarithmic tail, in one call
+    mpmath = pytest.importorskip("mpmath")
+    betas = [0.0] + [sg * b for b in (0.3, 0.8, 1.2, 1.55, 1.5707)
+                     for sg in (1, -1)]
+    got = tr.phase_P(B1, m, np.array(betas))
+    with mpmath.workdps(30):
+        def sqrtQ(b):
+            return mpmath.sqrt(2 * B1 * m * mpmath.tan(b) - m * m
+                               + mpmath.sec(b) ** 2 + B1 * B1)
+
+        for b, val in zip(betas, got):
+            ref = B1 * mpmath.mpf(b) + mpmath.quad(sqrtQ, [0, b])
+            assert abs(val - float(ref)) <= 1e-12 * abs(float(ref))
+
+
 def test_phase_P_reproducible():
     v1 = tr.phase_P(1.3, 0.25, 1.2)
     v2 = tr.phase_P(1.3, 0.25, 1.2)
@@ -121,6 +139,30 @@ def test_Phi_monotone_and_chain_rule(B, m, b):
     dinv = (tr.Phi_inv(B, m, ph + h) - tr.Phi_inv(B, m, ph - h)) / (2 * h)
     assert d * dinv == pytest.approx(1.0, abs=1e-7)
     assert tr.dPhi_dbeta(B, m, b) == pytest.approx(d, abs=1e-7)
+
+
+@pytest.mark.parametrize("B, m", [(0.5, 0.2), (1.7, -0.45), (3.0, 0.1)])
+def test_Phi_array_newton_residual_on_grid(B, m):
+    table = tr.PhaseTable(B=B, mtilde=m)
+    grid = np.linspace(-1.55, 1.55, 801)
+    ph = table.Phi(grid)
+    resid = tr.phase_P(B, m, ph) - tr.phase_P(0.0, m, grid) + table.b4_val
+    assert ph.shape == grid.shape
+    assert np.max(np.abs(resid)) < 1e-11
+    assert np.all(np.diff(ph) > 0)
+
+
+def test_phase_table_arrays_match_pointwise_calls():
+    table = tr.PhaseTable(B=0.5, mtilde=0.2)
+    grid = np.linspace(-1.5, 1.5, 41)
+    ph = table.Phi(grid)
+    assert np.allclose(ph, [table.Phi(b) for b in grid], rtol=0, atol=1e-14)
+    assert np.allclose(table.Phi_inv(grid), [table.Phi_inv(b) for b in grid],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(table.f3(grid, ph), [table.f3(b) for b in grid],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(table.f4(grid, ph), [table.f4(b) for b in grid],
+                       rtol=0, atol=1e-14)
 
 
 # --- eta-derivative of Phi ---
@@ -217,6 +259,37 @@ def test_G_rejects_inadmissible_eta():
         tr.G_map(4.0, (0.1, 0.0, 0.45))
     with pytest.raises(ValueError):
         tr.A_density(0.5, (0.1, 0.0, 0.6))
+
+
+@pytest.mark.parametrize("B, point", [
+    (0.5, (0.1, 0.0, math.nan)),
+    (0.5, (math.nan, 0.0, 0.2)),
+    (0.5, (0.1, math.inf, 0.2)),
+    (-0.5, (0.1, 0.0, 0.2)),
+    (math.nan, (0.1, 0.0, 0.2)),
+    (math.inf, (0.1, 0.0, 0.2)),
+])
+def test_G_and_A_reject_non_finite_or_negative_input(B, point):
+    with pytest.raises(ValueError):
+        tr.G_map(B, point)
+    with pytest.raises(ValueError):
+        tr.A_density(B, point)
+
+
+@pytest.mark.parametrize("B, m", [(0.5, math.nan), (0.5, math.inf),
+                                  (math.nan, 0.2), (-0.5, 0.2),
+                                  (math.inf, 0.2)])
+def test_phase_table_rejects_non_finite_or_negative_input(B, m):
+    with pytest.raises(ValueError):
+        tr.PhaseTable(B=B, mtilde=m)
+
+
+def test_Phi_rejects_non_finite_angle():
+    table = tr.PhaseTable(B=0.5, mtilde=0.2)
+    with pytest.raises(ValueError):
+        table.Phi(math.nan)
+    with pytest.raises(ValueError):
+        table.Phi(np.array([0.1, math.inf]))
 
 
 def test_G_moves_base_points_boundedly():
