@@ -84,6 +84,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_json(path: Path, obj: dict) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
@@ -93,23 +99,24 @@ def _write_json(path: Path, obj: dict) -> None:
 def cmd_whittaker(cfg: RunConfig) -> dict:
     from .waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     ys = np.linspace(1.0, 3.0, 801)
     peak_rows = []
     for tau in range(cfg.tau_max + 1):
         p = WhittakerParams(tau=tau, s1=cfg.s1, a=cfg.a)
-        norm = ascension_norm(tau, cfg.s1)
-        vals = np.abs(whittaker_W(p, ys)) / norm
+        vals = np.abs(whittaker_W(p, ys)) / ascension_norm(tau, cfg.s1)
         _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
                    zip(ys, vals))
         all_peaks = whittaker_peaks(p, (1.0, 3.0), normalized=True)
-        y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
-        peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk})
+        if all_peaks:
+            y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
+            peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk})
     _write_json(out / "whittaker_peaks.json", {"peaks": peak_rows})
 
     failures = []
-    if cfg.do_assert and cfg.s1 == 50.0 and cfg.a == 25.0:
+    if cfg.do_assert and (cfg.s1, cfg.a) != (50.0, 25.0):
+        failures.append({"reason": f"no reference peak table for s1={cfg.s1}, a={cfg.a}"})
+    elif cfg.do_assert:
         tol_y = cfg.tolerances["peak_abscissa_abs"]
         tol_v = cfg.tolerances["peak_ordinate_rel"]
         for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE:
@@ -134,8 +141,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
     from .transport import wave_norm_shift
     from .waves import ascend, solve_wave
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     s = cfg.s[0]
     m = cfg.eta0 * s
     grid = np.linspace(-1.0, 1.0, 401)
@@ -160,8 +166,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
 def cmd_measure_transport(cfg: RunConfig) -> dict:
     from .quantize import Observable, measure_transport_check
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     obs = Observable(eta0=cfg.eta0, eps=cfg.eps)
     rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs,
                                    eta0=cfg.eta0, l=cfg.l)
@@ -192,8 +197,7 @@ def cmd_flows(cfg: RunConfig) -> dict:
                            hyperbolic_distance, phi_B, phi_B_inv, scale,
                            TangentVec)
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     B = cfg.B
     t_max = float(cfg.tau_max)
     level = math.sqrt(B * B + 1.0)
@@ -226,8 +230,7 @@ def cmd_flows(cfg: RunConfig) -> dict:
 def cmd_equidistribute(cfg: RunConfig) -> dict:
     from .ergodic import equidistribution_series, seeded_unit_vector
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     kind = {"horocycle": "horocyclic", "hypercycle": "hypercyclic",
             "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
     if kind not in ("horocyclic", "hypercyclic", "geodesic"):

@@ -269,8 +269,8 @@ def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
     Orbits have constant geodesic curvature B/sqrt(B^2+1) (clockwise for
     B > 0) and constant speed sqrt(B^2+1); B = 0 is the geodesic flow.
     """
-    if B < 0:
-        raise ValueError("field intensity must be nonnegative")
+    if not (np.isfinite(B) and B >= 0):
+        raise ValueError("field intensity must be finite and nonnegative")
     level = np.sqrt(B * B + 1)
     if abs(v.speed() - level) > SPEED_TOL:
         raise ValueError(f"vector speed {v.speed()} not at level sqrt(B^2+1)={level}")

@@ -74,11 +74,11 @@ def b1(B2, mtilde: float):
 
 
 def b4(B: float, mtilde: float) -> float:
-    """Accumulated phase offset int_0^B b1(B2, m) dB2."""
-    if B == 0.0 or mtilde == 0.0:
-        return 0.0
-    return gauss_quad(lambda B2: b1(B2, mtilde), 0.0, B,
-                      panels=max(16, int(8 * abs(B))))
+    """Accumulated phase offset int_0^B b1(B2, m) dB2, in closed form."""
+    c = 1.0 - mtilde * mtilde
+    r = math.sqrt(B * B + c)
+    return (-B * math.atan(mtilde / r) - mtilde * math.asinh(B / math.sqrt(c))
+            + math.atanh(mtilde * B / r))
 
 
 def db4_deta(B: float, eta: float) -> float:
@@ -89,16 +89,12 @@ def db4_deta(B: float, eta: float) -> float:
 
 def b3(B2, mtilde: float):
     """Real part of the first-order log-coefficient of the raising constant."""
-    D = B2 * B2 - mtilde * mtilde + 1.0
-    return -B2 / (2.0 * (1.0 + B2 * B2)) * (1.0 + mtilde * mtilde / D)
+    return -B2 / (2.0 * (B2 * B2 - mtilde * mtilde + 1.0))
 
 
 def b7(B: float, mtilde: float) -> float:
-    """Accumulated amplitude drift int_0^B b3(B2, m) dB2."""
-    if B == 0.0:
-        return 0.0
-    return gauss_quad(lambda B2: b3(B2, mtilde), 0.0, B,
-                      panels=max(16, int(8 * abs(B))))
+    """Accumulated amplitude drift int_0^B b3 dB2 = -log(1 + B^2/(1 - m^2))/4."""
+    return -0.25 * math.log1p(B * B / (1.0 - mtilde * mtilde))
 
 
 def _solve_P(B1: float, mtilde: float, target, x0):
@@ -156,8 +152,8 @@ class PhaseTable:
     b7_val: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mtilde) and 0.0 <= self.B < math.inf):
-            raise ValueError("need finite B >= 0 and finite mtilde")
+        if not (abs(self.mtilde) < 1.0 and 0.0 <= self.B < math.inf):
+            raise ValueError("need finite B >= 0 and |mtilde| < 1")
         object.__setattr__(self, "b4_val", b4(self.B, self.mtilde))
         object.__setattr__(self, "b7_val", b7(self.B, self.mtilde))
 

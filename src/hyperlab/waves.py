@@ -18,7 +18,11 @@ The radial picture on the half-plane gives the Whittaker-type waves:
 `whittaker_W` computes the recessive solution of
 w'' + (-a^2 + 2 tau a / y + (s1^2 + 1/4)/y^2) w = 0 normalized as
 e^{-a y} (2 a y)^tau at +infinity, at the extreme scales (values near
-1e-34) needed to track peak motion under ascension.
+1e-34) needed to track peak motion under ascension.  One inward pass
+from the large-argument series does it: a log-derivative (Riccati) sweep
+through the forbidden zone, where W has no zeros, then one linear solve
+with dense output through the oscillatory zone, on which
+`whittaker_peaks` finds peaks as roots of W'.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -91,6 +96,8 @@ class WhittakerParams:
     a: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.s1) and np.isfinite(self.a)):
+            raise ValueError("s1 and a must be finite")
         if not self.a > 0:
             raise ValueError("frequency a must be positive")
 
@@ -320,133 +327,127 @@ def ascend(m: float, s: float, B: float, grid, tol: float = 1e-11):
 # --- Whittaker waves ---
 
 
-def _asymptotic_seed(p: WhittakerParams, x0: float) -> tuple[float, float]:
-    """log|W| offset and the series values (S, dS/dx) at large argument x0.
+def _q(p: WhittakerParams, y):
+    """Coefficient of the radial equation w'' = q(y) w."""
+    return p.a * p.a - 2 * p.tau * p.a / y - (p.s1 * p.s1 + 0.25) / (y * y)
 
-    Returns (S, Sp) for W(x) = e^{-x/2} x^kappa S(x), optimally truncated.
+
+def _asymptotic_seed(p: WhittakerParams, x0: float) -> tuple[float, float, float]:
+    """Sign of W, log|W| and W'/W at large argument x0 (derivatives in x).
+
+    W(x) = e^{-x/2} x^kappa S(x), with the series S (DLMF 13.19.3) cut
+    before its smallest term once it starts to diverge.
     """
-    mu2 = -p.s1 * p.s1
-    S, Sp = 1.0, 0.0
-    term = 1.0
+    S, Sp, term = 1.0, 0.0, 1.0
     for k in range(1, 300):
-        term *= (mu2 - (p.tau - k + 0.5) ** 2) / (k * x0)
-        if abs(term) < 1e-18 * abs(S):
+        term *= (-p.s1 * p.s1 - (p.tau - k + 0.5) ** 2) / (k * x0)
+        if abs(term) < 1e-18 * abs(S) or abs(term) > abs(S):
             break
-        new_S = S + term
-        Sp += -k * term / x0
-        if abs(term) > abs(S):  # divergence onset: stop at smallest term
-            break
-        S = new_S
-    return S, Sp
+        S += term
+        Sp -= k * term / x0
+    return (np.sign(S), -0.5 * x0 + p.tau * np.log(x0) + np.log(abs(S)),
+            -0.5 + p.tau / x0 + Sp / S)
 
 
-def _whittaker_state(p: WhittakerParams, ys_arr, tol=1e-12):
-    """(W, dW/dy) at the requested points by seeded inward integration.
+def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
+    """One inward pass from the asymptotic seed at y0, in two legs.
 
-    Seeds from the asymptotic series far out (argument ~ 4 s1^2, where
-    the series is accurate despite the large imaginary index) and
-    integrates the second-order equation inward, carrying a running
-    log-magnitude so values near 1e-34 never underflow.
+    Down to the switch point y_s, where q(y_s) = a^2/4, W has no zeros: the
+    pass integrates u = W'/W and l = log|W| + a y by u' = q - u^2, l' = u + a.
+    Below y_s, one linear solve of (W, W') with dense output, renormalized
+    between pieces whose growth bound e^{a/2 * length} stays under e^500.
+    Returns (W, W') at ys, y_s, and the dense (W, W') on [min ys, y_s].
     """
-    if np.any(ys_arr <= 0):
-        raise ValueError("y must be positive")
-    x0 = max(120.0, 4.0 * (p.s1 * p.s1 + 0.25) + 40.0)
+    ys = np.asarray(ys, dtype=float)
+    if not np.all(np.isfinite(ys) & (ys > 0)):
+        raise ValueError("y must be finite and positive")
+    # the series terms shrink from the first once x0 >> s1^2 + tau^2
+    x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
     y0 = x0 / (2 * p.a)
-    if ys_arr.max() >= y0:
+    if ys.max() >= y0:
         raise ValueError(f"y too large for the inward scheme (need y < {y0})")
-    S, Sp = _asymptotic_seed(p, x0)
-    # W(y) = e^{-a y} (2 a y)^tau S(2 a y); log magnitude carried aside
-    state = np.array([S, (-p.a + p.tau / y0) * S + 2 * p.a * Sp])
-    logfac = -p.a * y0 + p.tau * np.log(x0)
+    sign, log0, dlog0 = _asymptotic_seed(p, x0)
+    # largest root of q = a^2/4, below y0; under it q < a^2/4 for any tau
+    c = p.s1 * p.s1 + 0.25
+    y_s = (2 * p.tau + np.sqrt(4 * p.tau * p.tau + 3 * c)) / (1.5 * p.a)
+    y_s = max(y_s, ys.min())
+    hi = ys >= y_s
+    t_eval = np.unique(np.append(ys[hi], y_s))
+    sol = solve_ivp(lambda y, v: [_q(p, y) - v[0] * v[0], v[0] + p.a], (y0, y_s),
+                    [2 * p.a * dlog0, 0.0], method="DOP853", rtol=tol, atol=tol,
+                    t_eval=t_eval[::-1])
+    if not sol.success:
+        raise RuntimeError(f"forbidden-zone sweep failed: {sol.message}")
+    u, ell = sol.y[:, ::-1]
+    logW = log0 + ell - p.a * (t_eval - y0)
+    W = sign * np.exp(logW)
+    states = np.empty((len(ys), 2))
+    states[hi] = np.column_stack((W, u * W))[np.searchsorted(t_eval, ys[hi])]
 
-    def rhs(y, u):
-        w, dw = u
-        return [dw, (p.a * p.a - 2 * p.tau * p.a / y - (p.s1 * p.s1 + 0.25) / y / y) * w]
+    pieces = []
+    state, logfac = sign * np.array([1.0, u[0]]), logW[0]
+    edges = np.linspace(y_s, ys.min(), 1 + int(np.ceil(p.a * (y_s - ys.min()) / 1000)))
+    for top, bottom in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(lambda y, w: [w[1], _q(p, y) * w[0]], (top, bottom),
+                        state, method="DOP853", rtol=tol, atol=tol,
+                        dense_output=True)
+        if not sol.success:
+            raise RuntimeError(f"inward integration failed near y={top}: {sol.message}")
+        pieces.append((top, sol.sol, logfac))
+        mag = np.max(np.abs(sol.y[:, -1]))
+        state, logfac = sol.y[:, -1] / mag, logfac + np.log(mag)
 
-    targets = np.sort(ys_arr)[::-1]
-    out = np.empty((len(targets), 2))
-    y_cur = y0
-    for j, y_t in enumerate(targets):
-        segments = np.linspace(y_cur, y_t, max(2, int((y_cur - y_t) * 2) + 2))
-        for a_seg, b_seg in zip(segments[:-1], segments[1:]):
-            sol = solve_ivp(rhs, (a_seg, b_seg), state, method="DOP853",
-                            rtol=tol, atol=1e-300)
-            if not sol.success:
-                raise RuntimeError(f"inward integration failed near y={a_seg}")
-            state = sol.y[:, -1]
-            mag = max(abs(state[0]), abs(state[1]))
-            if mag > 0:
-                logfac += np.log(mag)
-                state = state / mag
-        out[j] = state * np.exp(logfac)
-        y_cur = y_t
-    return out[np.argsort(np.argsort(-ys_arr))]
+    def dense(y):
+        y = np.atleast_1d(y)
+        out = np.empty((2, len(y)))
+        for top, f, lf in pieces:  # top down: lower pieces overwrite
+            out[:, y <= top] = f(y[y <= top]) * np.exp(lf)
+        return out
+
+    states[~hi] = dense(ys[~hi]).T
+    return states, y_s, dense
+
+
+def _whittaker_state(p: WhittakerParams, ys, tol=1e-12):
+    """(W, dW/dy) at the requested points, one row per point."""
+    return _whittaker_sweep(p, ys, tol)[0]
 
 
 def whittaker_W(p: WhittakerParams, ys, tol: float = 1e-12):
     """Recessive radial wave, normalized e^{-a y} (2 a y)^tau at +infinity."""
-    ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    vals = _whittaker_state(p, ys_arr, tol)[:, 0]
+    vals = _whittaker_state(p, np.atleast_1d(ys), tol)[:, 0]
     return vals if np.ndim(ys) else float(vals[0])
 
 
 def whittaker_deriv(p: WhittakerParams, ys, tol: float = 1e-12):
     """dW/dy by the same inward scheme (second state component)."""
-    ys_arr = np.atleast_1d(np.asarray(ys, dtype=float))
-    vals = _whittaker_state(p, ys_arr, tol)[:, 1]
+    vals = _whittaker_state(p, np.atleast_1d(ys), tol)[:, 1]
     return vals if np.ndim(ys) else float(vals[0])
 
 
 def ascension_norm(tau: int, s1: float) -> float:
     """Product of raising normalizations from degree 0 up to tau."""
-    s2 = s1 * s1 + 0.25
-    out = 1.0
-    for j in range(tau):
-        out *= np.sqrt(s2 + j * (j + 1))
-    return out
+    return float(np.prod(np.sqrt(s1 * s1 + 0.25 + np.arange(tau) * np.arange(1, tau + 1))))
 
 
 def whittaker_peaks(p: WhittakerParams, y_range: tuple[float, float],
                     n_scan: int = 2000, normalized: bool = False):
     """Local maxima (abscissa, ordinate) of |W| over a y-interval.
 
-    One inward pass caches (W, W') on the scan grid; golden-section
-    refinement to 1e-6 in y then integrates short local segments from
-    the nearest cached state instead of re-seeding from infinity.  With
-    `normalized`, ordinates are divided by the ascension normalization
-    for degree p.tau.
+    One inward pass scans |W|; each scan maximum is refined to the root of
+    W' on the dense output, its bracket cut at the switch point (|W| is
+    monotone above the turning point).  With `normalized`, ordinates are
+    divided by the ascension normalization for degree p.tau.
     """
-    lo, hi = y_range
-    ys = np.linspace(lo, hi, n_scan)
-    states = _whittaker_state(p, ys)
+    ys = np.linspace(*y_range, n_scan)
+    states, y_s, dense = _whittaker_sweep(p, ys)
     vals = np.abs(states[:, 0])
     norm = ascension_norm(p.tau, p.s1) if normalized else 1.0
-
-    def rhs(y, u):
-        w, dw = u
-        return [dw, (p.a * p.a - 2 * p.tau * p.a / y - (p.s1 * p.s1 + 0.25) / y / y) * w]
-
-    def local_eval(y):
-        i_hi = int(np.searchsorted(ys, y))
-        if i_hi >= n_scan:
-            i_hi = n_scan - 1
-        # cached values sit at 1e-34 scale: still 270 orders above underflow
-        sol = solve_ivp(rhs, (ys[i_hi], y), states[i_hi], method="DOP853",
-                        rtol=1e-12, atol=1e-300)
-        return abs(sol.y[0, -1])
-
     peaks = []
-    gr = (np.sqrt(5) - 1) / 2
-    for i in range(1, n_scan - 1):
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            a_br, b_br = ys[i - 1], ys[i + 1]
-            while b_br - a_br > 1e-6:
-                c_pt = b_br - gr * (b_br - a_br)
-                d_pt = a_br + gr * (b_br - a_br)
-                if local_eval(c_pt) >= local_eval(d_pt):
-                    b_br = d_pt
-                else:
-                    a_br = c_pt
-            y_pk = 0.5 * (a_br + b_br)
-            peaks.append((y_pk, local_eval(y_pk) / norm))
+    for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1:
+        bracket = ys[i - 1], min(ys[i + 1], y_s)
+        dw = dense(bracket)[1]
+        y_pk = (brentq(lambda y: dense(y)[1, 0], *bracket, xtol=1e-12)
+                if dw[0] * dw[1] < 0 else ys[i])
+        peaks.append((y_pk, abs(dense(y_pk)[0, 0]) / norm))
     return peaks

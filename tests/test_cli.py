@@ -141,6 +141,18 @@ def test_ascend_artifacts(tmp_path, capsys):
     assert len(lines) == 402
 
 
+@pytest.mark.parametrize("s1, a", [("10", "12"), ("50", "20")])
+def test_whittaker_assert_off_reference_pair_fails(tmp_path, capsys, s1, a):
+    # no reference table to check against: --assert must not pass silently
+    code, out = run_cli(["whittaker", "--s1", s1, "--a", a, "--tau-max", "0",
+                         "--out", str(tmp_path), "--assert"], capsys)
+    assert code == 1
+    diag = json.loads(out)
+    assert diag["passed"] is False
+    assert diag["failures"] == [
+        {"reason": f"no reference peak table for s1={float(s1)}, a={float(a)}"}]
+
+
 @pytest.mark.slow
 def test_whittaker_single_tau(tmp_path, capsys):
     code, out = run_cli(["whittaker", "--tau-max", "0",

@@ -193,6 +193,12 @@ def test_hypercyclic_model_curve():
         assert v.vy == pytest.approx(1 / sq * np.exp(t), rel=1e-10)
 
 
+@pytest.mark.parametrize("B", [np.nan, np.inf, -1.0])
+def test_hypercyclic_rejects_non_finite_or_negative_field(B):
+    with pytest.raises(ValueError):
+        G.hypercyclic_flow(G.TangentVec(G.HPoint(0, 1), 0, 1), B, 0.5)
+
+
 def test_hypercyclic_speed_level_enforced():
     with pytest.raises(ValueError):
         G.hypercyclic_flow(G.TangentVec(G.HPoint(0, 1), 0, 1), 2.0, 0.5)

@@ -82,9 +82,30 @@ def test_b1_b4_vanish_at_zero_frequency():
 
 def test_b4_eta_derivative_closed_form():
     h = 1e-6
-    for B, eta in [(0.5, 0.2), (2.0, 0.4), (1.0, -0.3), (3.0, 0.45)]:
+    for B, eta in [(0.5, 0.2), (2.0, 0.4), (1.0, -0.3), (3.0, 0.45),
+                   (40.0, 0.3), (1e4, -0.45)]:
         fd = (tr.b4(B, eta + h) - tr.b4(B, eta - h)) / (2 * h)
         assert fd == pytest.approx(tr.db4_deta(B, eta), abs=1e-8)
+
+
+@pytest.mark.parametrize("B", [0.1, 1.0, 7.5, 40.0])
+@pytest.mark.parametrize("m", [-0.5, -0.2, 0.3, 0.5])
+def test_b4_b7_closed_forms_match_mpmath_quad(B, m):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        r4 = mpmath.quad(lambda b: -mpmath.atan(m / mpmath.sqrt(b * b - m * m + 1)),
+                         [0, B])
+        r7 = mpmath.quad(lambda b: -b / (2 * (b * b - m * m + 1)), [0, B])
+    assert abs(tr.b4(B, m) - float(r4)) <= 1e-14 * abs(float(r4))
+    assert abs(tr.b7(B, m) - float(r7)) <= 1e-14 * abs(float(r7))
+    # b3 = -B2 / (2 D) is the integrand of b7
+    assert tr.b3(B, m) == pytest.approx(-B / (2 * (B * B - m * m + 1)), rel=1e-14)
+
+
+def test_phase_table_at_huge_field():
+    # closed-form offsets: no panel count grows with B
+    table = tr.PhaseTable(B=1e10, mtilde=0.2)
+    assert math.isfinite(table.b4_val) and math.isfinite(table.b7_val)
 
 
 def test_b3_matches_raising_constant_log():
@@ -278,7 +299,7 @@ def test_G_and_A_reject_non_finite_or_negative_input(B, point):
 
 @pytest.mark.parametrize("B, m", [(0.5, math.nan), (0.5, math.inf),
                                   (math.nan, 0.2), (-0.5, 0.2),
-                                  (math.inf, 0.2)])
+                                  (math.inf, 0.2), (0.5, 1.0)])
 def test_phase_table_rejects_non_finite_or_negative_input(B, m):
     with pytest.raises(ValueError):
         tr.PhaseTable(B=B, mtilde=m)

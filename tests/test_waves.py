@@ -287,6 +287,35 @@ def test_whittaker_rejects_bad_y():
         W.whittaker_W(p, 1e9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_whittaker_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        W.WhittakerParams(0, bad, 0.5)
+    with pytest.raises(ValueError):
+        W.WhittakerParams(0, 25.0, bad)
+    p = W.WhittakerParams(0, 25.0, 0.5)
+    with pytest.raises(ValueError):
+        W.whittaker_W(p, np.array([1.0, bad]))
+    with pytest.raises(ValueError):
+        W.whittaker_deriv(p, bad)
+    with pytest.raises(ValueError):
+        W.whittaker_peaks(p, (1.0, bad), n_scan=20)
+
+
+@pytest.mark.parametrize("tau, s1, a", [(0, 50.0, 25.0), (2, 50.0, 25.0),
+                                        (0, 10.0, 0.5), (20, 5.0, 2.0)])
+def test_whittaker_matches_mpmath_whitw(tau, s1, a):
+    # W(y) = W_{tau, i s1}(2 a y); points on both sides of the switch point.
+    # At tau = 20 the seed must sit beyond tau^2 for its series to converge.
+    mpmath = pytest.importorskip("mpmath")
+    p = W.WhittakerParams(tau, s1, a)
+    ys = np.array([1.5, 1.9, 2.2, 2.5, 3.0])
+    got = W.whittaker_W(p, ys)
+    with mpmath.workdps(30):
+        ref = [float(mpmath.re(mpmath.whitw(tau, 1j * s1, 2 * a * y))) for y in ys]
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+
 def test_whittaker_contiguous_relation():
     ys = np.linspace(1.0, 3.0, 21)
     for s1 in (25.0, 50.0):
