@@ -39,6 +39,7 @@ _DEFAULT_TOLERANCES = {
     "peak_ordinate_rel": 0.01,
     "transport_rel_diff_max": 0.1,
     "flow_conjugacy_abs": 1e-6,
+    "ascend_monochromatic_rel": 1e-2,
 }
 
 
@@ -92,8 +93,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _write_json(path: Path, obj: dict) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+                    + "\n", encoding="utf-8")
 
 
 def cmd_whittaker(cfg: RunConfig) -> dict:
@@ -155,10 +156,18 @@ def cmd_ascend(cfg: RunConfig) -> dict:
                    base.values.real, base.values.imag))
     b1 = math.floor(cfg.B * s) / s
     shift = wave_norm_shift(b1, cfg.eta0) if b1 > 0 else 0.0
+    # the ascended wave is one branch-I wave times the c1 product
+    mono = float(np.max(np.abs(exact.values - closed))
+                 / np.max(np.abs(exact.values)))
+    failures = []
+    if cfg.do_assert and not mono <= cfg.tolerances["ascend_monochromatic_rel"]:
+        failures.append({"reason": "ascended wave not monochromatic",
+                         "monochromatic_rel": mono})
     summary = {"subcommand": "ascend", "s": s, "b_field_requested": cfg.B,
                "b_field_reached": b1, "eta0": cfg.eta0,
-               "c1_product_modulus": abs(prod),
-               "wave_norm_shift": shift, "passed": True, "failures": []}
+               "c1_product_modulus": abs(prod), "monochromatic_rel": mono,
+               "wave_norm_shift": shift, "failures": failures,
+               "passed": not failures}
     _write_json(out / "ascend_summary.json", summary)
     return summary
 
@@ -340,20 +349,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        summary = _COMMANDS[cfg.subcommand](cfg)
+        summary = {"schema_version": SCHEMA_VERSION,
+                   **_COMMANDS[cfg.subcommand](cfg)}
+        text = json.dumps(summary, sort_keys=True, allow_nan=False)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         diag = {"schema_version": SCHEMA_VERSION, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(diag, sort_keys=True))
         return 2
-    summary = {"schema_version": SCHEMA_VERSION, **summary}
-    if cfg.json_summary:
-        print(json.dumps(summary, sort_keys=True))
-    if cfg.do_assert and not summary.get("passed", False):
-        if not cfg.json_summary:
-            print(json.dumps(summary, sort_keys=True))
-        return 1
-    return 0
+    failed = cfg.do_assert and not summary.get("passed", False)
+    if cfg.json_summary or failed:
+        print(text)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

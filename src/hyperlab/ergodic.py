@@ -54,6 +54,8 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
                  B: float = 0.0, step: float = 1e-2,
                  group: FuchsianGroup | None = None) -> OrbitSample:
     """Flow v0 for the given length, reducing after every step."""
+    if not (math.isfinite(B) and B >= 0):
+        raise ValueError("field intensity must be finite and nonnegative")
     if group is None:
         group = octagon_group()
     moves = [g.matrix() for g in group.generators] + \
@@ -218,6 +220,8 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
         for name, f in observables:
             avg = float(np.mean(f(orbit.xs[:n], orbit.ys[:n],
                                   orbit.thetas[:n])))
+            if not math.isfinite(avg):
+                raise ValueError(f"non-finite Birkhoff average of {name} at length {L}")
             disc = max(disc, abs(avg - area_means[name]))
         rows.append((L, disc))
     return rows

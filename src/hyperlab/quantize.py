@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transport as tr
-from .waves import WaveCoeffs, c1, gauss_quad, solve_wave
+# solve_wave is re-exported: code that wraps quantize.solve_wave finds it here
+from .waves import (WaveCoeffs, branch_ic, c1, check_field, gauss_quad,
+                    solve_wave, solve_waves)  # noqa: F401
 
 
 def bump(t: float) -> float:
@@ -94,32 +96,29 @@ class Observable:
         return self._ft_cache[key]
 
 
-class _KahanC:
-    """Compensated accumulator for complex contributions."""
-
-    def __init__(self):
-        self.s = 0.0 + 0.0j
-        self.c = 0.0 + 0.0j
-
-    def add(self, x: complex):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
+def _packet(coeffs: WaveCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted frequencies and branch-I coefficients of the nonzero entries."""
+    items = sorted(coeffs.entries.items())
+    ms = np.array([m for m, _ in items], dtype=float)
+    alpha = np.array([a for _, (a, _) in items], dtype=complex)
+    return ms[alpha != 0], alpha[alpha != 0]
 
 
-def _uniform_grid(lo: float, hi: float, n: int = 801) -> np.ndarray:
-    return np.linspace(lo, hi, n)
+def _branch_I(B1: float, mts, s: float, grid, tol: float) -> np.ndarray:
+    """Branch-I wave values of every frequency in mts, one row each."""
+    return solve_waves(B1, mts, s, *branch_ic(B1, mts, s, "I"), grid, tol,
+                       derivs=False)[0]
 
 
-def _simpson(vals: np.ndarray, h: float) -> complex:
-    n = len(vals)
+def _simpson(vals: np.ndarray, h: float):
+    """Composite Simpson rule along the last axis."""
+    n = vals.shape[-1]
     if n % 2 == 0:
         raise ValueError("need odd sample count")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return complex(np.sum(w * vals) * h / 3.0)
+    return np.sum(w * vals, axis=-1) * h / 3.0
 
 
 def q_mm(m: float, mp: float, obs: Observable, s: float,
@@ -131,27 +130,6 @@ def q_mm(m: float, mp: float, obs: Observable, s: float,
     beta_int = _simpson(obs.phi2(grid) * wm * np.conj(wmp),
                         grid[1] - grid[0])
     return p1 * obs.sigma_ft(m - mp) * beta_int
-
-
-@dataclass(frozen=True)
-class _WaveCache:
-    """Branch-I wave values per (mtilde, tuple-of-points) key."""
-
-    B1: float
-    s: float
-    tol: float = 1e-10
-    store: dict = field(default_factory=dict)
-
-    def values(self, mtilde: float, pts: np.ndarray) -> np.ndarray:
-        key = (round(mtilde, 14), pts.tobytes())
-        if key not in self.store:
-            order = np.argsort(pts)
-            wave = solve_wave(self.B1, mtilde, self.s, "I", pts[order],
-                              self.tol)
-            vals = np.empty_like(wave.values)
-            vals[order] = wave.values
-            self.store[key] = vals
-        return self.store[key]
 
 
 def default_window(s: float) -> float:
@@ -168,48 +146,36 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     the beta' integral pulled back through Phi so that both sides live
     on the same beta grid.
     """
+    check_field(B, s)
     if freq_window is None:
         freq_window = default_window(s)
-    lo, hi = obs.beta_support()
-    grid = _uniform_grid(lo, hi, n_grid)
-    ms = sorted(coeffs.entries.keys())
+    grid = np.linspace(*obs.beta_support(), n_grid)
+    ms, alpha = _packet(coeffs)
+    ms, alpha = ms[np.abs(ms) <= s / 2], alpha[np.abs(ms) <= s / 2]
+    mts = ms / s
+    p1 = obs.phi1(mts)
+    p5 = _bump_arr(mts * 0.999)
     B1 = math.floor(B * s) / s
-    cache = _WaveCache(B1=B1, s=s, tol=tol)
-    acc = _KahanC()
-    for m in ms:
-        am = coeffs.entries[m][0]
-        if am == 0 or abs(m) > s / 2:
-            continue
-        mt = m / s
-        if bump((mt - obs.eta0) / obs.eps) == 0.0:
-            continue
+    if B1 == 0:
+        w_all = _branch_I(0.0, mts, s, grid, tol)
+    pairs = np.zeros((len(ms), len(ms)), dtype=complex)
+    for i in np.flatnonzero(p1):
+        near = np.flatnonzero(np.abs(ms - ms[i]) <= freq_window)
+        weight = obs.phi2(grid)
         if B1 > 0:
-            table = tr.PhaseTable(B=B1, mtilde=mt)
+            table = tr.PhaseTable(B=B1, mtilde=mts[i])
             pts = table.Phi(grid)
-            f3v = table.f3(grid, pts)
-            f4v = table.f4(grid, pts)
-            shift = tr.wave_norm_shift(B1, mt)
-            weight = obs.phi2(grid) * np.exp(-2.0 * (f3v + shift))
+            weight = weight * np.exp(
+                -2.0 * (table.f3(grid, pts) + tr.wave_norm_shift(B1, mts[i]))
+                + 1j * (ms[i] - ms[near])[:, None] * table.f4(grid, pts))
+            w = _branch_I(B1, mts[near], s, pts, tol)
         else:
-            pts = grid
-            weight = obs.phi2(grid)
-            f4v = None
-        wm = cache.values(mt, pts)
-        for mp in ms:
-            if abs(mp - m) > freq_window or abs(mp) > s / 2:
-                continue
-            amp = coeffs.entries[mp][0]
-            if amp == 0:
-                continue
-            wmp = cache.values(mp / s, pts)
-            p5 = bump(mt * 0.999) * bump((mp / s) * 0.999)
-            integrand = weight * wm * np.conj(wmp)
-            if f4v is not None:
-                integrand = integrand * np.exp(1j * (m - mp) * f4v)
-            val = (bump((mt - obs.eta0) / obs.eps) * obs.sigma_ft(m - mp)
-                   * _simpson(integrand, grid[1] - grid[0]))
-            acc.add(am * np.conj(amp) * p5 * val)
-    return acc.s
+            w = w_all[near]
+        ft = np.array([obs.sigma_ft(ms[i] - mp) for mp in ms[near]])
+        beta_int = _simpson(weight * w[near == i] * np.conj(w), grid[1] - grid[0])
+        pairs[i, near] = (alpha[i] * np.conj(alpha[near]) * p5[i] * p5[near]
+                          * p1[i] * ft * beta_int)
+    return complex(np.sum(pairs))
 
 
 def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
@@ -229,18 +195,20 @@ def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
 
 def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
     """Multiply each alpha_m by the product of transfer coefficients."""
+    check_field(B, s)
     n = int(math.floor(B * s))
     if n < 1:
         return coeffs
-    entries = {}
-    for m, (a, a2) in coeffs.entries.items():
-        if a2 != 0:
-            raise ValueError("packet ascension needs pure branch-I data")
-        prod = 1.0 + 0.0j
-        for tau in range(n):
-            prod *= c1(tau / s, m / s, s)
-        entries[m] = (a * prod, 0.0)
-    return WaveCoeffs(l=coeffs.l, entries=entries)
+    ms = np.array(list(coeffs.entries), dtype=float)
+    alpha, alpha_II = np.array(list(coeffs.entries.values()),
+                               dtype=complex).reshape(-1, 2).T
+    if np.any(alpha_II != 0):
+        raise ValueError("packet ascension needs pure branch-I data")
+    if not np.all(np.isfinite(ms)):
+        raise ValueError("frequencies must be finite")
+    alpha = alpha * np.prod(c1(np.arange(n) / s, ms[:, None] / s, s), axis=1)
+    return WaveCoeffs(l=coeffs.l, entries={m: (a, 0.0) for m, a in
+                                           zip(coeffs.entries, alpha)})
 
 
 def measure_transport_check(s_list, B: float, obs: Observable,
@@ -294,32 +262,25 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
     h = grid[1] - grid[0]
     taper = _bump_arr(grid / beta_cut)
     a_beta = taper
+    ms, alpha = _packet(coeffs)
+    waves = _branch_I(B1, ms / s, s, grid, tol)
     freqs = 2 * math.pi * np.fft.fftfreq(n, d=h) * h_param
     mult = np.asarray(xi_profile(freqs), dtype=complex)
-    total = _KahanC()
-    for m in sorted(coeffs.entries.keys()):
-        a = coeffs.entries[m][0]
-        if a == 0:
-            continue
-        wave = solve_wave(B1, m / s, s, "I", grid, tol)
-        u = wave.values * taper
+    forms = np.empty(len(ms), dtype=complex)
+    for k, w in enumerate(waves):
+        u = w * taper
         v = np.fft.ifft(mult * np.fft.fft(u))
-        total.add(abs(a) ** 2 * coeffs.l
-                  * complex(np.sum(a_beta * v * np.conj(u)) * h))
-    return total.s
+        forms[k] = np.sum(a_beta * v * np.conj(u)) * h
+    return complex(np.sum(np.abs(alpha) ** 2 * coeffs.l * forms))
 
 
 def packet_position_density(coeffs: WaveCoeffs, s: float,
                             betas: np.ndarray, sigmas: np.ndarray,
                             tol: float = 1e-10) -> np.ndarray:
     """|u(beta, sigma)|^2 for u = sum alpha_m e^{im sigma} w_m(beta)."""
-    u = np.zeros((len(betas), len(sigmas)), dtype=complex)
-    for m, (a, _) in sorted(coeffs.entries.items()):
-        if a == 0:
-            continue
-        wave = solve_wave(0.0, m / s, s, "I", betas, tol)
-        u += a * np.outer(wave.values, np.exp(1j * m * sigmas))
-    return np.abs(u) ** 2
+    ms, alpha = _packet(coeffs)
+    waves = alpha[:, None] * _branch_I(0.0, ms / s, s, betas, tol)
+    return np.abs(waves.T @ np.exp(1j * np.outer(ms, sigmas))) ** 2
 
 
 def limit_geodesic_sigma(eta0: float, sigma_ref: float,
@@ -330,9 +291,6 @@ def limit_geodesic_sigma(eta0: float, sigma_ref: float,
     dsigma/dbeta = eta0 / sqrt(1/cos^2 - eta0^2); sigma_ref pins the
     value at beta = 0.
     """
-    out = np.empty_like(betas)
-    for i, b in enumerate(betas):
-        out[i] = sigma_ref + gauss_quad(
-            lambda x: eta0 / np.sqrt(1.0 / np.cos(x) ** 2 - eta0 ** 2),
-            0.0, b, panels=16)
-    return out
+    return sigma_ref + gauss_quad(
+        lambda x: eta0 / np.sqrt(1.0 / np.cos(x) ** 2 - eta0 ** 2),
+        0.0, np.asarray(betas, dtype=float), panels=16)

@@ -8,8 +8,12 @@ phi'' + s^2 Q(beta) phi = 0 with the effective potential
     Q_{B1,mt}(beta) = 2 B1 mt tan(beta) - mt^2 + 1/cos^2(beta) + B1^2,
 
 mt = m/s.  The two WKB branches w^I / w^II are fixed by unit value at
-beta = 0 and first-derivative data matching the WKB phases.  The
-raising operator sends a degree-tau wave to a degree-(tau+1) wave of
+beta = 0 and first-derivative data matching the WKB phases.
+`solve_waves` integrates phi rather than w, so the e^{i tau beta}
+carrier stays out of the step-size control, and solves the K waves of a
+packet (each with its own B1, mt and initial data) in one call with a
+state of size 2K; `solve_wave` and `solve_wave_ic` are its K = 1 cases.
+The raising operator sends a degree-tau wave to a degree-(tau+1) wave of
 the same eigenvalue; iterating [Bs] normalized raisings ("ascension")
 keeps the wave on the w^I branch up to O(1/s^2) per step, with
 per-step transfer coefficient given by the closed form `c1`.
@@ -27,6 +31,7 @@ with dense output through the oscillatory zone, on which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +118,13 @@ class WaveCoeffs:
         return sum(abs(a) ** 2 + abs(b) ** 2 for a, b in self.entries.values())
 
 
-def branch_ic(B1: float, mtilde: float, s: float, branch: str) -> tuple[complex, complex]:
+def check_field(B, s) -> None:
+    """Reject a non-finite or negative field B and a non-finite or non-positive s."""
+    if not (np.all(np.isfinite(B) & (np.asarray(B) >= 0)) and np.isfinite(s) and s > 0):
+        raise ValueError(f"need finite B >= 0 and s > 0, got B={B}, s={s}")
+
+
+def branch_ic(B1, mtilde, s: float, branch: str):
     """Initial data (w(0), w'(0)) pinning the WKB branch at beta = 0."""
     q0 = Q(B1, mtilde, 0.0)
     qp0 = Q_prime(B1, mtilde, 0.0)
@@ -122,56 +133,75 @@ def branch_ic(B1: float, mtilde: float, s: float, branch: str) -> tuple[complex,
     return 1.0 + 0j, 1j * tau + sign * 1j * s * np.sqrt(q0) - qp0 / (4 * q0)
 
 
-def _solve_ode(B1, mtilde, s, w0, dw0, grid, tol):
-    """Integrate w'' = 2 i tau w' + tau^2 w - s^2 Q w from 0 over the grid."""
-    tau = B1 * s
+def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
+                derivs: bool = True):
+    """K waves in one solve: values and beta-derivatives, each of shape (K, n).
+
+    B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  The state
+    is (phi, phi') for phi = w e^{-i tau beta}, which solves phi'' = -s^2 Q phi.
+    With derivs=False the derivatives are not formed (None is returned for
+    them), which saves one (K, n) array.
+    """
+    B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
+        np.asarray(B1, float), np.asarray(mtilde, float), np.asarray(w0, complex),
+        np.asarray(dw0, complex)))
+    grid = np.asarray(grid, dtype=float)
+    check_field(B1, s)
+    if not np.all((np.abs(mtilde) <= 0.5) & np.isfinite(w0) & np.isfinite(dw0)):
+        raise ValueError("need finite |mtilde| <= 1/2 and finite initial data")
+    if not np.all(np.abs(grid) < np.pi / 2):
+        raise ValueError("grid must lie inside (-pi/2, pi/2)")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    K, tau = len(B1), B1 * s
+    # -s^2 Q = qa tan(beta) + qb - s^2 / cos^2(beta)
+    qa, qb = -2 * s * s * B1 * mtilde, s * s * (mtilde * mtilde - B1 * B1)
 
     def rhs(beta, y):
-        w, dw = y
-        return [dw, 2j * tau * dw + (tau * tau - s * s * Q(B1, mtilde, beta)) * w]
+        c = math.cos(beta)
+        return np.concatenate((y[K:], (qa * math.tan(beta) + qb - s * s / (c * c)) * y[:K]))
 
-    grid = np.asarray(grid, dtype=float)
-    values = np.empty(len(grid), dtype=complex)
-    derivs = np.empty(len(grid), dtype=complex)
+    values = np.empty((K, len(grid)), dtype=complex)
+    dvals = np.empty((K, len(grid)), dtype=complex) if derivs else None
     at0 = grid == 0
-    values[at0], derivs[at0] = w0, dw0
-    for direction in (+1, -1):
-        sel = (grid > 0) if direction > 0 else (grid < 0)
-        if not sel.any():
+    values[:, at0] = w0[:, None]
+    if derivs:
+        dvals[:, at0] = dw0[:, None]
+    for sel in (grid > 0, grid < 0):
+        if not (K and sel.any()):
             continue
-        order_in_ts = np.argsort(direction * grid[sel])
-        ts = grid[sel][order_in_ts]
-        sol = solve_ivp(rhs, (0.0, ts[-1]), [w0, dw0], method="DOP853",
-                        rtol=tol, atol=tol, t_eval=ts)
+        pos = np.flatnonzero(sel)[np.argsort(np.abs(grid[sel]))]
+        ts = grid[pos]
+        sol = solve_ivp(rhs, (0.0, ts[-1]), np.concatenate((w0, dw0 - 1j * tau * w0)),
+                        method="DOP853", rtol=tol, atol=tol, t_eval=ts)
         if not sol.success:
             raise RuntimeError(f"wave integration failed at beta={sol.t[-1]}: {sol.message}")
-        pos = np.where(sel)[0]
-        values[pos[order_in_ts]] = sol.y[0]
-        derivs[pos[order_in_ts]] = sol.y[1]
-    return values, derivs
+        carrier = np.multiply.outer(1j * tau, ts)
+        np.exp(carrier, out=carrier)
+        if derivs:  # w' = e^{i tau beta} (phi' + i tau phi)
+            phi, dphi = sol.y[:K], sol.y[K:]
+            dphi += 1j * tau[:, None] * phi
+            dphi *= carrier
+            dvals[:, pos] = dphi
+        carrier *= sol.y[:K]
+        values[:, pos] = carrier
+    return values, dvals
 
 
 def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid,
                tol: float = 1e-11) -> CylWave:
     """Solve the separated wave equation for the given WKB branch on a grid."""
-    if abs(mtilde) > 0.5:
-        raise ValueError("need |mtilde| <= 1/2")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) >= np.pi / 2):
-        raise ValueError("grid must lie inside (-pi/2, pi/2)")
+    check_field(B1, s)  # before branch_ic does arithmetic on bad input
     w0, dw0 = branch_ic(B1, mtilde, s, branch)
-    values, derivs = _solve_ode(B1, mtilde, s, w0, dw0, grid, tol)
-    return CylWave(B1, mtilde, s, branch, grid, values, derivs)
+    return solve_wave_ic(B1, mtilde, s, w0, dw0, grid, tol, branch)
 
 
 def solve_wave_ic(B1: float, mtilde: float, s: float, w0: complex, dw0: complex,
-                  grid, tol: float = 1e-11) -> CylWave:
+                  grid, tol: float = 1e-11, branch: str = "-") -> CylWave:
     """Same equation, arbitrary initial data at beta = 0 (branch unset)."""
-    grid = np.asarray(grid, dtype=float)
-    values, derivs = _solve_ode(B1, mtilde, s, w0, dw0, grid, tol)
-    return CylWave(B1, mtilde, s, "-", grid, values, derivs)
+    values, derivs = solve_waves(B1, mtilde, s, w0, dw0, grid, tol)
+    return CylWave(B1, mtilde, s, branch, np.asarray(grid, dtype=float),
+                   values[0], derivs[0])
 
 
 def wkb_eval(B1: float, mtilde: float, s: float, branch: str, beta):
@@ -298,30 +328,31 @@ def ascend(m: float, s: float, B: float, grid, tol: float = 1e-11):
 
     The chain keeps only (w(0), w'(0)) per degree: the raised value and
     derivative at beta = 0 follow from the current data and the ODE, and
-    the raised wave is recovered by re-solving at the next degree, so no
+    the raised wave is recovered by solving at the next degree, so no
     sampling error accumulates.  Returns the exact chain wave on the
     grid, the closed-form approximation (final branch-I wave times the
-    accumulated c1 product), and the product itself.
+    accumulated c1 product), and the product itself.  Both waves share
+    (B1, mtilde) and come from one two-wave solve.
     """
+    check_field(B, s)
     n = int(np.floor(B * s))
-    if n < 1:
-        wave = solve_wave(0.0, m / s, s, "I", grid, tol)
-        return wave, wave.values.copy(), 1.0 + 0j
     mtilde = m / s
+    if not abs(mtilde) <= 0.5:
+        raise ValueError("need finite |m/s| <= 1/2")
     w0, dw0 = branch_ic(0.0, mtilde, s, "I")
-    prod = 1.0 + 0j
     for tau in range(n):
-        B1 = tau / s
         norm = np.sqrt(s * s + tau * (tau + 1))
-        ddw0 = 2j * tau * dw0 + (tau * tau - s * s * Q(B1, mtilde, 0.0)) * w0
+        ddw0 = 2j * tau * dw0 + (tau * tau - s * s * Q(tau / s, mtilde, 0.0)) * w0
         r0 = tau * w0 + 1j * (m * w0 + dw0)
         # (i cos(b) e^{ib})' at 0 is -1
         dr0 = tau * dw0 - (m * w0 + dw0) + 1j * (m * dw0 + ddw0)
         w0, dw0 = r0 / norm, dr0 / norm
-        prod *= c1(B1, mtilde, s)
-    exact = solve_wave_ic(n / s, mtilde, s, w0, dw0, grid, tol)
-    closed = solve_wave(n / s, mtilde, s, "I", grid, tol).values * prod
-    return exact, closed, prod
+    prod = complex(np.prod(c1(np.arange(n) / s, mtilde, s)))
+    _, dI = branch_ic(n / s, mtilde, s, "I")
+    values, derivs = solve_waves(n / s, mtilde, s, [w0, 1.0], [dw0, dI], grid, tol)
+    exact = CylWave(n / s, mtilde, s, "-" if n else "I",
+                    np.asarray(grid, dtype=float), values[0], derivs[0])
+    return exact, values[1] * prod, prod
 
 
 # --- Whittaker waves ---

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from hyperlab.cli import RunConfig, build_parser, config_from_args, main
+from hyperlab.cli import (RunConfig, _write_json, build_parser,
+                          config_from_args, main)
 
 
 def run_cli(argv, capsys):
@@ -139,6 +140,41 @@ def test_ascend_artifacts(tmp_path, capsys):
     assert 0 < summary["c1_product_modulus"] < 1.5
     lines = (tmp_path / "ascend_wave.csv").read_text().strip().split("\n")
     assert len(lines) == 402
+
+
+def test_ascend_assert_checks_monochromaticity(tmp_path, capsys):
+    code, out = run_cli(["ascend", "--s", "50", "--B", "0.5", "--out",
+                         str(tmp_path), "--json-summary", "--assert"], capsys)
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["passed"] is True
+    assert 0 < summary["monochromatic_rel"] < 1e-2
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(
+        {"tolerances": {"ascend_monochromatic_rel": 1e-6}}))
+    code, out = run_cli(["ascend", "--s", "50", "--B", "0.5", "--config",
+                         str(cfgfile), "--out", str(tmp_path), "--assert"],
+                        capsys)
+    assert code == 1
+    diag = json.loads(out)
+    assert diag["passed"] is False
+    assert diag["failures"][0]["reason"] == "ascended wave not monochromatic"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ascend", "--B", "-1"], ["ascend", "--B", "nan"], ["ascend", "--s", "0"],
+    ["equidistribute", "hypercyclic", "--B", "inf", "--lengths", "10,100"]])
+def test_bad_field_fails_with_strict_json(tmp_path, capsys, argv):
+    # these used to exit 0 with "passed": true (and an Infinity token)
+    code, out = run_cli(argv + ["--out", str(tmp_path), "--assert"], capsys)
+    assert code == 2
+    diag = json.loads(out, parse_constant=lambda tok: pytest.fail(tok))
+    assert diag["passed"] is False and "ValueError" in diag["error"]
+
+
+def test_json_output_rejects_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": math.inf})
 
 
 @pytest.mark.parametrize("s1, a", [("10", "12"), ("50", "20")])

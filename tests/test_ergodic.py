@@ -161,3 +161,17 @@ def test_tb_shift_rejects_non_unit():
 def test_unknown_flow_kind():
     with pytest.raises(ValueError):
         sample_orbit(V0, "elliptic", 1.0)
+
+
+@pytest.mark.parametrize("B", [math.inf, math.nan, -1.0])
+def test_sample_orbit_rejects_non_finite_or_negative_field(B):
+    with pytest.raises(ValueError):
+        sample_orbit(V0, "hypercyclic", 10.0, B=B)
+
+
+def test_discrepancy_rejects_non_finite_average(area_means):
+    # a NaN Birkhoff average must not be dropped by the max over the family
+    family = observable_family() + [("nan", lambda x, y, th: np.full_like(x, np.nan))]
+    with pytest.raises(ValueError, match="non-finite Birkhoff average"):
+        equidistribution_series("horocyclic", V0, [1.0], observables=family,
+                                area_means={**area_means, "nan": 0.0})

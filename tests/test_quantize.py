@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlab import quantize as qz
 from hyperlab import transport as tr
-from hyperlab.waves import WaveCoeffs, solve_wave
+from hyperlab.waves import WaveCoeffs, c1, solve_wave
 
 L = 2 * math.pi
 
@@ -128,6 +128,48 @@ def test_quad_form_faraway_pairs_small():
         qz.quad_form(u, obs, 0.0, s, freq_window=1e9) - w1) + 1e-12
 
 
+def _quad_form_by_pairs(coeffs, obs, B, s, n_grid):
+    """quad_form as a double loop with one single-wave solve per (m, m')."""
+    grid = np.linspace(*obs.beta_support(), n_grid)
+    B1 = math.floor(B * s) / s
+    total = 0j
+    for m, (am, _) in coeffs.entries.items():
+        mt = m / s
+        pts, weight, f4v = grid, obs.phi2(grid), np.zeros_like(grid)
+        if B1 > 0:
+            table = tr.PhaseTable(B=B1, mtilde=mt)
+            pts, f4v = table.Phi(grid), table.f4(grid)
+            weight = weight * np.exp(-2.0 * (table.f3(grid)
+                                             + tr.wave_norm_shift(B1, mt)))
+        wm = solve_wave(B1, mt, s, "I", pts, 1e-10).values
+        for mp, (amp, _) in coeffs.entries.items():
+            if abs(mp - m) > qz.default_window(s):
+                continue
+            wmp = solve_wave(B1, mp / s, s, "I", pts, 1e-10).values
+            integrand = weight * wm * np.conj(wmp) * np.exp(1j * (m - mp) * f4v)
+            total += (am * np.conj(amp) * qz.bump(mt * 0.999)
+                      * qz.bump(mp / s * 0.999)
+                      * qz.bump((mt - obs.eta0) / obs.eps) * obs.sigma_ft(m - mp)
+                      * qz._simpson(integrand, grid[1] - grid[0]))
+    return total
+
+
+@pytest.mark.parametrize("B", [0.0, 0.5])
+def test_quad_form_matches_pairwise_single_solves(B):
+    s = 50.0
+    obs = qz.Observable(eta0=0.2, eps=0.2)
+    u = qz.ascend_coeffs(qz.geodesic_packet(s, 0.2, 6, L), s, B)
+    ref = _quad_form_by_pairs(u, obs, B, s, 41)
+    assert abs(qz.quad_form(u, obs, B, s, n_grid=41) - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("B", [np.nan, np.inf, -0.5])
+def test_quad_form_rejects_bad_field(B):
+    obs = qz.Observable(eta0=0.2, eps=0.2)
+    with pytest.raises(ValueError):
+        qz.quad_form(qz.geodesic_packet(50.0, 0.2, 3, L), obs, B, 50.0)
+
+
 # --- packets ---
 
 
@@ -212,6 +254,26 @@ def test_ascend_coeffs_matches_exact_chain():
     assert rel < 10.0 / s
 
 
+def test_ascend_coeffs_matches_loop_product():
+    s, B = 25.0, 8.0
+    u = qz.geodesic_packet(s, 0.2, 4, L)
+    uB = qz.ascend_coeffs(u, s, B)
+    for m, (a, _) in u.entries.items():
+        prod = 1.0 + 0j
+        for tau in range(int(math.floor(B * s))):
+            prod *= c1(tau / s, m / s, s)
+        assert abs(uB.entries[m][0] - a * prod) <= 1e-12 * abs(a * prod)
+
+
+@pytest.mark.parametrize("s, B", [(100.0, -1.0), (100.0, np.nan),
+                                  (100.0, np.inf), (0.0, 0.5), (np.nan, 0.5)])
+def test_ascend_coeffs_rejects_bad_input(s, B):
+    with pytest.raises(ValueError):
+        qz.ascend_coeffs(WaveCoeffs(l=L, entries={20.0: (1.0, 0.0)}), s, B)
+    with pytest.raises(ValueError):
+        qz.ascend_coeffs(WaveCoeffs(l=L, entries={np.nan: (1.0, 0.0)}), 100.0, 0.5)
+
+
 def test_ascend_coeffs_rejects_mixed_branches():
     u = WaveCoeffs(l=L, entries={20.0: (1.0, 0.5)})
     with pytest.raises(ValueError):
@@ -261,3 +323,18 @@ def test_energy_shell_off_shell_small():
     off = qz.energy_shell_test(u, 100.0, 0.0,
                                lambda xi: qz._bump_arr(xi / 0.8))
     assert abs(off) < 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("s, B1, K, h_param", [(100.0, 0.0, 5, None),
+                                               (25.0, 8.0, 3, 1.0 / 200.0)])
+def test_energy_shell_packet_is_sum_of_single_frequencies(s, B1, K, h_param):
+    # the batched solve of the whole packet against one solve per frequency
+    u = qz.geodesic_packet(s, 0.2, K, L)
+    if B1 > 0:
+        u = qz.ascend_coeffs(u, s, B1)
+    profile = lambda xi: qz._bump_arr((xi - 1.0) / 2.0)  # noqa: E731
+    whole = qz.energy_shell_test(u, s, B1, profile, h_param=h_param)
+    parts = sum(qz.energy_shell_test(WaveCoeffs(l=L, entries={m: e}), s, B1,
+                                     profile, h_param=h_param)
+                for m, e in u.entries.items())
+    assert abs(whole - parts) <= 1e-8 * abs(parts)

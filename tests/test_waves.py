@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from hyperlab import waves as W
 
@@ -60,6 +61,61 @@ def test_solver_rejects_bad_input():
         W.solve_wave(0.3, 0.7, 50.0, "I", GRID)
     with pytest.raises(ValueError):
         W.solve_wave(0.3, 0.2, 50.0, "I", [1.6])
+    with pytest.raises(ValueError):
+        W.solve_wave_ic(0.3, 0.2, 50.0, 1.0, np.nan, GRID)
+
+
+@pytest.mark.parametrize("B1, mt, s, grid", [
+    (0.0, np.nan, 50.0, GRID), (np.inf, 0.2, 50.0, GRID),
+    (np.nan, 0.2, 50.0, GRID), (-0.5, 0.2, 50.0, GRID),
+    (0.3, 0.2, np.nan, GRID), (0.3, 0.2, 0.0, GRID), (0.3, 0.2, -50.0, GRID),
+    (0.3, 0.2, 50.0, [0.1, np.nan]), (0.3, 0.2, 50.0, [-np.inf])])
+def test_kernel_rejects_non_finite_or_out_of_range_input(B1, mt, s, grid):
+    # solve_wave(0, nan, ...) used to die inside scipy with a message about y0
+    with pytest.raises(ValueError):
+        W.solve_wave(B1, mt, s, "I", grid)
+    with pytest.raises(ValueError):
+        W.solve_waves([0.1, B1], [0.1, mt], s, 1.0, 0.5j, grid)
+
+
+def _w_form_reference(B1, mt, s, w0, dw0, grid, tol=1e-13):
+    """The separated equation for w itself, one wave per solve."""
+    tau = B1 * s
+
+    def rhs(beta, y):
+        return [y[1], 2j * tau * y[1] + (tau * tau - s * s * W.Q(B1, mt, beta)) * y[0]]
+
+    values = np.empty(len(grid), dtype=complex)
+    derivs = np.empty(len(grid), dtype=complex)
+    for sel in (grid >= 0, grid < 0):
+        pos = np.flatnonzero(sel)[np.argsort(np.abs(grid[sel]))]
+        sol = solve_ivp(rhs, (0.0, grid[pos][-1]), [w0, dw0], method="DOP853",
+                        rtol=tol, atol=tol, t_eval=grid[pos])
+        values[pos], derivs[pos] = sol.y
+    return values, derivs
+
+
+@pytest.mark.parametrize("s, B1", [(25.0, 8.0), (100.0, 0.5), (400.0, 0.0)])
+def test_batched_kernel_matches_tight_reference(s, B1):
+    # one solve of three waves, mixed frequencies, both branches, at the
+    # packet tolerance 1e-10; each wave against its own w-form solve at 1e-13
+    mts, branches = [-0.3, 0.05, 0.45], ["I", "II", "I"]
+    ics = [W.branch_ic(B1, mt, s, b) for mt, b in zip(mts, branches)]
+    values, derivs = W.solve_waves(B1, mts, s, [c[0] for c in ics],
+                                   [c[1] for c in ics], GRID, tol=1e-10)
+    assert values.shape == derivs.shape == (3, len(GRID))
+    for k, (mt, (w0, dw0)) in enumerate(zip(mts, ics)):
+        ref_v, ref_d = _w_form_reference(B1, mt, s, w0, dw0, GRID)
+        assert np.max(np.abs(values[k] - ref_v)) / np.max(np.abs(ref_v)) <= 1e-8
+        assert np.max(np.abs(derivs[k] - ref_d)) / np.max(np.abs(ref_d)) <= 1e-8
+
+
+def test_kernel_without_derivatives_gives_the_same_values():
+    values, derivs = W.solve_waves(0.4, [0.1, -0.2], 60.0, 1.0, [2j, -3j], GRID)
+    only, none = W.solve_waves(0.4, [0.1, -0.2], 60.0, 1.0, [2j, -3j], GRID,
+                               derivs=False)
+    assert none is None
+    assert np.array_equal(only, values)
 
 
 def test_ode_residual_small():
@@ -248,6 +304,40 @@ def test_ascend_below_one_step_is_identity():
     base = W.solve_wave(0.0, 10.0 / s, s, "I", GRID)
     assert prod == 1.0 + 0j
     assert np.allclose(exact.values, base.values)
+
+
+def test_ascend_waves_match_separate_solves():
+    # the exact and closed-form waves come from one two-wave solve; they must
+    # equal the separate single-wave solves of the same data
+    s, B, m = 100.0, 0.3, 15.0
+    mt, n = m / s, int(np.floor(B * s))
+    exact, closed, prod = W.ascend(m, s, B, GRID)
+    w0, dw0 = W.branch_ic(0.0, mt, s, "I")
+    chain = W.CylWave(0.0, mt, s, "I", np.array([0.0]), np.array([w0]),
+                      np.array([dw0]))
+    ref_prod = 1.0 + 0j
+    for tau in range(n):
+        r0, dr0 = _raised_ic(chain)
+        norm = np.sqrt(s * s + tau * (tau + 1))
+        chain = W.CylWave((tau + 1) / s, mt, s, "-", np.array([0.0]),
+                          np.array([r0 / norm]), np.array([dr0 / norm]))
+        ref_prod *= W.c1(tau / s, mt, s)
+    ref = W.solve_wave_ic(n / s, mt, s, chain.values[0], chain.derivs[0], GRID)
+    scale = np.max(np.abs(ref.values))
+    assert np.max(np.abs(exact.values - ref.values)) / scale <= 1e-8
+    assert (np.max(np.abs(exact.derivs - ref.derivs))
+            / np.max(np.abs(ref.derivs)) <= 1e-8)
+    assert abs(prod - ref_prod) <= 1e-12 * abs(ref_prod)
+    branch_I = W.solve_wave(n / s, mt, s, "I", GRID).values * ref_prod
+    assert np.max(np.abs(closed - branch_I)) / scale <= 1e-8
+
+
+@pytest.mark.parametrize("m, s, B", [(20.0, 100.0, -1.0), (20.0, 100.0, np.nan),
+                                     (20.0, 100.0, np.inf), (20.0, 0.0, 0.5),
+                                     (20.0, np.nan, 0.5), (np.nan, 100.0, 0.5)])
+def test_ascend_rejects_bad_input(m, s, B):
+    with pytest.raises(ValueError):
+        W.ascend(m, s, B, GRID)
 
 
 def test_ascend_exact_vs_closed_form():
