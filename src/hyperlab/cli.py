@@ -201,10 +201,9 @@ def cmd_measure_transport(cfg: RunConfig) -> dict:
 
 
 def cmd_flows(cfg: RunConfig) -> dict:
-    from .geometry import (CotangentPt, HPoint, flow_hamiltonian,
-                           horocyclic_flow, hypercyclic_flow,
-                           hyperbolic_distance, phi_B, phi_B_inv, scale,
-                           TangentVec)
+    from .geometry import (HPoint, TangentVec, flow_hamiltonian,
+                           hyperbolic_distance, hypercyclic_flow, phi_B,
+                           phi_B_inv, scale)
 
     out = _out_dir(cfg)
     B = cfg.B
@@ -216,9 +215,9 @@ def cmd_flows(cfg: RunConfig) -> dict:
         else np.array([0.0])
     rows = []
     worst = 0.0
-    for t in ts:
+    for t, q in zip(ts, flow_hamiltonian(p0, B, ts)):
         closed = hypercyclic_flow(v0, B, float(t))
-        numeric = phi_B(flow_hamiltonian(p0, B, float(t)), B)
+        numeric = phi_B(q, B)
         dev = hyperbolic_distance(closed.base, numeric.base)
         worst = max(worst, dev)
         rows.append([t, closed.base.x, closed.base.y, closed.vx, closed.vy,
@@ -252,7 +251,9 @@ def cmd_equidistribute(cfg: RunConfig) -> dict:
     discs = [d for _, d in rows]
     non_increasing = all(a >= b for a, b in zip(discs, discs[1:]))
     failures = []
-    if cfg.do_assert and not non_increasing:
+    if cfg.do_assert and len(discs) < 2:
+        failures.append({"reason": "no check ran: need at least two lengths"})
+    elif cfg.do_assert and not non_increasing:
         failures.append({"reason": "discrepancy not non-increasing",
                          "discrepancy": discs})
     summary = {"subcommand": "equidistribute", "flow_kind": kind,

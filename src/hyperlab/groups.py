@@ -11,19 +11,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (HPoint, MobiusMap, hyperbolic_distance, mobius_apply,
                        mobius_from_matrix)
 
-_MAX_REDUCTION_STEPS = 10_000
-
 # regular octagon with all vertex angles pi/4: right triangle
 # (center, side midpoint, vertex) has angles pi/8, pi/2, pi/8, giving
 # cosh(apothem) = cot(pi/8) and cosh(center-to-vertex) = cot(pi/8)^2
 _COSH_HALF_T = 1.0 + math.sqrt(2.0)  # cosh of the apothem = half pairing length
 _COSH_R = 3.0 + 2.0 * math.sqrt(2.0)  # cosh of center-to-vertex distance
+
+# a frame F with F i = z has |F|^2 = 2 cosh d(z, i); reduction engages only
+# beyond the octagon inradius, where |F|^2 = 2 cosh(apothem)
+REDUCE_THRESHOLD = 2.0 * _COSH_HALF_T + 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,47 @@ class FuchsianGroup:
             prod = g.compose(gi).matrix()
             if np.abs(prod / prod[0, 0] - np.eye(2)).max() > 1e-10:
                 raise ValueError("inverse pair check failed")
+
+    @cached_property
+    def moves(self) -> list[tuple[float, float, float, float]]:
+        """Generators, then inverses, as (a, b, c, d)."""
+        return [tuple(map(float, (g.a, g.b, g.c, g.d)))
+                for g in self.generators + self.inverses]
+
+    @cached_property
+    def dirichlet_forms(self) -> list[tuple[float, float, float]]:
+        """|MF|^2 - |F|^2 = <M^T M - I, F F^T> per move M as coefficients of
+        (a^2 + b^2, ac + bd, c^2 + d^2) for a frame F = [[a, b], [c, d]]:
+        F i is in the Dirichlet domain iff all are >= 0 (|F|^2 = 2 cosh d)."""
+        return [(ma * ma + mc * mc - 1.0, 2.0 * (ma * mb + mc * md),
+                 mb * mb + md * md - 1.0) for ma, mb, mc, md in self.moves]
+
+    def reduce_frame(self, a, b, c, d, used=None):
+        """Greedy Dirichlet reduction of a frame: each sweep applies the move
+        that lowers |F|^2 the most, by more than 1e-13, and appends its
+        index to `used`.  A sweep runs only if a Dirichlet form is <= 1e-9
+        (far above their ~1e-13 rounding): the ungated result, bit for bit."""
+        cur = a * a + b * b + c * c + d * d
+        while cur > REDUCE_THRESHOLD:
+            p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
+            for fp, fq, fr in self.dirichlet_forms:
+                if fp * p + fq * q + fr * r <= 1e-9:
+                    break
+            else:
+                break
+            best, best_k = cur, None
+            for k, (ma, mb, mc, md) in enumerate(self.moves):
+                na, nb = ma * a + mb * c, ma * b + mb * d
+                nc, nd = mc * a + md * c, mc * b + md * d
+                v = na * na + nb * nb + nc * nc + nd * nd
+                if v < best - 1e-13:
+                    best, best_k, best_t = v, k, (na, nb, nc, nd)
+            if best_k is None:
+                break
+            (a, b, c, d), cur = best_t, best
+            if used is not None:
+                used.append(best_k)
+        return a, b, c, d
 
 
 def automorphy_factor(M: MobiusMap, z: HPoint, tau: int) -> AutomorphyFactor:
@@ -183,20 +227,10 @@ def reduce_to_domain(z: HPoint, G: FuchsianGroup) -> tuple[HPoint, MobiusMap]:
                       [0.0, math.exp(-k * G.l / 2)]]))
         return HPoint(z.x * f, z.y * f), gamma
 
-    moves = list(G.generators) + list(G.inverses)
-    inverse_moves = list(G.inverses) + list(G.generators)
+    sq, used = math.sqrt(z.y), []
+    a, b, c, d = G.reduce_frame(sq, z.x / sq, 0.0, 1.0 / sq, used)
     gamma = ident
-    cur = z
-    dist = hyperbolic_distance(cur, G.center)
-    for _ in range(_MAX_REDUCTION_STEPS):
-        best = None
-        for mv, mv_inv in zip(moves, inverse_moves):
-            cand = mobius_apply(mv, cur)
-            d = hyperbolic_distance(cand, G.center)
-            if d < dist - 1e-13 and (best is None or d < best[0]):
-                best = (d, cand, mv_inv)
-        if best is None:
-            return cur, gamma
-        dist, cur, used_inv = best
-        gamma = gamma.compose(used_inv)
-    raise RuntimeError("fundamental-domain reduction did not terminate")
+    for k in used:  # move k is undone by (inverses + generators)[k]
+        gamma = gamma.compose((G.inverses + G.generators)[k])
+    den = c * c + d * d
+    return HPoint((a * c + b * d) / den, 1.0 / den), gamma

@@ -110,6 +110,27 @@ def test_equidistribute_artifacts(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("lengths", ["--lengths=-5,10", "--lengths=inf",
+                                     "--lengths=nan", "--lengths=,"])
+def test_equidistribute_bad_lengths_exit_2(tmp_path, capsys, lengths):
+    # -5 used to pass with a row from xs[:-499]; inf escaped as a traceback
+    code, out = run_cli(["equidistribute", "horocyclic", lengths,
+                         "--out", str(tmp_path), "--assert"], capsys)
+    assert code == 2
+    diag = json.loads(out, parse_constant=lambda tok: pytest.fail(tok))
+    assert diag["passed"] is False and "ValueError" in diag["error"]
+
+
+def test_equidistribute_assert_one_length_says_no_check_ran(tmp_path, capsys):
+    code, out = run_cli(["equidistribute", "horocyclic", "--lengths", "20",
+                         "--out", str(tmp_path), "--assert"], capsys)
+    assert code == 1
+    diag = json.loads(out)
+    assert diag["passed"] is False
+    assert diag["failures"] == [
+        {"reason": "no check ran: need at least two lengths"}]
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     for d in (d1, d2):

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hyperlab.ergodic import (OrbitSample, birkhoff_average,
+from hyperlab.ergodic import (OrbitSample, _step_matrix, birkhoff_average,
                               equidistribution_series, observable_family,
                               octagon_area_means, sample_orbit,
                               seeded_unit_vector, tb_shift_check)
-from hyperlab.geometry import (HPoint, TangentVec, hypercyclic_flow,
-                               hyperbolic_distance, mobius_apply_vec,
-                               mobius_from_matrix, scale)
-from hyperlab.groups import octagon_group, reduce_to_domain
+from hyperlab.geometry import (HPoint, TangentVec, frame_of,
+                               hypercyclic_flow, hyperbolic_distance,
+                               mobius_apply_vec, mobius_from_matrix, scale)
+from hyperlab.groups import _COSH_HALF_T, octagon_group, reduce_to_domain
 
 
 V0 = seeded_unit_vector(7)
@@ -175,3 +175,98 @@ def test_discrepancy_rejects_non_finite_average(area_means):
     with pytest.raises(ValueError, match="non-finite Birkhoff average"):
         equidistribution_series("horocyclic", V0, [1.0], observables=family,
                                 area_means={**area_means, "nan": 0.0})
+
+
+def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
+    """Frozen per-step loop the orbit sampler must reproduce bit for bit:
+    numpy-scalar frame, ungated 8-move sweep, per-step recording."""
+    group = octagon_group()
+    threshold = 2.0 * (1.0 + math.sqrt(2.0)) + 1e-9
+    moves = [g.matrix() for g in group.generators] + \
+            [g.matrix() for g in group.inverses]
+    moves = [(m[0, 0], m[0, 1], m[1, 0], m[1, 1]) for m in moves]
+    S = _step_matrix(kind, B, step)
+    sa, sb, sc, sd = S[0, 0], S[0, 1], S[1, 0], S[1, 1]
+    F = frame_of(v0)
+    a, b, c, d = F[0, 0], F[0, 1], F[1, 0], F[1, 1]
+    n = int(round(length / step))
+    xs, ys, ths = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+
+    def record(i):
+        den = c * c + d * d
+        xs[i] = (a * c + b * d) / den
+        ys[i] = 1.0 / den
+        ths[i] = math.pi / 2 - 2.0 * math.atan2(c, d)
+
+    def reduce_frame(a, b, c, d):
+        cur = a * a + b * b + c * c + d * d
+        while cur > threshold:
+            best, best_t = cur, None
+            for ma, mb, mc, md in moves:
+                na = ma * a + mb * c
+                nb = ma * b + mb * d
+                nc = mc * a + md * c
+                nd = mc * b + md * d
+                v = na * na + nb * nb + nc * nc + nd * nd
+                if v < best - 1e-13:
+                    best, best_t = v, (na, nb, nc, nd)
+            if best_t is None:
+                break
+            a, b, c, d = best_t
+            cur = best
+        return a, b, c, d
+
+    a, b, c, d = reduce_frame(a, b, c, d)
+    record(0)
+    for i in range(1, n + 1):
+        a, b = a * sa + b * sc, a * sb + b * sd
+        c, d = c * sa + d * sc, c * sb + d * sd
+        if a * a + b * b + c * c + d * d > threshold:
+            a, b, c, d = reduce_frame(a, b, c, d)
+        if i % 1000 == 0:
+            f = 1.0 / math.sqrt(a * d - b * c)
+            a, b, c, d = a * f, b * f, c * f, d * f
+        record(i)
+    return xs, ys, ths
+
+
+def _on_side_start():
+    # midpoint of octagon side 1 (disk direction pi/4, at the apothem),
+    # pointing along the side
+    w = math.tanh(math.acosh(_COSH_HALF_T) / 2) * np.exp(1j * math.pi / 4)
+    z = 1j * (1 + w) / (1 - w)
+    dz = 1j * w / abs(w) * (2j / (1 - w) ** 2)  # tangent to the side at z
+    dz *= z.imag / abs(dz)
+    return TangentVec(HPoint(z.real, z.imag), dz.real, dz.imag)
+
+
+@pytest.mark.parametrize("kind, B", [("geodesic", 0.0), ("horocyclic", 0.0),
+                                     ("hypercyclic", 0.5),
+                                     ("hypercyclic", 5.0)])
+def test_orbit_is_bit_identical_to_sequential_loop(kind, B):
+    # 2537 steps: two full renormalization blocks and a partial one
+    v0 = _on_side_start()
+    orbit = sample_orbit(v0, kind, 25.37, B=B)
+    xs, ys, ths = _sequential_orbit(v0, kind, 25.37, B=B)
+    assert len(orbit.xs) == 2538
+    assert np.array_equal(orbit.xs, xs)
+    assert np.array_equal(orbit.ys, ys)
+    assert np.array_equal(orbit.thetas, ths)
+
+
+@pytest.mark.parametrize("length, step", [
+    (math.nan, 1e-2), (math.inf, 1e-2), (-1.0, 1e-2),
+    (10.0, 0.0), (10.0, -1e-2), (10.0, math.nan), (10.0, math.inf)])
+def test_sample_orbit_rejects_bad_length_or_step(length, step):
+    with pytest.raises(ValueError):
+        sample_orbit(V0, "horocyclic", length, step=step)
+
+
+@pytest.mark.parametrize("lengths", [[], [math.nan], [math.inf, 10.0],
+                                     [-5.0, 10.0]])
+def test_discrepancy_rejects_bad_lengths(lengths):
+    # -5 used to give a row from xs[:-499]; inf and nan died in int()
+    with pytest.raises(ValueError, match="lengths"):
+        equidistribution_series("horocyclic", V0, lengths,
+                                area_means={"one": 1.0},
+                                observables=[("one", lambda x, y, th: np.ones_like(x))])

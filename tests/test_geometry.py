@@ -161,6 +161,29 @@ def test_flow_hamiltonian_energy_drift():
         assert abs(G.hamiltonian(q, 1.0) - G.hamiltonian(p, 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("B, sign", [(0.0, 1), (1.0, 1), (2.0, -1)])
+def test_flow_hamiltonian_array_matches_scalar_calls(B, sign):
+    # one integration with dense output serves every time of the array
+    p = G.phi_B_inv(G.scale(G.TangentVec(G.HPoint(0.3, 1.2), 0.72, 0.96),
+                            np.sqrt(B * B + 1)), B)
+    ts = sign * np.linspace(0.0, 5.0, 101)
+    qs = G.flow_hamiltonian(p, B, ts)
+    assert len(qs) == len(ts) and qs[0] is p
+    for t, q in zip(ts, qs):
+        r = G.flow_hamiltonian(p, B, float(t))
+        assert abs(q.base.as_complex() - r.base.as_complex()) < 1e-10
+        for a, b in ((q.xi1, r.xi1), (q.xi2, r.xi2)):  # y -> 0 grows xi
+            assert abs(a - b) < 1e-10 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("ts", [[1.0, 0.5], [-1.0, 1.0], [0.0, np.nan],
+                                [[1.0]]])
+def test_flow_hamiltonian_rejects_bad_times(ts):
+    p = G.CotangentPt(G.HPoint(0.2, 1.5), 0.3, -0.1)
+    with pytest.raises(ValueError):
+        G.flow_hamiltonian(p, 1.0, np.array(ts))
+
+
 # --- closed-form flows ---
 
 def test_geodesic_flow_vertical():

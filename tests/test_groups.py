@@ -173,3 +173,73 @@ def test_octagon_greedy_steps_decrease_distance():
         dist, cur = d, nxt
     red, _ = gr.reduce_to_domain(z, G)
     assert hyperbolic_distance(red, G.center) == pytest.approx(dist, abs=1e-10)
+
+
+def _ungated_reduce(moves, a, b, c, d):
+    """Frozen 8-move greedy sweep on the frame norm, with no gate."""
+    cur = a * a + b * b + c * c + d * d
+    while cur > gr.REDUCE_THRESHOLD:
+        best, best_t = cur, None
+        for ma, mb, mc, md in moves:
+            na = ma * a + mb * c
+            nb = ma * b + mb * d
+            nc = mc * a + md * c
+            nd = mc * b + md * d
+            v = na * na + nb * nb + nc * nc + nd * nd
+            if v < best - 1e-13:
+                best, best_t = v, (na, nb, nc, nd)
+        if best_t is None:
+            break
+        a, b, c, d = best_t
+        cur = best
+    return a, b, c, d
+
+
+def _frame_at(w, phi):
+    """Unit-determinant frame over the half-plane image of disk point w."""
+    z = 1j * (1 + w) / (1 - w)
+    sq = math.sqrt(z.imag)
+    c, s = math.cos(phi), math.sin(phi)
+    t = np.array([[sq, z.real / sq], [0.0, 1.0 / sq]])
+    return tuple(float(v) for v in (t @ np.array([[c, s], [-s, c]])).ravel())
+
+
+def test_gated_reduction_equals_ungated_sweep():
+    G = gr.octagon_group()
+    rng = np.random.default_rng(5)
+    apothem = math.tanh(math.acosh(1.0 + math.sqrt(2.0)) / 2)
+    frames = []
+    for _ in range(2000):  # within distance 5 of the center
+        w = math.tanh(rng.uniform(0, 5.0) / 2) * np.exp(2j * math.pi * rng.random())
+        frames.append(_frame_at(w, rng.uniform(0, 2 * math.pi)))
+    for k in range(8):
+        mid = np.exp(1j * k * math.pi / 4)
+        for _ in range(100):  # along side k, within 1e-12 of it
+            t = rng.uniform(-0.4, 0.4)
+            # side k is the geodesic through apothem * mid orthogonal to mid
+            m = (apothem + 1j * t) / (1 + 1j * t * apothem)
+            w = (m + rng.uniform(-1e-12, 1e-12)) * mid
+            frames.append(_frame_at(w, rng.uniform(0, 2 * math.pi)))
+    for v in G.vertices:  # the vertices and their 1e-12 neighbourhoods
+        w = (v - 1j) / (v + 1j)
+        for eps in (0.0, 1e-12, -1e-12, 1e-12j, -1e-12j):
+            frames.append(_frame_at(w + eps, rng.uniform(0, 2 * math.pi)))
+    used = []
+    for f in frames:
+        assert G.reduce_frame(*f, used) == _ungated_reduce(G.moves, *f)
+    assert len(used) > 1000  # the sweeps moved frames
+
+
+def test_octagon_reduction_gamma_from_moves():
+    # reduce_to_domain composes the inverses of the moves it applied
+    G = gr.octagon_group()
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        d = rng.uniform(0, 5.0)
+        w = math.tanh(d / 2) * np.exp(2j * math.pi * rng.random())
+        zc = 1j * (1 + w) / (1 - w)
+        z = HPoint(zc.real, zc.imag)
+        red, gamma = gr.reduce_to_domain(z, G)
+        back = mobius_apply(gamma, red)
+        assert abs(back.as_complex() - zc) < 1e-12 * max(1.0, abs(zc))
+        assert hyperbolic_distance(red, G.center) <= math.acosh(3 + 2 * math.sqrt(2)) + 1e-9
