@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Cost and accuracy of the packet wave kernel `solve_waves` as s grows.
+
+For each s, solves 5 waves (|m/s| <= 1/2, both WKB branches, B1 = 0.5) on
+8192 points over [-1.2, 1.2] and prints the median time per wave over 5
+repeats.  For s up to --oracle-max the
+error against a DOP853 solve of the same equation at tolerance 1e-13 (one
+solve per side, all waves batched) is printed too: the larger of the
+relative max errors of values and derivatives over the waves.  The kernel's
+panels are sized by phase, so its cost grows with s; the printout measures
+that growth.
+
+Usage: python3 scripts/run_wave_scaling.py [--s 25,100,400,1600,6400]
+       [--oracle-max 1600]
+"""
+
+import argparse
+import math
+import time
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+from hyperlab.waves import branch_ic, solve_waves
+
+
+def dop853(B1, mts, s, w0, dw0, grid, tol=1e-13):
+    """phi'' = -s^2 Q phi stepped from beta = 0 to each side of the grid."""
+    K, tau = len(mts), B1 * s
+    qa, qb = -2 * s * s * B1 * mts, s * s * (mts * mts - B1 * B1)
+
+    def rhs(beta, y):
+        c = math.cos(beta)
+        return np.concatenate((y[K:], (qa * math.tan(beta) + qb - s * s / (c * c)) * y[:K]))
+
+    values = np.empty((K, len(grid)), dtype=complex)
+    derivs = np.empty((K, len(grid)), dtype=complex)
+    for sel in (grid >= 0, grid < 0):
+        pos = np.flatnonzero(sel)[np.argsort(np.abs(grid[sel]))]
+        sol = solve_ivp(rhs, (0.0, grid[pos][-1]), np.r_[w0, dw0 - 1j * tau * w0],
+                        method="DOP853", rtol=tol, atol=tol, t_eval=grid[pos])
+        carrier = np.exp(1j * tau * grid[pos])
+        values[:, pos] = carrier * sol.y[:K]
+        derivs[:, pos] = carrier * (sol.y[K:] + 1j * tau * sol.y[:K])
+    return values, derivs
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--s", default="25,100,400,1600,6400")
+    ap.add_argument("--oracle-max", type=float, default=1600.0)
+    args = ap.parse_args()
+
+    B1, mts = 0.5, np.array([-0.5, -0.2, 0.1, 0.3, 0.5])
+    branches = ["I", "II", "I", "II", "I"]
+    grid = np.linspace(-1.2, 1.2, 8192)
+    print(f"{'s':>7} {'ms/wave':>9} {'err vs DOP853':>14}")
+    for _ in range(5):  # warm up: the first solves of a process run slow
+        solve_waves(B1, mts, 100.0, 1.0, 1j, grid)
+    for s in (float(v) for v in args.s.split(",")):
+        w0 = np.ones(len(mts), dtype=complex)
+        dw0 = np.array([branch_ic(B1, mt, s, b)[1] for mt, b in zip(mts, branches)])
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            values, derivs = solve_waves(B1, mts, s, w0, dw0, grid, tol=1e-10)
+            times.append(time.perf_counter() - t0)
+        per_wave = 1e3 * float(np.median(times)) / len(mts)
+        err = "-"
+        if s <= args.oracle_max:
+            ref_v, ref_d = dop853(B1, mts, s, w0, dw0, grid)
+            err = max(float(np.max(np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)))
+                      for got, ref in ((values, ref_v), (derivs, ref_d)))
+            err = f"{err:.1e}"
+        print(f"{s:7g} {per_wave:9.2f} {err:>14}")
+
+
+if __name__ == "__main__":
+    main()

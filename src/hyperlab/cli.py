@@ -98,20 +98,24 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def cmd_whittaker(cfg: RunConfig) -> dict:
-    from .waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
+    from .waves import WhittakerParams, _sweep_peaks, _whittaker_sweep, ascension_norm
 
     out = _out_dir(cfg)
-    ys = np.linspace(1.0, 3.0, 801)
+    # one sweep per degree serves the CSV grid and the peak scan
+    ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
+    both = np.union1d(ys, scan)
     peak_rows = []
     for tau in range(cfg.tau_max + 1):
         p = WhittakerParams(tau=tau, s1=cfg.s1, a=cfg.a)
-        vals = np.abs(whittaker_W(p, ys)) / ascension_norm(tau, cfg.s1)
+        states, y_s, dense = _whittaker_sweep(p, both)
+        norm = ascension_norm(tau, cfg.s1)
+        vals = np.abs(states[np.searchsorted(both, ys), 0]) / norm
         _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
                    zip(ys, vals))
-        all_peaks = whittaker_peaks(p, (1.0, 3.0), normalized=True)
+        all_peaks = _sweep_peaks(scan, states[np.searchsorted(both, scan)], y_s, dense)
         if all_peaks:
             y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
-            peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk})
+            peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk / norm})
     _write_json(out / "whittaker_peaks.json", {"peaks": peak_rows})
 
     failures = []

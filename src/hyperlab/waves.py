@@ -9,10 +9,11 @@ phi'' + s^2 Q(beta) phi = 0 with the effective potential
 
 mt = m/s.  The two WKB branches w^I / w^II are fixed by unit value at
 beta = 0 and first-derivative data matching the WKB phases.
-`solve_waves` integrates phi rather than w, so the e^{i tau beta}
-carrier stays out of the step-size control, and solves the K waves of a
-packet (each with its own B1, mt and initial data) in one call with a
-state of size 2K; `solve_wave` and `solve_wave_ic` are its K = 1 cases.
+`solve_waves` solves for phi rather than w, so the e^{i tau beta} carrier
+stays out of the numerics, and solves the K waves of a packet (each with its
+own B1, mt and initial data) without stepping: Chebyshev collocation on
+panels of equal phase, both sides of beta = 0 and all waves in one batched
+linear solve.  `solve_wave` and `solve_wave_ic` are its K = 1 cases.
 The raising operator sends a degree-tau wave to a degree-(tau+1) wave of
 the same eigenvalue; iterating [Bs] normalized raisings ("ascension")
 keeps the wave on the w^I branch up to O(1/s^2) per step, with
@@ -31,11 +32,10 @@ with dense output through the oscillatory zone, on which
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import brentq
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -133,14 +133,65 @@ def branch_ic(B1, mtilde, s: float, branch: str):
     return 1.0 + 0j, 1j * tau + sign * 1j * s * np.sqrt(q0) - qp0 / (4 * q0)
 
 
+# 32 second-kind Chebyshev nodes cos(theta) on [-1, 1] (ascending), their
+# barycentric weights, differentiation matrix, and the map (a discrete cosine
+# transform) from node values to the last two Chebyshev coefficients
+_THETA = np.pi * np.arange(31, -1, -1) / 31
+_NODES = np.cos(_THETA)
+_BARY = np.where(np.arange(32) % 2, -1.0, 1.0) / np.r_[2.0, np.ones(30), 2.0]
+_DIFF = np.outer(1 / _BARY, _BARY) / (_NODES[:, None] - _NODES + np.eye(32))
+_DIFF -= np.diag(_DIFF.sum(axis=1))
+_TAIL = np.cos(np.outer([30, 31], _THETA)) * np.abs(_BARY) / np.c_[[15.5, 31.0]]
+_PANEL_PHASE = 10.0  # radians of the fastest wave per panel
+
+
+def _panel_edges(B1, mtilde, s: float, L: float) -> np.ndarray:
+    """Edges on [0, L] at equal steps of the fastest wave's phase int s sqrt(Q).
+
+    In g = asinh(tan beta) the rate sqrt(Q) cos(beta) is bounded.  s is floored
+    at 10 so that panels near pi/2 stay a fraction of their distance to it.
+    """
+    g = np.linspace(0.0, np.arcsinh(np.tan(L)), 257)
+    b = np.arctan(np.sinh(g))
+    rate = max(s, 10.0) * np.cos(b) * np.sqrt(np.max(Q(B1[:, None], mtilde[:, None], b), axis=0))
+    phase = cumulative_trapezoid(rate, g, initial=0.0)
+    steps = np.linspace(0.0, phase[-1], 1 + int(np.ceil(phase[-1] / _PANEL_PHASE)))
+    edges = np.arctan(np.sinh(np.interp(steps, phase, g)))
+    edges[0], edges[-1] = 0.0, L
+    return edges
+
+
+def _fundamental(qa, qb, s: float, edges):
+    """Fundamental solutions U (W waves, P panels, 32 nodes, 2) of
+    phi'' = (qa tan + qb - s^2 / cos^2) phi, starting at each panel's left
+    edge as (phi, phi') = (1, 0) and (0, 1), and their derivatives."""
+    half = 0.5 * np.diff(edges)[:, None]
+    beta = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _NODES
+    F = qa[:, None, None] * np.tan(beta) + qb[:, None, None] - (s / np.cos(beta)) ** 2
+    A = np.broadcast_to(_DIFF @ _DIFF, F.shape + (32,)).copy()
+    A[..., range(32), range(32)] -= half ** 2 * F
+    A[..., 0, :], A[..., -1, :] = np.eye(32)[0], _DIFF[0]  # value and slope at the left edge
+    U = np.linalg.solve(A, np.broadcast_to(np.eye(32)[:, [0, -1]], F.shape + (2,)))
+    U[..., 1] *= half
+    return U, (_DIFF @ U) / half[..., None]
+
+
 def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
                 derivs: bool = True):
     """K waves in one solve: values and beta-derivatives, each of shape (K, n).
 
-    B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  The state
-    is (phi, phi') for phi = w e^{-i tau beta}, which solves phi'' = -s^2 Q phi.
-    With derivs=False the derivatives are not formed (None is returned for
-    them), which saves one (K, n) array.
+    B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  For
+    phi = w e^{-i tau beta}, phi'' = -s^2 Q phi is collocated at 32 Chebyshev
+    nodes per panel.  The side beta < 0 is mirrored (mtilde -> -mtilde,
+    phi'(0) -> -phi'(0)), so both sides are one batch of 2K waves on
+    [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
+    One batched linear solve gives two fundamental solutions per panel and
+    wave; chaining their 2x2 transfer matrices from beta = 0 fixes phi, which
+    is interpolated on each point's panel.  tol bounds the last two Chebyshev
+    coefficients of every fundamental solution relative to its size: panels
+    above it are halved, and RuntimeError is raised once halving stops
+    helping.  With derivs=False the derivatives are not formed (None is
+    returned for them).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
         np.asarray(B1, float), np.asarray(mtilde, float), np.asarray(w0, complex),
@@ -154,37 +205,50 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     if not tol > 0:
         raise ValueError("tol must be positive")
     K, tau = len(B1), B1 * s
-    # -s^2 Q = qa tan(beta) + qb - s^2 / cos^2(beta)
-    qa, qb = -2 * s * s * B1 * mtilde, s * s * (mtilde * mtilde - B1 * B1)
-
-    def rhs(beta, y):
-        c = math.cos(beta)
-        return np.concatenate((y[K:], (qa * math.tan(beta) + qb - s * s / (c * c)) * y[:K]))
-
     values = np.empty((K, len(grid)), dtype=complex)
     dvals = np.empty((K, len(grid)), dtype=complex) if derivs else None
     at0 = grid == 0
     values[:, at0] = w0[:, None]
     if derivs:
         dvals[:, at0] = dw0[:, None]
-    for sel in (grid > 0, grid < 0):
-        if not (K and sel.any()):
-            continue
-        pos = np.flatnonzero(sel)[np.argsort(np.abs(grid[sel]))]
-        ts = grid[pos]
-        sol = solve_ivp(rhs, (0.0, ts[-1]), np.concatenate((w0, dw0 - 1j * tau * w0)),
-                        method="DOP853", rtol=tol, atol=tol, t_eval=ts)
-        if not sol.success:
-            raise RuntimeError(f"wave integration failed at beta={sol.t[-1]}: {sol.message}")
-        carrier = np.multiply.outer(1j * tau, ts)
-        np.exp(carrier, out=carrier)
-        if derivs:  # w' = e^{i tau beta} (phi' + i tau phi)
-            phi, dphi = sol.y[:K], sol.y[K:]
-            dphi += 1j * tau[:, None] * phi
-            dphi *= carrier
-            dvals[:, pos] = dphi
-        carrier *= sol.y[:K]
-        values[:, pos] = carrier
+    x = np.abs(grid)
+    if not (K and x.any()):
+        return values, dvals
+    # rows K..2K-1 are the side beta < 0, mirrored
+    Bm, mm, dphi0 = np.r_[B1, B1], np.r_[mtilde, -mtilde], dw0 - 1j * tau * w0
+    state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
+    edges, worst = _panel_edges(Bm, mm, s, x.max()), np.inf
+    while True:
+        U, dU = _fundamental(-2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm), s, edges)
+        tail = (np.abs(_TAIL @ U) / np.abs(U).max(axis=-2, keepdims=True)).max(axis=(0, 2, 3))
+        if np.all(tail <= tol):
+            break
+        if not tail.max() < 0.1 * worst:  # halving stopped helping: round-off
+            raise RuntimeError(f"wave collocation cannot meet tol={tol}: "
+                               f"trailing coefficients at {tail.max():.1e}")
+        worst = tail.max()
+        edges = np.sort(np.r_[edges, 0.5 * (edges[:-1] + edges[1:])[tail > tol]])
+    order = np.argsort(x, kind="stable")
+    bounds = np.searchsorted(x[order], edges, side="right")
+    for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        # phi and phi' at the nodes, (32, 2K); the next panel starts where this one ends
+        phi, dphi = (np.einsum("wnj,wj->nw", F[:, p], state, order="C") for F in (U, dU))
+        state = np.stack((phi[-1], dphi[-1]), axis=-1)
+        # barycentric interpolation on the panel, exact at the nodes, by real
+        # products of at most 256 points: larger or complex ones go to threaded
+        # BLAS, which stalls for milliseconds when the other cores are busy
+        for lo in range(bounds[p], bounds[p + 1], 256):
+            idx = order[lo:min(lo + 256, bounds[p + 1])]
+            d = (2 * x[idx, None] - a - b) / (b - a) - _NODES
+            hit = d == 0
+            M = _BARY / np.where(hit, 1.0, d)
+            M = np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
+            neg, carrier = grid[idx] < 0, np.exp(np.multiply.outer(1j * tau, grid[idx]))
+            v = (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
+            values[:, idx] = v = carrier * np.where(neg, v[1], v[0])
+            if derivs:  # w' = e^{i tau beta} (phi' + i tau phi), phi' mirrored for beta < 0
+                d = (M @ dphi.view(float)).view(complex).T.reshape(2, K, -1)
+                dvals[:, idx] = carrier * np.where(neg, -d[1], d[0]) + 1j * tau[:, None] * v
     return values, dvals
 
 
@@ -463,22 +527,24 @@ def ascension_norm(tau: int, s1: float) -> float:
 
 def whittaker_peaks(p: WhittakerParams, y_range: tuple[float, float],
                     n_scan: int = 2000, normalized: bool = False):
-    """Local maxima (abscissa, ordinate) of |W| over a y-interval.
-
-    One inward pass scans |W|; each scan maximum is refined to the root of
-    W' on the dense output, its bracket cut at the switch point (|W| is
-    monotone above the turning point).  With `normalized`, ordinates are
-    divided by the ascension normalization for degree p.tau.
-    """
+    """Local maxima (abscissa, ordinate) of |W| over a y-interval, from one
+    inward pass scanned at n_scan points.  With `normalized`, ordinates are
+    divided by the ascension normalization for degree p.tau."""
     ys = np.linspace(*y_range, n_scan)
-    states, y_s, dense = _whittaker_sweep(p, ys)
-    vals = np.abs(states[:, 0])
     norm = ascension_norm(p.tau, p.s1) if normalized else 1.0
+    return [(y, v / norm) for y, v in _sweep_peaks(ys, *_whittaker_sweep(p, ys))]
+
+
+def _sweep_peaks(ys, states, y_s, dense):
+    """(abscissa, |W|) at each local maximum of |W| on the scan ys of a sweep,
+    refined to the root of W' on the dense output; the bracket is cut at the
+    switch point (|W| is monotone above the turning point)."""
+    vals = np.abs(states[:, 0])
     peaks = []
     for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1:
         bracket = ys[i - 1], min(ys[i + 1], y_s)
         dw = dense(bracket)[1]
         y_pk = (brentq(lambda y: dense(y)[1, 0], *bracket, xtol=1e-12)
                 if dw[0] * dw[1] < 0 else ys[i])
-        peaks.append((y_pk, abs(dense(y_pk)[0, 0]) / norm))
+        peaks.append((y_pk, abs(dense(y_pk)[0, 0])))
     return peaks

@@ -3,10 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hyperlab.cli import (RunConfig, _write_json, build_parser,
                           config_from_args, main)
+from hyperlab import waves
+from hyperlab.waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
 
 
 def run_cli(argv, capsys):
@@ -221,6 +224,32 @@ def test_whittaker_single_tau(tmp_path, capsys):
     assert abs(summary["peaks"][0]["abscissa"] - 1.884) < 0.002
     assert (tmp_path / "whittaker_tau0.csv").exists()
     assert not (tmp_path / "whittaker_tau1.csv").exists()
+
+
+def test_whittaker_rows_match_the_wave_functions(tmp_path, capsys, monkeypatch):
+    # one sweep per degree serves both outputs; each must read exactly as
+    # whittaker_W on the CSV grid and whittaker_peaks on its own scan
+    sweeps = []
+    sweep = waves._whittaker_sweep
+    monkeypatch.setattr(waves, "_whittaker_sweep",
+                        lambda p, ys: sweeps.append(p.tau) or sweep(p, ys))
+    code, _ = run_cli(["whittaker", "--s1", "24", "--a", "12", "--tau-max", "1",
+                       "--out", str(tmp_path)], capsys)
+    assert code == 0 and sweeps == [0, 1]
+    monkeypatch.undo()
+    peaks = json.loads((tmp_path / "whittaker_peaks.json").read_text())["peaks"]
+    assert [r["tau"] for r in peaks] == [0, 1]
+    ys = np.linspace(1.0, 3.0, 801)
+    for tau in (0, 1):
+        p = WhittakerParams(tau=tau, s1=24.0, a=12.0)
+        rows = np.loadtxt(tmp_path / f"whittaker_tau{tau}.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(rows[:, 0], ys)
+        assert np.array_equal(rows[:, 1], np.abs(whittaker_W(p, ys))
+                              / ascension_norm(tau, 24.0))
+        y_pk, v_pk = max(whittaker_peaks(p, (1.0, 3.0), normalized=True),
+                         key=lambda pk: pk[1])
+        assert (peaks[tau]["abscissa"], peaks[tau]["ordinate"]) == (y_pk, v_pk)
 
 
 @pytest.mark.slow

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +110,92 @@ def test_batched_kernel_matches_tight_reference(s, B1):
         ref_v, ref_d = _w_form_reference(B1, mt, s, w0, dw0, GRID)
         assert np.max(np.abs(values[k] - ref_v)) / np.max(np.abs(ref_v)) <= 1e-8
         assert np.max(np.abs(derivs[k] - ref_d)) / np.max(np.abs(ref_d)) <= 1e-8
+
+
+def _phi_form_reference(B1, mts, s, w0, dw0, grid, tol=1e-13):
+    """All waves of one B1 in one DOP853 solve per side, in phi-form."""
+    K, tau = len(mts), B1 * s
+    qa, qb = -2 * s * s * B1 * np.asarray(mts), s * s * (np.square(mts) - B1 * B1)
+
+    def rhs(beta, y):
+        c = math.cos(beta)
+        return np.concatenate((y[K:], (qa * math.tan(beta) + qb - s * s / (c * c)) * y[:K]))
+
+    values = np.empty((K, len(grid)), dtype=complex)
+    derivs = np.empty((K, len(grid)), dtype=complex)
+    for sel in (grid >= 0, grid < 0):
+        pos = np.flatnonzero(sel)[np.argsort(np.abs(grid[sel]))]
+        if not len(pos):
+            continue
+        sol = solve_ivp(rhs, (0.0, grid[pos][-1]), np.r_[w0, dw0 - 1j * tau * w0],
+                        method="DOP853", rtol=tol, atol=tol, t_eval=grid[pos])
+        carrier = np.exp(1j * tau * grid[pos])
+        values[:, pos] = carrier * sol.y[:K]
+        derivs[:, pos] = carrier * (sol.y[K:] + 1j * tau * sol.y[:K])
+    return values, derivs
+
+
+@pytest.mark.parametrize("B1", [0.0, 0.5, 8.0])
+@pytest.mark.parametrize("s", [25.0, 100.0, 400.0])
+def test_collocation_kernel_within_1e9_of_dop853_oracle(s, B1):
+    # both branches, |mtilde| up to 1/2, grid out to beta = +-1.56
+    mts = np.array([-0.5, -0.2, 0.3, 0.5])
+    grid = np.linspace(-1.56, 1.56, 41)
+    dI, dII = W.branch_ic(B1, mts, s, "I")[1], W.branch_ic(B1, mts, s, "II")[1]
+    w0, dw0 = np.ones(4, dtype=complex), np.where([True, False, True, False], dI, dII)
+    values, derivs = W.solve_waves(B1, mts, s, w0, dw0, grid, tol=1e-10)
+    ref_v, ref_d = _phi_form_reference(B1, mts, s, w0, dw0, grid)
+    for got, ref in ((values, ref_v), (derivs, ref_d)):
+        err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+        assert np.all(err <= 1e-9)
+
+
+def test_kernel_with_no_waves_returns_empty_arrays():
+    values, derivs = W.solve_waves([], [], 50.0, [], [], GRID)
+    assert values.shape == derivs.shape == (0, len(GRID))
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.1, 1.2, 23), np.linspace(-1.2, -0.1, 23),
+                                  np.array([0.7])])
+def test_kernel_on_one_side_only(grid):
+    B1, mts, s = 0.5, np.array([-0.4, 0.25]), 80.0
+    w0, dw0 = np.ones(2, dtype=complex), W.branch_ic(B1, mts, s, "I")[1]
+    values, derivs = W.solve_waves(B1, mts, s, w0, dw0, grid)
+    ref_v, ref_d = _phi_form_reference(B1, mts, s, w0, dw0, grid)
+    assert np.max(np.abs(values - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
+    assert np.max(np.abs(derivs - ref_d)) <= 1e-9 * np.max(np.abs(ref_d))
+
+
+def test_kernel_returns_initial_data_exactly_at_zero():
+    grid = np.array([0.3, 0.0, -0.5, 0.0])
+    w0, dw0 = np.array([1.0 + 0.5j, -2.0j]), np.array([3.0 - 1.0j, 0.25 + 7.0j])
+    values, derivs = W.solve_waves([0.2, 1.5], [0.1, -0.3], 60.0, w0, dw0, grid)
+    assert np.array_equal(values[:, grid == 0], np.repeat(w0[:, None], 2, axis=1))
+    assert np.array_equal(derivs[:, grid == 0], np.repeat(dw0[:, None], 2, axis=1))
+    only_zero, _ = W.solve_waves(0.2, 0.1, 60.0, w0[0], dw0[0], [0.0])
+    assert only_zero[0, 0] == w0[0]
+
+
+def test_kernel_refines_panels_to_meet_tol(monkeypatch):
+    # panels of 80 radians leave the trailing coefficients above tol: the
+    # kernel halves them until the check passes, and stays accurate
+    B1, mt, s = 0.5, 0.3, 100.0
+    grid = np.linspace(-1.5, 1.5, 61)
+    w0, dw0 = W.branch_ic(B1, mt, s, "I")
+    ref_v, _ = _phi_form_reference(B1, [mt], s, w0, dw0, grid)
+    panels = []
+    fundamental = W._fundamental
+    monkeypatch.setattr(W, "_fundamental",
+                        lambda *a: panels.append(len(a[-1]) - 1) or fundamental(*a))
+    monkeypatch.setattr(W, "_PANEL_PHASE", 80.0)
+    values, _ = W.solve_waves(B1, mt, s, w0, dw0, grid, tol=1e-10)
+    assert len(panels) > 1 and panels == sorted(panels)
+    assert np.max(np.abs(values - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
+
+
+def test_kernel_raises_when_tol_is_out_of_reach():
+    with pytest.raises(RuntimeError, match="tol"):
+        W.solve_waves(0.5, 0.3, 100.0, 1.0, 1j, GRID, tol=1e-19)
 
 
 def test_kernel_without_derivatives_gives_the_same_values():
