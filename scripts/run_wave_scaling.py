@@ -10,17 +10,25 @@ relative max errors of values and derivatives over the waves.  The kernel's
 panels are sized by phase, so its cost grows with s; the printout measures
 that growth.
 
+Then, for each s1 at a = 25, the Whittaker sweep `_whittaker_sweep` (degree 0,
+5 points across the turning point y = s1/a): median ms per sweep over 5
+repeats, its panel count and the max relative error against `mpmath.whitw`
+at 30 digits.  Its panels span the forbidden zone from the seed at
+y0 ~ 2 s1^2/a, so their count, and the cost, grow like s1^2.
+
 Usage: python3 scripts/run_wave_scaling.py [--s 25,100,400,1600,6400]
-       [--oracle-max 1600]
+       [--oracle-max 1600] [--whittaker-s1 25,50,100,200]
 """
 
 import argparse
 import math
 import time
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from hyperlab import waves
 from hyperlab.waves import branch_ic, solve_waves
 
 
@@ -49,6 +57,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--s", default="25,100,400,1600,6400")
     ap.add_argument("--oracle-max", type=float, default=1600.0)
+    ap.add_argument("--whittaker-s1", default="25,50,100,200")
     args = ap.parse_args()
 
     B1, mts = 0.5, np.array([-0.5, -0.2, 0.1, 0.3, 0.5])
@@ -73,6 +82,36 @@ def main():
                       for got, ref in ((values, ref_v), (derivs, ref_d)))
             err = f"{err:.1e}"
         print(f"{s:7g} {per_wave:9.2f} {err:>14}")
+    whittaker_rows([float(v) for v in args.whittaker_s1.split(",")])
+
+
+def whittaker_rows(s1s, a=25.0):
+    """Time, panel count and mpmath.whitw error of one Whittaker sweep per s1."""
+    panels, collocate = [], waves._collocate
+
+    def counted(F, half):
+        panels.append(F.size // 32)
+        return collocate(F, half)
+
+    print(f"{'s1':>7} {'ms/sweep':>9} {'panels':>7} {'err vs whitw':>13}")
+    for s1 in s1s:
+        p = waves.WhittakerParams(0, s1, a)
+        ys = s1 / a * np.linspace(0.75, 1.25, 5)
+        times = []
+        for _ in range(6):  # the first is a warm-up
+            t0 = time.perf_counter()
+            got = waves.whittaker_W(p, ys)
+            times.append(time.perf_counter() - t0)
+        waves._collocate = counted
+        try:
+            waves.whittaker_W(p, ys)
+        finally:
+            waves._collocate = collocate
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.re(mpmath.whitw(0, 1j * s1, 2 * a * y))) for y in ys])
+        err = np.max(np.abs(got - ref) / np.abs(ref))
+        print(f"{s1:7g} {1e3 * np.median(times[1:]):9.1f} {sum(panels):7d} {err:13.1e}")
+        panels.clear()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import (_X_GEO, _X_ROT, HPoint, TangentVec, frame_of,
                        geodesic_flow, horocyclic_flow, hyperbolic_distance,
                        hypercyclic_flow, rotate, transport_T_B)
-from .groups import REDUCE_THRESHOLD, FuchsianGroup, octagon_group
+from .groups import FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
 
@@ -60,7 +60,8 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     if not (0 <= B < math.inf and 0 <= length < math.inf
             and 0 < step < math.inf):
         raise ValueError("need finite B >= 0, length >= 0 and step > 0")
-    reduce = (group or octagon_group()).reduce_frame
+    group = group or octagon_group()
+    reduce, threshold = group.reduce_frame, group.reduce_threshold
     sa, sb, sc, sd = map(float, _step_matrix(kind, B, step).ravel())
     a, b, c, d = reduce(*map(float, frame_of(v0).ravel()))
     n = int(round(length / step))
@@ -71,7 +72,7 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
         for _ in range(start, stop):
             a, b = a * sa + b * sc, a * sb + b * sd
             c, d = c * sa + d * sc, c * sb + d * sd
-            if a * a + b * b + c * c + d * d > REDUCE_THRESHOLD:
+            if a * a + b * b + c * c + d * d > threshold:
                 a, b, c, d = reduce(a, b, c, d)
             frames.extend((a, b, c, d))
         if stop - start == _BLOCK:

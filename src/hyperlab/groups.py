@@ -24,9 +24,7 @@ from .geometry import (HPoint, MobiusMap, hyperbolic_distance, mobius_apply,
 _COSH_HALF_T = 1.0 + math.sqrt(2.0)  # cosh of the apothem = half pairing length
 _COSH_R = 3.0 + 2.0 * math.sqrt(2.0)  # cosh of center-to-vertex distance
 
-# a frame F with F i = z has |F|^2 = 2 cosh d(z, i); reduction engages only
-# beyond the octagon inradius, where |F|^2 = 2 cosh(apothem)
-REDUCE_THRESHOLD = 2.0 * _COSH_HALF_T + 1e-9
+REDUCE_THRESHOLD = 2.0 * _COSH_HALF_T + 1e-9  # the octagon's reduce_threshold
 
 
 @dataclass(frozen=True)
@@ -74,13 +72,19 @@ class FuchsianGroup:
         return [(ma * ma + mc * mc - 1.0, 2.0 * (ma * mb + mc * md),
                  mb * mb + md * md - 1.0) for ma, mb, mc, md in self.moves]
 
+    @cached_property
+    def reduce_threshold(self) -> float:
+        """|F|^2 = 2 cosh d(F i, i) past which reduction engages: sqrt(|M|^2 + 2) = 2 cosh(l/2)
+        for the move M of shortest translation l."""
+        return math.sqrt(min(sum(v * v for v in m) for m in self.moves) + 2.0) + 1e-9
+
     def reduce_frame(self, a, b, c, d, used=None):
         """Greedy Dirichlet reduction of a frame: each sweep applies the move
         that lowers |F|^2 the most, by more than 1e-13, and appends its
         index to `used`.  A sweep runs only if a Dirichlet form is <= 1e-9
         (far above their ~1e-13 rounding): the ungated result, bit for bit."""
-        cur = a * a + b * b + c * c + d * d
-        while cur > REDUCE_THRESHOLD:
+        cur, threshold = a * a + b * b + c * c + d * d, self.reduce_threshold
+        while cur > threshold:
             p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
             for fp, fq, fr in self.dirichlet_forms:
                 if fp * p + fq * q + fr * r <= 1e-9:

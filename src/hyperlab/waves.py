@@ -20,14 +20,11 @@ keeps the wave on the w^I branch up to O(1/s^2) per step, with
 per-step transfer coefficient given by the closed form `c1`.
 
 The radial picture on the half-plane gives the Whittaker-type waves:
-`whittaker_W` computes the recessive solution of
-w'' + (-a^2 + 2 tau a / y + (s1^2 + 1/4)/y^2) w = 0 normalized as
-e^{-a y} (2 a y)^tau at +infinity, at the extreme scales (values near
-1e-34) needed to track peak motion under ascension.  One inward pass
-from the large-argument series does it: a log-derivative (Riccati) sweep
-through the forbidden zone, where W has no zeros, then one linear solve
-with dense output through the oscillatory zone, on which
-`whittaker_peaks` finds peaks as roots of W'.
+`whittaker_W` computes the recessive solution of w'' + (-a^2 + 2 tau a / y
++ (s1^2 + 1/4)/y^2) w = 0, normalized as e^{-a y} (2 a y)^tau at +infinity,
+at the scales (near 1e-34) of peak motion under ascension: one inward pass
+from the large-argument series, by the same panel collocation, carrying a
+log factor.  `whittaker_peaks` finds peaks as roots of the interpolated W'.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp  # noqa: F401, traced by perfbench
 from scipy.optimize import brentq
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -143,6 +140,8 @@ _DIFF = np.outer(1 / _BARY, _BARY) / (_NODES[:, None] - _NODES + np.eye(32))
 _DIFF -= np.diag(_DIFF.sum(axis=1))
 _TAIL = np.cos(np.outer([30, 31], _THETA)) * np.abs(_BARY) / np.c_[[15.5, 31.0]]
 _PANEL_PHASE = 10.0  # radians of the fastest wave per panel
+_WHITTAKER_STEP = 5.0  # e-folds or radians of W per panel; 10 misses the whitw oracle
+_CHUNK = 256  # systems per batched linear solve
 
 
 def _panel_edges(B1, mtilde, s: float, L: float) -> np.ndarray:
@@ -162,18 +161,52 @@ def _panel_edges(B1, mtilde, s: float, L: float) -> np.ndarray:
 
 
 def _fundamental(qa, qb, s: float, edges):
-    """Fundamental solutions U (W waves, P panels, 32 nodes, 2) of
-    phi'' = (qa tan + qb - s^2 / cos^2) phi, starting at each panel's left
-    edge as (phi, phi') = (1, 0) and (0, 1), and their derivatives."""
+    """`_collocate` for phi'' = (qa tan + qb - s^2 / cos^2) phi: W waves, P panels."""
     half = 0.5 * np.diff(edges)[:, None]
     beta = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _NODES
-    F = qa[:, None, None] * np.tan(beta) + qb[:, None, None] - (s / np.cos(beta)) ** 2
-    A = np.broadcast_to(_DIFF @ _DIFF, F.shape + (32,)).copy()
-    A[..., range(32), range(32)] -= half ** 2 * F
-    A[..., 0, :], A[..., -1, :] = np.eye(32)[0], _DIFF[0]  # value and slope at the left edge
-    U = np.linalg.solve(A, np.broadcast_to(np.eye(32)[:, [0, -1]], F.shape + (2,)))
-    U[..., 1] *= half
-    return U, (_DIFF @ U) / half[..., None]
+    return _collocate(qa[:, None, None] * np.tan(beta) + qb[:, None, None]
+                      - (s / np.cos(beta)) ** 2, half)
+
+
+def _collocate(F, half):
+    """U (..., 32, 2) and U' for u'' = F u from (u, u') = (1, 0), (0, 1) at each panel's
+    first edge; F at the nodes of panels of half-width half (< 0 downward).  Solving
+    _CHUNK at a time bounds memory, and changes no bit: LAPACK solves each alone."""
+    shape, out = F.shape + (2,), np.empty((2, F.size // 32, 32, 2))
+    F, half = F.reshape(-1, 32), np.broadcast_to(half, shape[:-2] + (1,)).reshape(-1, 1)
+    for i in range(0, len(F), _CHUNK):
+        f, h = F[i:i + _CHUNK], half[i:i + _CHUNK]
+        A = np.broadcast_to(_DIFF @ _DIFF, f.shape + (32,)).copy()
+        A[..., range(32), range(32)] -= h ** 2 * f
+        A[..., 0, :], A[..., -1, :] = np.eye(32)[0], _DIFF[0]  # value and slope at the first edge
+        u = np.linalg.solve(A, np.broadcast_to(np.eye(32)[:, [0, -1]], f.shape + (2,)))
+        u[..., 1] *= h
+        out[:, i:i + _CHUNK] = u, (_DIFF @ u) / h[..., None]
+    return out.reshape((2,) + shape)
+
+
+def _refined(solve, edges, tol: float):
+    """(edges, U, dU) for (U, dU) = solve(edges) of shape (W, P, 32, 2), with panels halved
+    while their last two Chebyshev coefficients exceed tol relative to U; RuntimeError
+    once halving stops helping (round-off)."""
+    worst = np.inf
+    while True:
+        U, dU = solve(edges)
+        tail = (np.abs(_TAIL @ U) / np.abs(U).max(axis=-2, keepdims=True)).max(axis=(0, 2, 3))
+        if np.all(tail <= tol):
+            return edges, U, dU
+        if not tail.max() < 0.1 * worst:
+            raise RuntimeError(f"tol={tol} out of reach: trailing coefficients {tail.max():.1e}")
+        worst, bad = tail.max(), np.flatnonzero(tail > tol)
+        edges = np.insert(edges, bad + 1, 0.5 * (edges[bad] + edges[bad + 1]))
+
+
+def _bary(t):
+    """Barycentric interpolation (n, 32) from the nodes to t (n, 1) in [-1, 1]."""
+    d = t - _NODES
+    hit = d == 0
+    M = _BARY / np.where(hit, 1.0, d)
+    return np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
 
 
 def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
@@ -185,13 +218,10 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     nodes per panel.  The side beta < 0 is mirrored (mtilde -> -mtilde,
     phi'(0) -> -phi'(0)), so both sides are one batch of 2K waves on
     [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
-    One batched linear solve gives two fundamental solutions per panel and
-    wave; chaining their 2x2 transfer matrices from beta = 0 fixes phi, which
-    is interpolated on each point's panel.  tol bounds the last two Chebyshev
-    coefficients of every fundamental solution relative to its size: panels
-    above it are halved, and RuntimeError is raised once halving stops
-    helping.  With derivs=False the derivatives are not formed (None is
-    returned for them).
+    Batched linear solves give two fundamental solutions per panel and wave;
+    chaining their 2x2 transfer matrices from beta = 0 fixes phi, which is
+    interpolated on each point's panel.  `_refined` holds every panel to tol.
+    With derivs=False the derivatives are not formed (None is returned).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
         np.asarray(B1, float), np.asarray(mtilde, float), np.asarray(w0, complex),
@@ -217,17 +247,9 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     # rows K..2K-1 are the side beta < 0, mirrored
     Bm, mm, dphi0 = np.r_[B1, B1], np.r_[mtilde, -mtilde], dw0 - 1j * tau * w0
     state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
-    edges, worst = _panel_edges(Bm, mm, s, x.max()), np.inf
-    while True:
-        U, dU = _fundamental(-2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm), s, edges)
-        tail = (np.abs(_TAIL @ U) / np.abs(U).max(axis=-2, keepdims=True)).max(axis=(0, 2, 3))
-        if np.all(tail <= tol):
-            break
-        if not tail.max() < 0.1 * worst:  # halving stopped helping: round-off
-            raise RuntimeError(f"wave collocation cannot meet tol={tol}: "
-                               f"trailing coefficients at {tail.max():.1e}")
-        worst = tail.max()
-        edges = np.sort(np.r_[edges, 0.5 * (edges[:-1] + edges[1:])[tail > tol]])
+    qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
+    edges = _panel_edges(Bm, mm, s, x.max())
+    edges, U, dU = _refined(lambda e: _fundamental(qa, qb, s, e), edges, tol)
     order = np.argsort(x, kind="stable")
     bounds = np.searchsorted(x[order], edges, side="right")
     for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
@@ -239,10 +261,7 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
         # BLAS, which stalls for milliseconds when the other cores are busy
         for lo in range(bounds[p], bounds[p + 1], 256):
             idx = order[lo:min(lo + 256, bounds[p + 1])]
-            d = (2 * x[idx, None] - a - b) / (b - a) - _NODES
-            hit = d == 0
-            M = _BARY / np.where(hit, 1.0, d)
-            M = np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
+            M = _bary((2 * x[idx, None] - a - b) / (b - a))
             neg, carrier = grid[idx] < 0, np.exp(np.multiply.outer(1j * tau, grid[idx]))
             v = (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
             values[:, idx] = v = carrier * np.where(neg, v[1], v[0])
@@ -445,62 +464,46 @@ def _asymptotic_seed(p: WhittakerParams, x0: float) -> tuple[float, float, float
 
 
 def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
-    """One inward pass from the asymptotic seed at y0, in two legs.
-
-    Down to the switch point y_s, where q(y_s) = a^2/4, W has no zeros: the
-    pass integrates u = W'/W and l = log|W| + a y by u' = q - u^2, l' = u + a.
-    Below y_s, one linear solve of (W, W') with dense output, renormalized
-    between pieces whose growth bound e^{a/2 * length} stays under e^500.
-    Returns (W, W') at ys, y_s, and the dense (W, W') on [min ys, y_s].
-    """
-    ys = np.asarray(ys, dtype=float)
-    if not np.all(np.isfinite(ys) & (ys > 0)):
-        raise ValueError("y must be finite and positive")
+    """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys, by
+    `_collocate` on panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy),
+    chained with a log factor.  Returns (W, W') at ys, the switch point y_s (|W| is monotone
+    above it) and dense(y) -> (W, W') on the panels that meet [min ys, max ys]."""
     # the series terms shrink from the first once x0 >> s1^2 + tau^2
     x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
-    y0 = x0 / (2 * p.a)
-    if ys.max() >= y0:
-        raise ValueError(f"y too large for the inward scheme (need y < {y0})")
+    ys, y0 = np.asarray(ys, dtype=float), x0 / (2 * p.a)
+    if not (np.all(np.isfinite(ys) & (ys > 0) & (ys < y0)) and tol > 0):
+        raise ValueError(f"need finite 0 < y < {y0} (the seed) and tol > 0")
+    lo, hi = ys.min(), ys.max()
     sign, log0, dlog0 = _asymptotic_seed(p, x0)
     # largest root of q = a^2/4, below y0; under it q < a^2/4 for any tau
-    c = p.s1 * p.s1 + 0.25
-    y_s = (2 * p.tau + np.sqrt(4 * p.tau * p.tau + 3 * c)) / (1.5 * p.a)
-    y_s = max(y_s, ys.min())
-    hi = ys >= y_s
-    t_eval = np.unique(np.append(ys[hi], y_s))
-    sol = solve_ivp(lambda y, v: [_q(p, y) - v[0] * v[0], v[0] + p.a], (y0, y_s),
-                    [2 * p.a * dlog0, 0.0], method="DOP853", rtol=tol, atol=tol,
-                    t_eval=t_eval[::-1])
-    if not sol.success:
-        raise RuntimeError(f"forbidden-zone sweep failed: {sol.message}")
-    u, ell = sol.y[:, ::-1]
-    logW = log0 + ell - p.a * (t_eval - y0)
-    W = sign * np.exp(logW)
-    states = np.empty((len(ys), 2))
-    states[hi] = np.column_stack((W, u * W))[np.searchsorted(t_eval, ys[hi])]
+    y_s = max((2 * p.tau + np.sqrt(4 * p.tau ** 2 + 3 * p.s1 ** 2 + 0.75)) / (1.5 * p.a), lo)
+    g = np.geomspace(lo, y0, 4097)
+    steps = cumulative_trapezoid(np.sqrt(np.abs(_q(p, g))) + 1 / g, g, initial=0.0)
+    edges = np.interp(np.linspace(steps[-1], 0.0, 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))),
+                      steps, g)  # exactly y0 down to lo
 
-    pieces = []
-    state, logfac = sign * np.array([1.0, u[0]]), logW[0]
-    edges = np.linspace(y_s, ys.min(), 1 + int(np.ceil(p.a * (y_s - ys.min()) / 1000)))
-    for top, bottom in zip(edges[:-1], edges[1:]):
-        sol = solve_ivp(lambda y, w: [w[1], _q(p, y) * w[0]], (top, bottom),
-                        state, method="DOP853", rtol=tol, atol=tol,
-                        dense_output=True)
-        if not sol.success:
-            raise RuntimeError(f"inward integration failed near y={top}: {sol.message}")
-        pieces.append((top, sol.sol, logfac))
-        mag = np.max(np.abs(sol.y[:, -1]))
-        state, logfac = sol.y[:, -1] / mag, logfac + np.log(mag)
+    def solve(e):
+        half = 0.5 * np.diff(e)[:, None]
+        return _collocate(_q(p, 0.5 * (e[1:] + e[:-1])[:, None] + half * _NODES)[None], half)
+
+    (w, dw), logfac, kept = (sign * np.array([1.0, 2 * p.a * dlog0])).tolist(), log0, []
+    for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
+        e, (U,), (dU,) = _refined(solve, edges[i:i + 65], tol)
+        for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
+            if e[k + 1] <= hi:
+                kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac))
+            w, dw = u0 * w + u1 * dw, d0 * w + d1 * dw
+            mag = max(abs(w), abs(dw))
+            w, dw, logfac = w / mag, dw / mag, logfac + np.log(mag)
+    top, bottom, Wn, dWn, lf = map(np.array, zip(*kept[::-1]))  # upward
 
     def dense(y):
         y = np.atleast_1d(y)
-        out = np.empty((2, len(y)))
-        for top, f, lf in pieces:  # top down: lower pieces overwrite
-            out[:, y <= top] = f(y[y <= top]) * np.exp(lf)
-        return out
+        k = np.clip(np.searchsorted(bottom, y, side="right") - 1, 0, len(bottom) - 1)
+        M = _bary(((2 * y - top[k] - bottom[k]) / (bottom[k] - top[k]))[:, None])
+        return np.stack(((M * Wn[k]).sum(axis=1), (M * dWn[k]).sum(axis=1))) * np.exp(lf[k])
 
-    states[~hi] = dense(ys[~hi]).T
-    return states, y_s, dense
+    return dense(ys).T, y_s, dense
 
 
 def _whittaker_state(p: WhittakerParams, ys, tol=1e-12):
@@ -530,6 +533,8 @@ def whittaker_peaks(p: WhittakerParams, y_range: tuple[float, float],
     """Local maxima (abscissa, ordinate) of |W| over a y-interval, from one
     inward pass scanned at n_scan points.  With `normalized`, ordinates are
     divided by the ascension normalization for degree p.tau."""
+    if not (0 < y_range[0] < y_range[1] < np.inf and n_scan >= 3):
+        raise ValueError(f"need finite 0 < lo < hi and n_scan >= 3, got {y_range}, {n_scan}")
     ys = np.linspace(*y_range, n_scan)
     norm = ascension_norm(p.tau, p.s1) if normalized else 1.0
     return [(y, v / norm) for y, v in _sweep_peaks(ys, *_whittaker_sweep(p, ys))]

@@ -12,7 +12,8 @@ from hyperlab.ergodic import (OrbitSample, _step_matrix, birkhoff_average,
 from hyperlab.geometry import (HPoint, TangentVec, frame_of,
                                hypercyclic_flow, hyperbolic_distance,
                                mobius_apply_vec, mobius_from_matrix, scale)
-from hyperlab.groups import _COSH_HALF_T, octagon_group, reduce_to_domain
+from hyperlab.groups import (_COSH_HALF_T, cylinder_group, octagon_group,
+                             reduce_to_domain)
 
 
 V0 = seeded_unit_vector(7)
@@ -39,6 +40,24 @@ def test_orbit_samples_lie_in_domain(horo_orbit):
         z = HPoint(horo_orbit.xs[i], horo_orbit.ys[i])
         zr, _ = reduce_to_domain(z, G)
         assert hyperbolic_distance(z, zr) < 1e-9
+
+
+@pytest.mark.parametrize("group, kind, B", [(cylinder_group(1.0), "geodesic", 0.0),
+                                           (octagon_group(), "hypercyclic", 2.0)])
+def test_every_sample_lies_in_its_groups_dirichlet_domain(group, kind, B):
+    # the cylinder reduces by its own threshold, 2 cosh(l/2), not the octagon's:
+    # with that one, 5 of 41 checked samples of this orbit fell outside the strip
+    orbit = sample_orbit(V0, kind, 20.0, B=B, group=group)
+    x, y = orbit.xs, orbit.ys
+    for fp, fq, fr in group.dirichlet_forms:
+        assert np.min(fp * (x * x + y * y) / y + fq * x / y + fr / y) >= -1e-12
+
+
+def test_reduce_threshold_is_twice_cosh_of_half_the_shortest_translation():
+    assert cylinder_group(1.0).reduce_threshold == pytest.approx(2 * math.cosh(0.5) + 1e-9,
+                                                                 abs=1e-14)
+    assert octagon_group().reduce_threshold == pytest.approx(2 * _COSH_HALF_T + 1e-9,
+                                                             abs=1e-14)
 
 
 def test_orbit_matches_closed_form_flow():

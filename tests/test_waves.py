@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +198,30 @@ def test_kernel_refines_panels_to_meet_tol(monkeypatch):
 def test_kernel_raises_when_tol_is_out_of_reach():
     with pytest.raises(RuntimeError, match="tol"):
         W.solve_waves(0.5, 0.3, 100.0, 1.0, 1j, GRID, tol=1e-19)
+
+
+def test_kernel_chunking_changes_no_bit(monkeypatch):
+    values, derivs = W.solve_waves(0.4, [0.1, -0.2, 0.5], 100.0, 1.0, [2j, -3j, 1j], GRID)
+    monkeypatch.setattr(W, "_CHUNK", 7)
+    chunked, dchunked = W.solve_waves(0.4, [0.1, -0.2, 0.5], 100.0, 1.0, [2j, -3j, 1j], GRID)
+    assert np.array_equal(chunked, values) and np.array_equal(dchunked, derivs)
+
+
+def _peak_bytes(f):
+    """tracemalloc peak of a second call of f (the first fills caches)."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_is_bounded():
+    # one 32 x 32 matrix per wave and panel held at once took 25.8 MiB at this size
+    mts, grid = np.linspace(-0.5, 0.5, 20), np.linspace(-1.2, 1.2, 801)
+    assert _peak_bytes(lambda: W.solve_waves(0.0, mts, 400.0, 1.0, 1j, grid)) <= 12.9 * 2**20
 
 
 def test_kernel_without_derivatives_gives_the_same_values():
@@ -481,13 +507,15 @@ def test_whittaker_rejects_non_finite_input(bad):
 
 
 @pytest.mark.parametrize("tau, s1, a", [(0, 50.0, 25.0), (2, 50.0, 25.0),
-                                        (0, 10.0, 0.5), (20, 5.0, 2.0)])
+                                        (0, 10.0, 0.5), (20, 5.0, 2.0),
+                                        (0, 100.0, 25.0), (0, 50.0, 0.5)])
 def test_whittaker_matches_mpmath_whitw(tau, s1, a):
-    # W(y) = W_{tau, i s1}(2 a y); points on both sides of the switch point.
-    # At tau = 20 the seed must sit beyond tau^2 for its series to converge.
+    # W(y) = W_{tau, i s1}(2 a y); points on both sides of the switch point
+    # (near y = 4 at s1 = 100, a = 25).  At tau = 20 the seed must sit beyond
+    # tau^2 for its series to converge.
     mpmath = pytest.importorskip("mpmath")
     p = W.WhittakerParams(tau, s1, a)
-    ys = np.array([1.5, 1.9, 2.2, 2.5, 3.0])
+    ys = np.array([3.5, 3.9, 4.2, 4.6, 5.0] if s1 == 100 else [1.5, 1.9, 2.2, 2.5, 3.0])
     got = W.whittaker_W(p, ys)
     with mpmath.workdps(30):
         ref = [float(mpmath.re(mpmath.whitw(tau, 1j * s1, 2 * a * y))) for y in ys]
@@ -520,3 +548,39 @@ def test_whittaker_peak_table():
 def test_whittaker_no_peak_outside_transition():
     p = W.WhittakerParams(0, 25.0, 0.5)
     assert W.whittaker_peaks(p, (120.0, 125.0), n_scan=50) == []
+
+
+def test_whittaker_peaks_rejects_a_bad_range_before_scanning():
+    p = W.WhittakerParams(0, 25.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may come first
+        for y_range, n_scan in [((1.0, np.inf), 20), ((1.0, -np.inf), 20),
+                                ((np.nan, 2.0), 20), ((0.0, 2.0), 20),
+                                ((2.0, 1.0), 20), ((1.0, 1.0), 20), ((1.0, 2.0), 2)]:
+            with pytest.raises(ValueError):
+                W.whittaker_peaks(p, y_range, n_scan=n_scan)
+
+
+def test_whittaker_sweep_takes_no_ode_steps(monkeypatch):
+    monkeypatch.setattr(W, "solve_ivp", None)
+    p = W.WhittakerParams(1, 50.0, 25.0)
+    assert W.whittaker_peaks(p, (1.80, 2.05), n_scan=100)
+
+
+def test_whittaker_sweep_checks_tol(monkeypatch):
+    p, ys = W.WhittakerParams(0, 50.0, 25.0), np.linspace(1.8, 2.05, 50)
+    with pytest.raises(ValueError, match="tol"):
+        W._whittaker_sweep(p, ys, tol=0.0)
+    rounds = []
+    collocate = W._collocate
+    monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
+    with pytest.raises(RuntimeError, match="tol"):
+        W._whittaker_sweep(p, ys, tol=1e-19)
+    assert len(rounds) <= 2  # the first solve and at most one refinement
+
+
+def test_whittaker_peaks_memory_is_streamed():
+    # about 1000 panels lie between y0 = 201 and the scan; none of them may
+    # keep its 32 x 32 system or its node values
+    p = W.WhittakerParams(0, 50.0, 25.0)
+    assert _peak_bytes(lambda: W.whittaker_peaks(p, (1.80, 2.05), n_scan=400)) < 2**20
