@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import bump
 from .geometry import (_X_GEO, _X_ROT, HPoint, TangentVec, frame_of,
                        geodesic_flow, horocyclic_flow, hyperbolic_distance,
                        hypercyclic_flow, rotate, transport_T_B)
@@ -93,18 +94,6 @@ def birkhoff_average(orbit: OrbitSample, f) -> float:
     return float(np.mean(f(orbit.xs, orbit.ys, orbit.thetas)))
 
 
-def _bump_scalar(t):
-    x = np.abs(t)
-    out = np.zeros_like(x, dtype=float)
-    out[x <= 0.25] = 1.0
-    mid = (x > 0.25) & (x < 0.5)
-    u = (x[mid] - 0.25) / 0.25
-    fa = np.exp(-1.0 / u)
-    fb = np.exp(-1.0 / (1.0 - u))
-    out[mid] = fb / (fa + fb)
-    return out
-
-
 def observable_family() -> list:
     """8 position bumps on an interior grid plus 4 direction harmonics.
 
@@ -118,7 +107,7 @@ def observable_family() -> list:
 
         def fpos(x, y, th, cx=cx, cy=cy):
             coshd = 1.0 + ((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * y * cy)
-            return _bump_scalar(np.arccosh(coshd) / 0.8)
+            return bump(np.arccosh(coshd) / 0.8)
 
         fams.append((f"bump{k}", fpos))
     return fams + [("cos_th", lambda x, y, th: np.cos(th)),

@@ -14,27 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transport as tr
+from .base import bump, check_field, gauss_quad  # perfbench traces quantize.gauss_quad
 # solve_wave is re-exported: code that wraps quantize.solve_wave finds it here
-from .waves import (WaveCoeffs, branch_ic, c1, check_field, gauss_quad,
-                    solve_wave, solve_waves)  # noqa: F401
+from .waves import WaveCoeffs, branch_ic, c1, solve_wave, solve_waves  # noqa: F401
 
-
-def bump(t: float) -> float:
-    """Smooth plateau bump: 1 on [-1/4, 1/4], 0 outside [-1/2, 1/2]."""
-    x = abs(t)
-    if x <= 0.25:
-        return 1.0
-    if x >= 0.5:
-        return 0.0
-    # smoothstep on the shoulder via the standard exp(-1/x) partition
-    u = (x - 0.25) / 0.25
-    fa = math.exp(-1.0 / u)
-    fb = math.exp(-1.0 / (1.0 - u))
-    return fb / (fa + fb)
-
-
-def _bump_arr(t):
-    return np.vectorize(bump, otypes=[float])(t)
+_bump_arr = bump  # the array bump under its former name, called by perfbench
 
 
 @dataclass
@@ -47,33 +31,28 @@ class Observable:
     eps: float = 0.2
     _ft_cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        if not (all(map(math.isfinite, (self.eta0, self.beta0, self.sigma0)))
+                and 0 < self.eps < math.inf):
+            raise ValueError(f"need finite eta0, beta0, sigma0 and eps > 0, got eps={self.eps}")
+
     def phi1(self, eta):
-        return _bump_arr((np.asarray(eta) - self.eta0) / self.eps)
+        return bump((np.asarray(eta) - self.eta0) / self.eps)
 
     def phi2(self, beta):
-        return _bump_arr((np.asarray(beta) - self.beta0) / self.eps)
+        return bump((np.asarray(beta) - self.beta0) / self.eps)
 
     def phi3(self, sigma):
-        return _bump_arr((np.asarray(sigma) - self.sigma0) / self.eps)
+        return bump((np.asarray(sigma) - self.sigma0) / self.eps)
 
     def phi4(self, xi):
         """Smooth step vanishing for xi <= 0, identically 1 for xi >= 1/4."""
-        def step(t):
-            if t <= 0.0:
-                return 0.0
-            if t >= 1.0:
-                return 1.0
-            fa = math.exp(-1.0 / t)
-            fb = math.exp(-1.0 / (1.0 - t))
-            return fa / (fa + fb)
-
-        return np.vectorize(step, otypes=[float])(
-            np.asarray(xi, dtype=float) / 0.25)
+        return bump(np.maximum(0.5 - np.asarray(xi, dtype=float), 0.0))
 
     def phi5(self, eta):
         """Wider plateau, 1 on supp phi1, supported in (-1/2, 1/2)."""
-        scaled = _bump_arr((np.asarray(eta) - self.eta0) / (2 * self.eps))
-        return scaled * _bump_arr(np.asarray(eta) * 0.999)
+        scaled = bump((np.asarray(eta) - self.eta0) / (2 * self.eps))
+        return scaled * bump(np.asarray(eta) * 0.999)
 
     def beta_support(self) -> tuple[float, float]:
         return (self.beta0 - self.eps / 2, self.beta0 + self.eps / 2)
@@ -82,17 +61,10 @@ class Observable:
         """Fourier transform of phi3 at frequency k: int phi3 e^{ik sigma}."""
         key = round(k, 12)
         if key not in self._ft_cache:
-            def fr(s_):
-                return _bump_arr((s_ - self.sigma0) / self.eps) * np.cos(k * s_)
-
-            def fi(s_):
-                return _bump_arr((s_ - self.sigma0) / self.eps) * np.sin(k * s_)
-
-            lo = self.sigma0 - self.eps / 2
-            hi = self.sigma0 + self.eps / 2
-            panels = max(8, int(abs(k) * self.eps) + 8)
-            self._ft_cache[key] = complex(gauss_quad(fr, lo, hi, panels),
-                                          gauss_quad(fi, lo, hi, panels))
+            self._ft_cache[key] = complex(gauss_quad(
+                lambda s_: self.phi3(s_) * np.exp(1j * k * s_),
+                self.sigma0 - self.eps / 2, self.sigma0 + self.eps / 2,
+                max(8, int(abs(k) * self.eps) + 8)))
         return self._ft_cache[key]
 
 
@@ -154,7 +126,7 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     ms, alpha = ms[np.abs(ms) <= s / 2], alpha[np.abs(ms) <= s / 2]
     mts = ms / s
     p1 = obs.phi1(mts)
-    p5 = _bump_arr(mts * 0.999)
+    p5 = bump(mts * 0.999)
     B1 = math.floor(B * s) / s
     if B1 == 0:
         w_all = _branch_I(0.0, mts, s, grid, tol)
@@ -260,7 +232,7 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
         h_param = 1.0 / s
     grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
     h = grid[1] - grid[0]
-    taper = _bump_arr(grid / beta_cut)
+    taper = bump(grid / beta_cut)
     a_beta = taper
     ms, alpha = _packet(coeffs)
     waves = _branch_I(B1, ms / s, s, grid, tol)
@@ -288,9 +260,12 @@ def limit_geodesic_sigma(eta0: float, sigma_ref: float,
     """sigma(beta) along the unit-energy orbit with conserved eta = eta0.
 
     On the shell xi^2 + eta^2 = 1/cos^2(beta), the orbit satisfies
-    dsigma/dbeta = eta0 / sqrt(1/cos^2 - eta0^2); sigma_ref pins the
-    value at beta = 0.
+    dsigma/dbeta = eta0 / sqrt(1/cos^2 - eta0^2), whose integral is
+    asinh(eta0 sin(beta) / sqrt(1 - eta0^2)); sigma_ref pins the value at
+    beta = 0.
     """
-    return sigma_ref + gauss_quad(
-        lambda x: eta0 / np.sqrt(1.0 / np.cos(x) ** 2 - eta0 ** 2),
-        0.0, np.asarray(betas, dtype=float), panels=16)
+    betas = np.asarray(betas, dtype=float)
+    if not (math.isfinite(eta0) and abs(eta0) < 1.0 and math.isfinite(sigma_ref)
+            and np.all(np.abs(betas) < np.pi / 2)):
+        raise ValueError("need finite |eta0| < 1, finite sigma_ref and |beta| < pi/2")
+    return sigma_ref + np.arcsinh(eta0 * np.sin(betas) / math.sqrt(1.0 - eta0 * eta0))

@@ -2,9 +2,10 @@
 
 Travel-time phases P, the reparametrization Phi matching magnetic and
 free phases, its eta-derivative, the amplitude/shift corrections f3, f4,
-and the induced boundary map G with density A.  Functions of an angle map
-scalars to scalars and arrays to arrays (P by one broadcast quadrature,
-Phi by masked Newton); `PhaseTable` implements Phi, Phi_inv, f3 and f4.
+the induced boundary map G with density A, and the WKB waves whose phase
+is s*P.  Functions of an angle map scalars to scalars and arrays to arrays.
+P and the f4 numerator are closed forms (an asinh plus the logarithm `_J`),
+Phi is a masked Newton solve; `PhaseTable` implements Phi, Phi_inv, f3 and f4.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .waves import Q, gauss_quad
+from .base import Q, branch_sign
+from .base import gauss_quad  # noqa: F401, traced by perfbench
 
 _PTOL = 1e-11
 _HALF_PI = np.pi / 2
@@ -25,47 +27,57 @@ def _like(beta, values):
     return float(values) if np.ndim(beta) == 0 else values
 
 
-def _beta_integral(f_of_u, beta):
-    """int_0^beta f(tan b) db per point, as int_0^tan(beta) f(u)/(1+u^2) du.
-
-    The tail beyond |u| = 1 uses u = +-e^v, so the rule stays accurate up to
-    |beta| = pi/2; all tail points share the largest panel count needed.
+def _J(c: float, e: float, u):
+    """int_0^u dv / ((v - i) sqrt(R(v))) for R(v) = v^2 + 2 c v + 1 + e, from the
+    antiderivative -log[(2 R(i) + R'(i)(v - i) + 2 sqrt(R(i) R(v))) / (v - i)] / sqrt(R(i))
+    on the principal branch.  R(i) = e + 2ic stays exact as it tends to 0; at
+    R(i) = 0 (c = e = 0) every caller's prefactor vanishes, and J is returned as 0.
     """
-    b = np.asarray(beta, dtype=float)
-    T = np.tan(b.ravel())
-    aT = np.abs(T)
-    sgn = np.where(T > 0, 1.0, -1.0)
+    Ri = e + 2j * c
+    if Ri == 0:
+        return np.zeros(np.shape(u), dtype=complex)
+    r, dR = np.sqrt(Ri), 2.0 * (c + 1j)
 
-    def g(u):
-        return f_of_u(u) / (1.0 + u * u)
+    def F(v):
+        return np.log((2.0 * Ri + dR * (v - 1j)
+                       + 2.0 * r * np.sqrt(v * v + 2.0 * c * v + 1.0 + e)) / (v - 1j))
 
-    out = gauss_quad(g, 0.0, np.where(aT <= 1.0, T, sgn), panels=16)
-    tail = aT > 1.0
-    if np.any(tail):
-        L, sg = np.log(aT[tail]), sgn[tail][..., None]
-        out[tail] += sgn[tail] * gauss_quad(
-            lambda v: g(sg * np.exp(v)) * np.exp(v), 0.0, L,
-            panels=max(16, int(8 * L.max())))
-    return _like(beta, out.reshape(b.shape))
-
-
-def _Q_of_u(B1: float, mtilde: float, u):
-    """Q in the u = tan beta variable: u^2 + 2 B1 m u + 1 + B1^2 - m^2."""
-    return u * u + 2.0 * B1 * mtilde * u + 1.0 + B1 * B1 - mtilde * mtilde
+    return (F(0.0) - F(u)) / r
 
 
 def phase_P(B1: float, mtilde: float, beta):
-    """Travel-time phase P(beta) = B1*beta + int_0^beta sqrt(Q)."""
+    """Travel-time phase P(beta) = B1*beta + int_0^beta sqrt(Q), in closed form.
+
+    With u = tan beta, sqrt(Q) dbeta = sqrt(R(u)) du / (1 + u^2), which splits
+    into 1/sqrt(R) (an asinh) and two conjugate terms 1/((u -+ i) sqrt(R)).
+    """
+    if not (math.isfinite(B1) and math.isfinite(mtilde) and abs(mtilde) < 1.0):
+        raise ValueError(f"need finite B1 and |mtilde| < 1, got B1={B1}, mtilde={mtilde}")
     b = np.asarray(beta, dtype=float)
     if not np.all(np.abs(b) < _HALF_PI):
         raise ValueError("beta must lie in (-pi/2, pi/2)")
-    return _like(beta, B1 * b + _beta_integral(
-        lambda u: np.sqrt(_Q_of_u(B1, mtilde, u)), b))
+    u, c, e = np.tan(b), B1 * mtilde, B1 * B1 - mtilde * mtilde
+    rD = np.sqrt((1.0 + B1 * B1) * (1.0 - mtilde * mtilde))
+    return _like(beta, B1 * b + np.arcsinh((u + c) / rD) - np.arcsinh(c / rD)
+                 + 2.0 * np.real((c - 0.5j * e) * _J(c, e, u)))
 
 
 def phase_P_deriv(B1: float, mtilde: float, beta):
     """dP/dbeta = B1 + sqrt(Q(beta))."""
     return B1 + np.sqrt(Q(B1, mtilde, beta))
+
+
+def wkb_eval(B1: float, mtilde: float, s: float, branch: str, beta):
+    """Leading-plus-first-correction WKB value of the branch at beta.
+
+    The branch-I phase tau*beta + s*int_0^beta sqrt(Q) is s*P_{B1}(beta);
+    branch II flips the sign of the integral, giving s*(2*B1*beta - P).
+    """
+    b = np.asarray(beta, dtype=float)
+    P = phase_P(B1, mtilde, b)
+    phase = s * (P if branch_sign(branch) > 0 else 2.0 * B1 * b - P)
+    out = (Q(B1, mtilde, 0.0) / Q(B1, mtilde, b)) ** 0.25 * np.exp(1j * phase)
+    return out if np.ndim(beta) else complex(out)
 
 
 def b1(B2, mtilde: float):
@@ -129,12 +141,15 @@ def _solve_P(B1: float, mtilde: float, target, x0):
 
 
 def _dPhi_dm_numerator(B: float, mtilde: float, beta, phi_val):
-    """int_0^beta dsqrtQ_0/dm - int_0^Phi dsqrtQ_B/dm - db4/dm."""
-    i0 = _beta_integral(
-        lambda u: -mtilde / np.sqrt(_Q_of_u(0.0, mtilde, u)), beta)
-    iB = _beta_integral(
-        lambda u: (B * u - mtilde) / np.sqrt(_Q_of_u(B, mtilde, u)), phi_val)
-    return i0 - iB - db4_deta(B, mtilde)
+    """int_0^beta dsqrtQ_0/dm - int_0^Phi dsqrtQ_B/dm - db4/dm, in closed form.
+
+    In u = tan beta the integrands -m / ((1 + u^2) sqrt(Q_0)) and
+    (B u - m) / ((1 + u^2) sqrt(Q_B)) split at u = +-i into `_J` terms.
+    """
+    J0 = _J(0.0, -mtilde * mtilde, np.tan(beta))
+    JB = _J(B * mtilde, B * B - mtilde * mtilde, np.tan(phi_val))
+    return _like(beta, -mtilde * np.imag(J0) - np.real((B + 1j * mtilde) * JB)
+                 - db4_deta(B, mtilde))
 
 
 @dataclass(frozen=True)

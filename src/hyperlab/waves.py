@@ -35,43 +35,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp  # noqa: F401, traced by perfbench
 from scipy.optimize import brentq
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def gauss_quad(f, a, b, panels: int = 8):
-    """Fixed-order composite Gauss-Legendre quadrature (deterministic).
-
-    The limits may be arrays: they broadcast to one shape, f is called on
-    nodes of that shape plus a trailing axis of 32, and the result has the
-    broadcast shape.  Panel edges are those of np.linspace(a, b, panels + 1)
-    at each point.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    step = (b - a) / panels
-    edges = (np.arange(panels + 1, dtype=float).reshape((-1,) + (1,) * step.ndim)
-             * step + a)
-    edges[-1] = b
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        xs = (0.5 * (hi + lo))[..., None] + half[..., None] * _GL_NODES
-        total += half * np.sum(_GL_WEIGHTS * f(xs), axis=-1)
-    return total
-
-
-# --- effective potential ---
-
-
-def Q(B1: float, mtilde: float, beta):
-    """Effective potential of the separated wave equation."""
-    c = np.cos(beta)
-    return 2 * B1 * mtilde * np.tan(beta) - mtilde**2 + 1.0 / c**2 + B1**2
-
-
-def Q_prime(B1: float, mtilde: float, beta):
-    """d/dbeta of Q."""
-    c = np.cos(beta)
-    return 2 * B1 * mtilde / c**2 + 2 * np.sin(beta) / c**3
+from .base import Q, Q_prime, branch_sign, check_field
+from .base import gauss_quad  # noqa: F401, traced by perfbench
 
 
 @dataclass(frozen=True)
@@ -115,18 +80,12 @@ class WaveCoeffs:
         return sum(abs(a) ** 2 + abs(b) ** 2 for a, b in self.entries.values())
 
 
-def check_field(B, s) -> None:
-    """Reject a non-finite or negative field B and a non-finite or non-positive s."""
-    if not (np.all(np.isfinite(B) & (np.asarray(B) >= 0)) and np.isfinite(s) and s > 0):
-        raise ValueError(f"need finite B >= 0 and s > 0, got B={B}, s={s}")
-
-
 def branch_ic(B1, mtilde, s: float, branch: str):
     """Initial data (w(0), w'(0)) pinning the WKB branch at beta = 0."""
     q0 = Q(B1, mtilde, 0.0)
     qp0 = Q_prime(B1, mtilde, 0.0)
     tau = B1 * s
-    sign = +1 if branch == "I" else -1
+    sign = branch_sign(branch)
     return 1.0 + 0j, 1j * tau + sign * 1j * s * np.sqrt(q0) - qp0 / (4 * q0)
 
 
@@ -285,22 +244,6 @@ def solve_wave_ic(B1: float, mtilde: float, s: float, w0: complex, dw0: complex,
     values, derivs = solve_waves(B1, mtilde, s, w0, dw0, grid, tol)
     return CylWave(B1, mtilde, s, branch, np.asarray(grid, dtype=float),
                    values[0], derivs[0])
-
-
-def wkb_eval(B1: float, mtilde: float, s: float, branch: str, beta):
-    """Leading-plus-first-correction WKB value of the branch at beta.
-
-    The branch-I phase tau*beta + s*int_0^beta sqrt(Q) is s times the
-    travel-time phase P_{B1}(beta); branch II flips the sign of the
-    integral, giving s*(2*B1*beta - P).
-    """
-    from .transport import phase_P  # transport imports Q from this module
-
-    b = np.asarray(beta, dtype=float)
-    P = phase_P(B1, mtilde, b)
-    phase = s * (P if branch == "I" else 2.0 * B1 * b - P)
-    out = (Q(B1, mtilde, 0.0) / Q(B1, mtilde, b)) ** 0.25 * np.exp(1j * phase)
-    return out if np.ndim(beta) else complex(out)
 
 
 # --- raising / eigen operators (separated form, sigma factor dropped) ---

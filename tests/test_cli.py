@@ -93,6 +93,16 @@ def test_bad_input_exits_nonzero_with_json(tmp_path, capsys):
     assert diag["passed"] is False and "error" in diag
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.2", "nan"])
+def test_measure_transport_bad_eps_exits_2(tmp_path, capsys, eps):
+    # eps 0 used to fail on a NaN in the JSON and eps -0.2 to pass --assert
+    code, out = run_cli(["measure-transport", "--s", "25", "--B", "0.5",
+                         f"--eps={eps}", "--out", str(tmp_path), "--assert"], capsys)
+    assert code == 2
+    diag = json.loads(out)
+    assert diag["passed"] is False and "eps" in diag["error"]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"does_not_exist": 1}))

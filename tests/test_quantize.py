@@ -39,6 +39,24 @@ def test_bump_monotone_shoulder():
     assert all(a >= b for a, b in zip(vs, vs[1:]))
 
 
+def test_bump_maps_arrays_to_arrays_and_scalars_to_floats():
+    ts = np.array([[-0.6, -0.3, 0.0], [0.26, 0.4, 0.5]])
+    out = qz.bump(ts)
+    assert out.shape == ts.shape
+    assert out.tolist() == [[qz.bump(float(t)) for t in row] for row in ts]
+    assert type(qz.bump(0.3)) is float
+    assert qz._bump_arr is qz.bump
+
+
+@pytest.mark.parametrize("kw", [{"eta0": math.nan}, {"eta0": 0.2, "beta0": math.inf},
+                                {"eta0": 0.2, "sigma0": -math.inf},
+                                {"eta0": 0.2, "eps": math.nan},
+                                {"eta0": 0.2, "eps": 0.0}, {"eta0": 0.2, "eps": -0.2}])
+def test_observable_rejects_non_finite_or_non_positive_width(kw):
+    with pytest.raises(ValueError):
+        qz.Observable(**kw)
+
+
 def test_observable_profiles():
     obs = qz.Observable(eta0=0.2, eps=0.2)
     # phi1 plateau around eta0, support of width eps
@@ -223,6 +241,29 @@ def test_packet_concentrates_on_limit_geodesic():
 
 
 # --- coefficient ascension ---
+
+
+@pytest.mark.parametrize("eta0", [0.2, -0.45, 0.9])
+def test_limit_geodesic_sigma_matches_mpmath_quad(eta0):
+    mpmath = pytest.importorskip("mpmath")
+    betas = np.array([0.0, 0.3, -0.8, 1.3, -1.55, math.pi / 2 - 1e-6])
+    got = qz.limit_geodesic_sigma(eta0, 0.7, betas)
+    with mpmath.workdps(30):
+        for b, val in zip(betas, got):
+            ref = 0.7 + mpmath.quad(
+                lambda x: eta0 / mpmath.sqrt(mpmath.sec(x) ** 2 - eta0 ** 2), [0, b])
+            assert abs(val - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+@pytest.mark.parametrize("eta0, sigma_ref, betas", [
+    (1.2, 0.0, [0.3]), (-1.0, 0.0, [0.3]), (math.nan, 0.0, [0.3]),
+    (0.2, math.inf, [0.3]), (0.2, 0.0, [2.0]), (0.2, 0.0, [0.1, -math.pi / 2]),
+    (0.2, 0.0, [math.nan]),
+])
+def test_limit_geodesic_sigma_rejects_bad_input(eta0, sigma_ref, betas):
+    # eta0 = 1.2 used to give nan and beta = 2 a number
+    with pytest.raises(ValueError):
+        qz.limit_geodesic_sigma(eta0, sigma_ref, np.array(betas))
 
 
 def test_ascend_coeffs_zero_steps_identity():

@@ -10,6 +10,8 @@ from hyperlab import transport as tr
 from hyperlab.geometry import HPoint, hyperbolic_distance
 from hyperlab.waves import Q, c1, solve_wave
 
+GRID = np.linspace(-1.0, 1.0, 41)
+
 
 def _halfplane(beta, sigma):
     return HPoint(math.exp(sigma) * math.sin(beta),
@@ -46,12 +48,18 @@ def test_phase_P_strictly_increasing(B1, m, b1, b2):
     assert tr.phase_P(B1, m, hi) > tr.phase_P(B1, m, lo)
 
 
+_EDGE = math.pi / 2 - 1e-6
+
+
 @pytest.mark.parametrize("B1, m", [(0.0, 0.2), (0.5, 0.2), (1.0, -0.3),
-                                   (3.0, 0.45)])
+                                   (3.0, 0.45), (0.0, 0.0), (0.0, 1e-9), (1e-9, 0.3),
+                                   (1e-9, -0.99), (40.0, 0.45), (40.0, -0.99),
+                                   (0.5, 0.99), (2.0, -0.75)])
 def test_phase_P_array_matches_mpmath_quad(B1, m):
-    # both the |tan beta| <= 1 rule and the logarithmic tail, in one call
+    # the closed form against a 30-digit quadrature across the PhaseTable
+    # window |m| < 1, out to beta = +-(pi/2 - 1e-6), in one call
     mpmath = pytest.importorskip("mpmath")
-    betas = [0.0] + [sg * b for b in (0.3, 0.8, 1.2, 1.55, 1.5707)
+    betas = [0.0] + [sg * b for b in (0.3, 0.8, 1.2, 1.55, 1.5707, _EDGE)
                      for sg in (1, -1)]
     got = tr.phase_P(B1, m, np.array(betas))
     with mpmath.workdps(30):
@@ -64,10 +72,66 @@ def test_phase_P_array_matches_mpmath_quad(B1, m):
             assert abs(val - float(ref)) <= 1e-12 * abs(float(ref))
 
 
+@pytest.mark.parametrize("B, m", [(0.5, 0.2), (2.0, -0.4), (1e-9, 0.3),
+                                  (40.0, 0.45), (0.3, -0.99)])
+def test_dPhi_dm_numerator_matches_mpmath_quad(B, m):
+    mpmath = pytest.importorskip("mpmath")
+    betas = np.array([0.0, 0.4, -0.9, 1.3, -1.5, _EDGE, -_EDGE])
+    phis = betas[::-1] * 0.9  # any angles: the numerator takes beta and Phi apart
+    got = tr._dPhi_dm_numerator(B, m, betas, phis)
+    with mpmath.workdps(30):
+        def dsqrtQ(B1):
+            return lambda x: ((B1 * mpmath.tan(x) - m)
+                              / mpmath.sqrt(2 * B1 * m * mpmath.tan(x) - m * m
+                                            + mpmath.sec(x) ** 2 + B1 * B1))
+
+        for b, ph, val in zip(betas, phis, got):
+            ref = (mpmath.quad(dsqrtQ(0), [0, b]) - mpmath.quad(dsqrtQ(B), [0, ph])
+                   - tr.db4_deta(B, m))
+            assert abs(val - float(ref)) <= 1e-12 * abs(float(ref))
+
+
+@pytest.mark.parametrize("B1, m, beta", [
+    (math.nan, 0.2, 0.3), (math.inf, 0.2, 0.3), (0.5, math.nan, 0.3),
+    (0.5, 1.5, 1.3), (0.5, 1.0, 0.3), (0.5, -1.0, 0.3),
+])
+def test_phase_P_rejects_non_finite_or_out_of_window_input(B1, m, beta):
+    # these used to return a number, nan or inf instead of failing
+    with pytest.raises(ValueError):
+        tr.phase_P(B1, m, beta)
+
+
 def test_phase_P_reproducible():
     v1 = tr.phase_P(1.3, 0.25, 1.2)
     v2 = tr.phase_P(1.3, 0.25, 1.2)
     assert v1 == v2
+
+
+# --- WKB waves (phase s*P) ---
+
+
+def test_wkb_at_zero_and_modulus():
+    assert tr.wkb_eval(0.3, 0.2, 100.0, "I", 0.0) == pytest.approx(1.0)
+    b = 0.8
+    v = tr.wkb_eval(0.3, 0.2, 100.0, "I", b)
+    assert abs(v) == pytest.approx((Q(0.3, 0.2, 0) / Q(0.3, 0.2, b)) ** 0.25)
+
+
+def test_wkb_agrees_with_solver():
+    s = 200.0
+    w = solve_wave(0.2, 0.1, s, "I", GRID)
+    wk = tr.wkb_eval(0.2, 0.1, s, "I", GRID)
+    assert np.max(np.abs(w.values - wk) / np.abs(wk)) < 5 / s
+
+
+def test_modulus_matches_wkb_and_improves():
+    errs = {}
+    for s in (100.0, 200.0):
+        w = solve_wave(0.3, 0.2, s, "I", GRID)
+        wk = tr.wkb_eval(0.3, 0.2, s, "I", GRID)
+        errs[s] = np.max(np.abs(np.abs(w.values) - np.abs(wk)) / np.abs(wk))
+    assert errs[100.0] < 30 / 100.0
+    assert errs[200.0] < errs[100.0]
 
 
 # --- offsets b1, b4, b3, b7 ---

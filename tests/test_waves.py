@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
+from hyperlab import transport as tr
 from hyperlab import waves as W
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -241,16 +242,6 @@ def test_ode_residual_small():
     assert resid < 1e-8
 
 
-def test_modulus_matches_wkb_and_improves():
-    errs = {}
-    for s in (100.0, 200.0):
-        w = W.solve_wave(0.3, 0.2, s, "I", GRID)
-        wk = W.wkb_eval(0.3, 0.2, s, "I", GRID)
-        errs[s] = np.max(np.abs(np.abs(w.values) - np.abs(wk)) / np.abs(wk))
-    assert errs[100.0] < 30 / 100.0
-    assert errs[200.0] < errs[100.0]
-
-
 def test_wronskian_constant():
     B1, mt, s = 0.5, 0.1, 60.0
     tau = B1 * s
@@ -264,22 +255,6 @@ def test_wronskian_constant():
     dphiII = (wII.derivs - 1j * tau * wII.values) * np.exp(-1j * tau * GRID)
     wr = phiI * dphiII - phiII * dphiI
     assert np.max(np.abs(wr - wr[0])) / np.abs(wr[0]) < 1e-7
-
-
-# --- WKB evaluation ---
-
-def test_wkb_at_zero_and_modulus():
-    assert W.wkb_eval(0.3, 0.2, 100.0, "I", 0.0) == pytest.approx(1.0)
-    b = 0.8
-    v = W.wkb_eval(0.3, 0.2, 100.0, "I", b)
-    assert abs(v) == pytest.approx((W.Q(0.3, 0.2, 0) / W.Q(0.3, 0.2, b)) ** 0.25)
-
-
-def test_wkb_agrees_with_solver():
-    s = 200.0
-    w = W.solve_wave(0.2, 0.1, s, "I", GRID)
-    wk = W.wkb_eval(0.2, 0.1, s, "I", GRID)
-    assert np.max(np.abs(w.values - wk) / np.abs(wk)) < 5 / s
 
 
 # --- raising / lowering / eigenoperator ---
@@ -387,6 +362,16 @@ def test_c1_transfer_decay():
 
 
 # --- branch decomposition ---
+
+@pytest.mark.parametrize("label", ["x", "i", "ii", "", "foo"])
+def test_branch_labels_other_than_I_or_II_rejected(label):
+    # any label but "I" used to select branch II
+    for call in (lambda: W.branch_ic(0.5, 0.2, 100.0, label),
+                 lambda: W.solve_wave(0.5, 0.2, 100.0, label, GRID),
+                 lambda: tr.wkb_eval(0.5, 0.2, 100.0, label, GRID)):
+        with pytest.raises(ValueError, match="branch"):
+            call()
+
 
 def test_decompose_pure_branches():
     B1, mt, s = 0.3, 0.25, 70.0
