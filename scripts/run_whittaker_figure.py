@@ -2,9 +2,13 @@
 """Generate the scaled Whittaker ascension waves and their peak table.
 
 Writes one CSV per ascension degree (y, |W|/normalization) plus a peak
-summary, and prints the peak abscissae/ordinates and consecutive shifts.
+summary, and prints the peak abscissae/ordinates and consecutive shifts
+against 1/a, the per-degree shift at tau = 0 of the turning point
+y_t = (tau + sqrt(tau^2 + s1^2 + 1/4))/a.
+A degree with no peak in [1, 3] is skipped.
 
-Usage: python3 scripts/run_whittaker_figure.py [--out OUTDIR]
+Usage: python3 scripts/run_whittaker_figure.py [--out OUTDIR] [--s1 50]
+       [--a 25] [--tau-max 2]
 """
 
 import argparse
@@ -35,12 +39,15 @@ def main():
                    np.column_stack([ys, vals]), delimiter=",",
                    header="y,abs_w_scaled", comments="")
         peaks = whittaker_peaks(p, (1.0, 3.0), normalized=True)
+        if not peaks:
+            print(f"tau={tau}  no peak in [1, 3]")
+            continue
         y_pk, v_pk = max(peaks, key=lambda q: q[1])
         rows.append((tau, y_pk, v_pk))
         print(f"tau={tau}  peak at y={y_pk:.6f}  value={v_pk:.6e}")
     for (t0, y0, _), (t1, y1, _) in zip(rows, rows[1:]):
-        print(f"shift tau {t0}->{t1}: {y1 - y0:.4f}  (1/s1 = {1/args.s1:.4f})")
-    np.savetxt(out / "peaks.csv", np.array(rows), delimiter=",",
+        print(f"shift tau {t0}->{t1}: {y1 - y0:.4f}  (1/a = {1/args.a:.4f})")
+    np.savetxt(out / "peaks.csv", np.array(rows).reshape(-1, 3), delimiter=",",
                header="tau,abscissa,ordinate", comments="")
 
 

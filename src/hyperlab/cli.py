@@ -97,9 +97,15 @@ def _write_json(path: Path, obj: dict) -> None:
                     + "\n", encoding="utf-8")
 
 
+def _check_tau_max(cfg: RunConfig) -> None:
+    if not cfg.tau_max >= 0:
+        raise ValueError(f"--tau-max must be >= 0, got {cfg.tau_max}")
+
+
 def cmd_whittaker(cfg: RunConfig) -> dict:
     from .waves import WhittakerParams, _sweep_peaks, _whittaker_sweep, ascension_norm
 
+    _check_tau_max(cfg)
     out = _out_dir(cfg)
     # one sweep per degree serves the CSV grid and the peak scan
     ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
@@ -146,6 +152,8 @@ def cmd_ascend(cfg: RunConfig) -> dict:
     from .transport import wave_norm_shift
     from .waves import ascend, solve_wave
 
+    if len(cfg.s) != 1:
+        raise ValueError(f"ascend takes exactly one --s value, got {cfg.s}")
     out = _out_dir(cfg)
     s = cfg.s[0]
     m = cfg.eta0 * s
@@ -179,6 +187,8 @@ def cmd_ascend(cfg: RunConfig) -> dict:
 def cmd_measure_transport(cfg: RunConfig) -> dict:
     from .quantize import Observable, measure_transport_check
 
+    if not cfg.s:
+        raise ValueError("need one or more --s values")
     out = _out_dir(cfg)
     obs = Observable(eta0=cfg.eta0, eps=cfg.eps)
     rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs,
@@ -209,6 +219,7 @@ def cmd_flows(cfg: RunConfig) -> dict:
                            hyperbolic_distance, hypercyclic_flow, phi_B,
                            phi_B_inv, scale)
 
+    _check_tau_max(cfg)
     out = _out_dir(cfg)
     B = cfg.B
     t_max = float(cfg.tau_max)
@@ -230,7 +241,9 @@ def cmd_flows(cfg: RunConfig) -> dict:
                ["t", "x", "y", "vx", "vy", "x_numeric", "y_numeric",
                 "deviation"], rows)
     failures = []
-    if cfg.do_assert and worst > cfg.tolerances["flow_conjugacy_abs"]:
+    if cfg.do_assert and t_max == 0:
+        failures.append({"reason": "no check ran: need a positive --tau-max"})
+    elif cfg.do_assert and worst > cfg.tolerances["flow_conjugacy_abs"]:
         failures.append({"reason": "conjugacy deviation", "worst": worst})
     summary = {"subcommand": "flows", "b_field": B, "t_max": t_max,
                "worst_deviation": worst,

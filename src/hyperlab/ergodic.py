@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import bump
-from .geometry import (_X_GEO, _X_ROT, HPoint, TangentVec, frame_of,
-                       geodesic_flow, horocyclic_flow, hyperbolic_distance,
-                       hypercyclic_flow, rotate, transport_T_B)
-from .groups import FuchsianGroup, octagon_group
+from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
+                       horocyclic_flow, hyperbolic_distance, hypercyclic_flow,
+                       rotate, transport_T_B)
+from .groups import _COSH_R, FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
 
@@ -34,17 +34,6 @@ class OrbitSample:
     xs: np.ndarray
     ys: np.ndarray
     thetas: np.ndarray
-
-
-def _step_matrix(kind: str, B: float, h: float) -> np.ndarray:
-    if kind == "geodesic":
-        return np.array([[math.exp(h / 2), 0.0], [0.0, math.exp(-h / 2)]])
-    if kind == "horocyclic":
-        return np.eye(2) + h * (_X_GEO - _X_ROT)
-    if kind == "hypercyclic":
-        xb = math.sqrt(B * B + 1.0) * _X_GEO - B * _X_ROT
-        return math.cosh(h / 2) * np.eye(2) + 2.0 * math.sinh(h / 2) * xb
-    raise ValueError(f"unknown flow kind {kind!r}")
 
 
 def sample_orbit(v0: TangentVec, kind: str, length: float,
@@ -63,7 +52,7 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
         raise ValueError("need finite B >= 0, length >= 0 and step > 0")
     group = group or octagon_group()
     reduce, threshold = group.reduce_frame, group.reduce_threshold
-    sa, sb, sc, sd = map(float, _step_matrix(kind, B, step).ravel())
+    sa, sb, sc, sd = map(float, flow_step(kind, B, step).ravel())
     a, b, c, d = reduce(*map(float, frame_of(v0).ravel()))
     n = int(round(length / step))
     out = np.empty((3, n + 1))  # xs, ys, thetas
@@ -116,17 +105,18 @@ def observable_family() -> list:
                    ("sin_2th", lambda x, y, th: np.sin(2 * th))]
 
 
-def octagon_area_means(group: FuchsianGroup | None = None,
-                       nr: int = 220, nth: int = 440) -> dict:
+def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
     """Area means of the observable family by polar quadrature.
 
-    Positions are sampled in geodesic polar coordinates around the domain
-    center with the Dirichlet indicator; direction harmonics average to
-    zero exactly.
+    Positions are sampled on a 220 x 440 grid of geodesic polar coordinates
+    over the octagon's circumdisk with the Dirichlet indicator; direction
+    harmonics average to zero exactly.
     """
     if group is None:
         group = octagon_group()
-    R = math.acosh(3.0 + 2.0 * math.sqrt(2.0)) + 1e-9
+    if group.kind != "octagon":
+        raise ValueError(f"area means need the octagon group, got {group.kind!r}")
+    nr, nth, R = 220, 440, math.acosh(_COSH_R) + 1e-9
     rs = (np.arange(nr) + 0.5) * R / nr
     ths = (np.arange(nth) + 0.5) * 2 * math.pi / nth
     rr, tt = np.meshgrid(rs, ths, indexing="ij")
@@ -161,18 +151,16 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
     if area_means is None:
         area_means = octagon_area_means(group)
     orbit = sample_orbit(v0, kind, lengths[-1], B=B, step=step, group=group)
-    rows = []
-    for L in lengths:
-        n = int(round(L / step)) + 1
-        disc = 0.0
-        for name, f in observables:
-            avg = float(np.mean(f(orbit.xs[:n], orbit.ys[:n],
-                                  orbit.thetas[:n])))
+    discs = [0.0] * len(lengths)
+    for name, f in observables:  # one evaluation per observable, prefix means
+        vals = f(orbit.xs, orbit.ys, orbit.thetas)
+        for i, L in enumerate(lengths):
+            avg = float(np.mean(vals[:int(round(L / step)) + 1]))
             if not math.isfinite(avg):
                 raise ValueError(f"non-finite Birkhoff average of {name} at length {L}")
-            disc = max(disc, abs(avg - area_means[name]))
-        rows.append((L, disc))
-    return rows
+            discs[i] = max(discs[i], abs(avg - area_means[name]))
+        del vals  # free before the next observable: one 1e6-point array at a time
+    return list(zip(lengths, discs))
 
 
 def seeded_unit_vector(seed: int) -> TangentVec:
@@ -184,9 +172,8 @@ def seeded_unit_vector(seed: int) -> TangentVec:
     return TangentVec(HPoint(x, y), y * math.cos(theta), y * math.sin(theta))
 
 
-def tb_shift_check(v0: TangentVec, B: float, arc_length: float,
-                   n_samples: int = 101) -> float:
-    """Max distance between two constructions of the magnetic orbit.
+def tb_shift_check(v0: TangentVec, B: float, arc_length: float) -> float:
+    """Max distance between two constructions of the magnetic orbit (101 points).
 
     The equidistant curve pushes each point of the unit-speed geodesic
     sideways along a horocycle (quarter turn, horocyclic time -B); the
@@ -201,7 +188,7 @@ def tb_shift_check(v0: TangentVec, B: float, arc_length: float,
     t0 = -0.5 * math.log(1.0 + B * B)
     worst = 0.0
     span = arc_length / math.sqrt(B * B + 1.0)
-    for t in np.linspace(0.0, span, n_samples):
+    for t in np.linspace(0.0, span, 101):
         eq = horocyclic_flow(rotate(geodesic_flow(v0, t), -math.pi / 2),
                              -B).base
         ref = hypercyclic_flow(vB, B, t + t0).base

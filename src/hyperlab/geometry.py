@@ -19,6 +19,7 @@ equations numerically purely as a cross-check of the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,23 +252,39 @@ def _flow_frame(v: TangentVec, subgroup_elt: np.ndarray, speed: float) -> Tangen
     return vec_of_frame(frame_of(v) @ subgroup_elt, speed)
 
 
+_X_GEO = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
+_X_ROT = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def flow_step(kind: str, B: float, t: float) -> np.ndarray:
+    """exp(t X) for the flow's generator X, applied to frames on the right:
+    X_geo; N = X_geo - X_rot (nilpotent, exp = I + tN); or, squaring to I/4,
+    X_B = sqrt(B^2+1) X_geo - B X_rot = B N + X_geo/(B + sqrt(B^2+1))."""
+    if kind not in ("geodesic", "horocyclic", "hypercyclic"):
+        raise ValueError(f"unknown flow kind {kind!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, got t={t}")
+    try:
+        if kind == "geodesic":
+            g = np.array([[math.exp(t / 2), 0.0], [0.0, math.exp(-t / 2)]])
+        elif kind == "horocyclic":
+            g = np.eye(2) + t * (_X_GEO - _X_ROT)
+        else:
+            xb = math.sqrt(B * B + 1.0) * _X_GEO - B * _X_ROT
+            g = math.cosh(t / 2) * np.eye(2) + 2.0 * math.sinh(t / 2) * xb
+    except OverflowError:
+        g = None
+    if g is None or not np.isfinite(g).all():
+        raise ValueError(f"{kind} flow overflows at time t={t}")
+    return g
+
+
 def geodesic_flow(v: TangentVec, t: float) -> TangentVec:
     """Move v along its geodesic for arclength |v| * t."""
     speed = v.speed()
     if speed <= 0:
         raise ValueError("geodesic flow needs a nonzero vector")
-    a_t = np.diag([np.exp(t / 2), np.exp(-t / 2)])
-    return _flow_frame(v, a_t, speed)
-
-
-_X_GEO = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
-_X_ROT = 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def _hypercyclic_subgroup(B: float, t: float) -> np.ndarray:
-    # generator sqrt(B^2+1) X_geo - B X_rot squares to I/4, so exp is elementary
-    X = np.sqrt(B * B + 1) * _X_GEO - B * _X_ROT
-    return np.cosh(t / 2) * np.eye(2) + 2 * np.sinh(t / 2) * X
+    return _flow_frame(v, flow_step("geodesic", 0.0, t), speed)
 
 
 def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
@@ -281,15 +298,14 @@ def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
     level = np.sqrt(B * B + 1)
     if abs(v.speed() - level) > SPEED_TOL:
         raise ValueError(f"vector speed {v.speed()} not at level sqrt(B^2+1)={level}")
-    return _flow_frame(v, _hypercyclic_subgroup(B, t), level)
+    return _flow_frame(v, flow_step("hypercyclic", B, t), level)
 
 
 def horocyclic_flow(v: TangentVec, t: float) -> TangentVec:
     """Unit-speed flow along clockwise curves of geodesic curvature 1."""
     if abs(v.speed() - 1.0) > SPEED_TOL:
         raise ValueError(f"horocyclic flow needs a unit vector, got speed {v.speed()}")
-    n_t = np.eye(2) + t * (_X_GEO - _X_ROT)  # nilpotent generator, exact exponential
-    return _flow_frame(v, n_t, 1.0)
+    return _flow_frame(v, flow_step("horocyclic", 0.0, t), 1.0)
 
 
 def transport_T_B(v: TangentVec, B: float) -> TangentVec:

@@ -272,3 +272,25 @@ def test_measure_transport_small(tmp_path, capsys):
     assert summary["rel_diff"][0] < 0.1
     header = (tmp_path / "measure_transport.csv").read_text().split("\n")[0]
     assert header == "s,b_field,eta0,eps,lhs_re,lhs_im,rhs_re,rhs_im,rel_diff"
+
+
+@pytest.mark.parametrize("argv", [
+    ["whittaker", "--tau-max", "-1"], ["flows", "--tau-max", "-2"],
+    ["measure-transport", "--s", ","], ["ascend", "--s="],
+    ["ascend", "--s", "100,200"]])
+def test_inputs_that_leave_nothing_to_check_exit_2(tmp_path, capsys, argv):
+    # these used to pass --assert on an empty table or span, die with an
+    # IndexError (ascend --s ""), or drop every --s value but the first
+    code, out = run_cli(argv + ["--out", str(tmp_path), "--assert"], capsys)
+    assert code == 2
+    diag = json.loads(out, parse_constant=lambda tok: pytest.fail(tok))
+    assert diag["passed"] is False and "ValueError" in diag["error"]
+
+
+def test_flows_assert_zero_span_says_no_check_ran(tmp_path, capsys):
+    code, out = run_cli(["flows", "--tau-max", "0", "--out", str(tmp_path),
+                         "--assert"], capsys)
+    assert code == 1
+    diag = json.loads(out)
+    assert diag["passed"] is False
+    assert diag["failures"] == [{"reason": "no check ran: need a positive --tau-max"}]

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hyperlab.ergodic import (OrbitSample, _step_matrix, birkhoff_average,
+from hyperlab.ergodic import (OrbitSample, birkhoff_average,
                               equidistribution_series, observable_family,
                               octagon_area_means, sample_orbit,
                               seeded_unit_vector, tb_shift_check)
-from hyperlab.geometry import (HPoint, TangentVec, frame_of,
+from hyperlab.geometry import (HPoint, TangentVec, flow_step, frame_of,
                                hypercyclic_flow, hyperbolic_distance,
                                mobius_apply_vec, mobius_from_matrix, scale)
 from hyperlab.groups import (_COSH_HALF_T, cylinder_group, octagon_group,
@@ -204,7 +204,7 @@ def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
     moves = [g.matrix() for g in group.generators] + \
             [g.matrix() for g in group.inverses]
     moves = [(m[0, 0], m[0, 1], m[1, 0], m[1, 1]) for m in moves]
-    S = _step_matrix(kind, B, step)
+    S = flow_step(kind, B, step)
     sa, sb, sc, sd = S[0, 0], S[0, 1], S[1, 0], S[1, 1]
     F = frame_of(v0)
     a, b, c, d = F[0, 0], F[0, 1], F[1, 0], F[1, 1]
@@ -289,3 +289,39 @@ def test_discrepancy_rejects_bad_lengths(lengths):
         equidistribution_series("horocyclic", V0, lengths,
                                 area_means={"one": 1.0},
                                 observables=[("one", lambda x, y, th: np.ones_like(x))])
+
+
+def test_orbit_step_overflow_is_a_value_error():
+    # exp(1500) used to escape as OverflowError: math range error
+    with pytest.raises(ValueError, match="t=3000"):
+        sample_orbit(V0, "geodesic", 1e5, step=3000.0)
+
+
+def test_area_means_need_the_octagon():
+    # the quadrature covers the octagon's circumdisk; the cylinder has
+    # infinite area, so its "means" (bump0 0.0067) meant nothing
+    with pytest.raises(ValueError, match="octagon"):
+        octagon_area_means(cylinder_group(1.0))
+    with pytest.raises(ValueError, match="octagon"):
+        equidistribution_series("geodesic", V0, [10, 20], group=cylinder_group(1.0))
+
+
+def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
+    """Frozen per-length loop: every observable again on each prefix."""
+    orbit = sample_orbit(v0, kind, max(lengths), B=B, step=step)
+    rows = []
+    for L in sorted(lengths):
+        n = int(round(L / step)) + 1
+        disc = 0.0
+        for name, f in observable_family():
+            avg = float(np.mean(f(orbit.xs[:n], orbit.ys[:n], orbit.thetas[:n])))
+            disc = max(disc, abs(avg - area_means[name]))
+        rows.append((L, disc))
+    return rows
+
+
+@pytest.mark.parametrize("kind, B, lengths", [
+    ("horocyclic", 0.0, [10.0, 100.0, 1000.0]), ("hypercyclic", 5.0, [100.0])])
+def test_one_observable_pass_matches_the_per_length_loop(area_means, kind, B, lengths):
+    rows = equidistribution_series(kind, V0, lengths, B=B, area_means=area_means)
+    assert rows == _per_length_series(kind, V0, lengths, area_means, B=B)

@@ -229,6 +229,44 @@ def test_hypercyclic_speed_level_enforced():
         G.horocyclic_flow(G.TangentVec(G.HPoint(0, 1), 0, 2), 0.5)
 
 
+# --- the flow-generator table ---
+
+@pytest.mark.parametrize("t", [-2.5, 0.0, 0.37, 4.0])
+def test_closed_form_flows_read_the_generator_table(t):
+    v = vec_at(0.2, 1.3, 0.9, 1.0)
+    for kind, B, flow in [("geodesic", 0.0, lambda: G.geodesic_flow(v, t)),
+                          ("horocyclic", 0.0, lambda: G.horocyclic_flow(v, t)),
+                          ("hypercyclic", 0.7, lambda: G.hypercyclic_flow(
+                              G.scale(v, np.sqrt(1.49)), 0.7, t))]:
+        speed = np.sqrt(B * B + 1)
+        ref = G.vec_of_frame(G.frame_of(v) @ G.flow_step(kind, B, t), speed)
+        got = flow()
+        assert (got.base, got.vx, got.vy) == (ref.base, ref.vx, ref.vy)
+
+
+def test_hypercyclic_step_tends_to_horocyclic_step():
+    # X_B = B N + X_geo/(B + sqrt(B^2+1)): at time 1/B the error is O(1/B^2)
+    horo = G.flow_step("horocyclic", 0.0, 1.0)
+    errs = [np.abs(G.flow_step("hypercyclic", B, 1.0 / B) - horo).max()
+            for B in (1e1, 1e2, 1e3, 1e4)]
+    assert errs[0] == pytest.approx(3.95e-3, rel=1e-2)
+    assert all(e1 >= 90.0 * e2 for e1, e2 in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: G.geodesic_flow(v, np.nan),
+    lambda v: G.hypercyclic_flow(G.scale(v, np.sqrt(1.25)), 0.5, np.inf),
+    lambda v: G.hypercyclic_flow(G.scale(v, np.sqrt(2.0)), 1.0, 2000.0),
+    lambda v: G.hypercyclic_flow(G.scale(v, np.sqrt(26.0)), 5.0, 1419.0),
+    lambda v: G.geodesic_flow(v, -3000.0)])
+def test_flow_times_fail_loudly_in_the_table(call):
+    # nan and inf used to die on "point must lie in the upper half-plane";
+    # math.cosh(1000) raises OverflowError, which the CLI does not catch, and
+    # at t = 1419 sinh stays finite while the element overflows to inf
+    with pytest.raises(ValueError, match="t="):
+        call(vec_at(0.2, 1.3, 0.9, 1.0))
+
+
 @given(coords, ys, angles, fields,
        st.floats(min_value=-3, max_value=3, **finite),
        st.floats(min_value=-3, max_value=3, **finite))
