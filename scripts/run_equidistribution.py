@@ -3,15 +3,18 @@
 
 Runs the horocyclic, hypercyclic (two field strengths), and geodesic
 flows from a seeded initial vector and prints the discrepancy of the
-standard 12-observable family at increasing orbit lengths.
+standard 12-observable family at increasing orbit lengths.  Beside each
+row it prints the steps/s of `sample_orbit` for that flow, timed on one
+extra orbit of the longest length.
 
 Usage: python3 scripts/run_equidistribution.py [--lengths 1e2,1e3,1e4]
 """
 
 import argparse
+import time
 
 from hyperlab.ergodic import (equidistribution_series, octagon_area_means,
-                              seeded_unit_vector)
+                              sample_orbit, seeded_unit_vector)
 
 
 def main():
@@ -27,9 +30,13 @@ def main():
                     ("hypercyclic", 5.0), ("geodesic", 0.0)):
         rows = equidistribution_series(kind, v0, lengths, B=B,
                                        area_means=means)
+        start = time.perf_counter()
+        steps = len(sample_orbit(v0, kind, max(lengths), B=B).xs) - 1
+        rate = steps / (time.perf_counter() - start)
         tag = f"{kind}" + (f" B={B}" if kind == "hypercyclic" else "")
         for length, disc in rows:
-            print(f"{tag:20s} length={length:10.0f}  discrepancy={disc:.5f}")
+            print(f"{tag:20s} length={length:10.0f}  discrepancy={disc:.5f}"
+                  f"  steps/s={rate:.3g}")
 
 
 if __name__ == "__main__":

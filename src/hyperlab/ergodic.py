@@ -8,8 +8,8 @@ transport map.
 
 from __future__ import annotations
 
+import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +21,7 @@ from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
 from .groups import _COSH_R, FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
+_COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
 
 
 @dataclass(frozen=True)
@@ -41,11 +42,21 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
                  group: FuchsianGroup | None = None) -> OrbitSample:
     """Flow v0 for the given length, reducing after every step.
 
-    Exact by contract: each step is the same sequence of float operations
-    (times the step matrix, Dirichlet reduction past the inradius, unit
-    determinant every 1000 steps) and only the samples of a block of frames
-    are formed on arrays, because the orbits are rounding-sensitive: a 1e-15
-    shift of the start moves the B = 5 discrepancy from 0.0077 to 0.0092.
+    Exact by contract: every sample is the one a per-step float loop
+    records (times the step matrix, Dirichlet reduction past the inradius,
+    unit determinant every 1000 steps), because the orbits are
+    rounding-sensitive: a 1e-15 shift of the start moves the B = 5
+    discrepancy from 0.0077 to 0.0092.  Two passes give those bits:
+
+    1. The float loop runs every step but keeps only the restarts, the
+       frames that are not fl(F S) of the frame before: the start, each
+       step whose reduction moved the frame, and each renormalization.
+    2. Between two restarts the frames are F <- fl(F S), so all segments
+       (at most 1000 steps each) are replayed in lockstep on arrays,
+       longest first, and each sample is formed straight into the output.
+       numpy applies to each element the same IEEE multiplies, adds and
+       divides as the loop, and the angle keeps math.atan2 (np.arctan2
+       differs in the last bit of about 7 % of the angles).
     """
     if not (0 <= B < math.inf and 0 <= length < math.inf
             and 0 < step < math.inf):
@@ -55,26 +66,39 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     sa, sb, sc, sd = map(float, flow_step(kind, B, step).ravel())
     a, b, c, d = reduce(*map(float, frame_of(v0).ravel()))
     n = int(round(length / step))
-    out = np.empty((3, n + 1))  # xs, ys, thetas
-    frames = array("d", (a, b, c, d))  # the frames of one block, raw
-    for start in range(1, max(n, 1) + 1, _BLOCK):  # n = 0 still records
+    starts, frames = [0], [a, b, c, d]  # pass 1: the restarts
+    for start in range(1, n + 1, _BLOCK):
         stop = min(start + _BLOCK, n + 1)
-        for _ in range(start, stop):
+        for i in range(start, stop):
             a, b = a * sa + b * sc, a * sb + b * sd
             c, d = c * sa + d * sc, c * sb + d * sd
             if a * a + b * b + c * c + d * d > threshold:
-                a, b, c, d = reduce(a, b, c, d)
-            frames.extend((a, b, c, d))
-        if stop - start == _BLOCK:
+                r = reduce(a, b, c, d)
+                if r != (a, b, c, d):
+                    a, b, c, d = r
+                    starts.append(i)
+                    frames.extend(r)
+        if stop - start == _BLOCK:  # a reduction restart on this step becomes an empty segment
             f = 1.0 / math.sqrt(a * d - b * c)
             a, b, c, d = a * f, b * f, c * f, d * f
-            frames[-4:] = array("d", (a, b, c, d))
-        fa, fb, fc, fd = np.array(frames).reshape(-1, 4).T
-        den = fc * fc + fd * fd
-        th = np.array(list(map(math.atan2, frames[2::4], frames[3::4])))
-        out[:, stop - len(den):stop] = ((fa * fc + fb * fd) / den, 1.0 / den,
-                                        math.pi / 2 - 2.0 * th)
-        del frames[:]
+            starts.append(stop - 1)
+            frames.extend((a, b, c, d))
+    starts = np.array(starts)  # pass 2: the segments in lockstep
+    lens = np.diff(starts, append=n + 1)
+    order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
+    starts, lens = starts[order], lens[order]
+    a, b, c, d = np.array(frames).reshape(-1, 4)[order].T.copy()
+    out = np.empty((3, n + 1))  # xs, ys, thetas
+    for t, m in enumerate(np.searchsorted(-lens, -np.arange(lens[0])).tolist()):
+        a, b, c, d = a[:m], b[:m], c[:m], d[:m]  # the m segments longer than t
+        at = starts[:m] + t
+        den = c * c + d * d
+        out[0, at] = (a * c + b * d) / den
+        out[1, at] = 1.0 / den
+        out[2, at] = math.pi / 2 - 2.0 * np.fromiter(
+            map(math.atan2, memoryview(c), memoryview(d)), float, m)
+        a, b = a * sa + b * sc, a * sb + b * sd
+        c, d = c * sa + d * sc, c * sb + d * sd
     return OrbitSample(kind, B, step, length, *out)
 
 
@@ -95,8 +119,11 @@ def observable_family() -> list:
         cx, cy = ck.real, ck.imag
 
         def fpos(x, y, th, cx=cx, cy=cy):
-            coshd = 1.0 + ((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * y * cy)
-            return bump(np.arccosh(coshd) / 0.8)
+            coshd = np.asarray(1.0 + ((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * y * cy))
+            near = coshd < _COSH_HALF  # bump(d / 0.8) is 0 from d = 0.4 on
+            out = np.zeros(coshd.shape)
+            out[near] = bump(np.arccosh(coshd[near]) / 0.8)
+            return out if out.ndim else float(out)
 
         fams.append((f"bump{k}", fpos))
     return fams + [("cos_th", lambda x, y, th: np.cos(th)),
@@ -110,12 +137,18 @@ def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
 
     Positions are sampled on a 220 x 440 grid of geodesic polar coordinates
     over the octagon's circumdisk with the Dirichlet indicator; direction
-    harmonics average to zero exactly.
+    harmonics average to zero exactly.  The quadrature runs once per group;
+    every call returns a fresh dict.
     """
     if group is None:
         group = octagon_group()
     if group.kind != "octagon":
         raise ValueError(f"area means need the octagon group, got {group.kind!r}")
+    return dict(_area_means(group))
+
+
+@functools.lru_cache(maxsize=4)
+def _area_means(group: FuchsianGroup) -> tuple:
     nr, nth, R = 220, 440, math.acosh(_COSH_R) + 1e-9
     rs = (np.arange(nr) + 0.5) * R / nr
     ths = (np.arange(nth) + 0.5) * 2 * math.pi / nth
@@ -129,9 +162,9 @@ def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
                      for fp, fq, fr in group.dirichlet_forms], axis=0)
     weight = np.sinh(rr) * (R / nr) * (2 * math.pi / nth) * inside
     area = float(np.sum(weight))
-    return {name: float(np.sum(f(x, y, 0.0) * weight)) / area
-            if name.startswith("bump") else 0.0
-            for name, f in observable_family()}
+    return tuple((name, float(np.sum(f(x, y, 0.0) * weight)) / area
+                  if name.startswith("bump") else 0.0)
+                 for name, f in observable_family())
 
 
 def equidistribution_series(kind: str, v0: TangentVec, lengths,
@@ -150,6 +183,10 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
         observables = observable_family()
     if area_means is None:
         area_means = octagon_area_means(group)
+    for name, _ in observables:  # max(0.0, nan) is 0.0: a NaN mean would vanish
+        if not math.isfinite(area_means.get(name, math.nan)):
+            raise ValueError(f"need a finite area mean of {name}, "
+                             f"got {area_means.get(name)}")
     orbit = sample_orbit(v0, kind, lengths[-1], B=B, step=step, group=group)
     discs = [0.0] * len(lengths)
     for name, f in observables:  # one evaluation per observable, prefix means

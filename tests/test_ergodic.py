@@ -1,10 +1,13 @@
 """Tests for orbit sampling, Birkhoff averages, and equidistribution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperlab import ergodic
+from hyperlab.base import bump
 from hyperlab.ergodic import (OrbitSample, birkhoff_average,
                               equidistribution_series, observable_family,
                               octagon_area_means, sample_orbit,
@@ -273,6 +276,50 @@ def test_orbit_is_bit_identical_to_sequential_loop(kind, B):
     assert np.array_equal(orbit.thetas, ths)
 
 
+def _assert_matches_oracle(v0, kind, length, B=0.0):
+    orbit = sample_orbit(v0, kind, length, B=B)
+    xs, ys, ths = _sequential_orbit(v0, kind, length, B=B)
+    assert len(orbit.xs) == int(round(length / 1e-2)) + 1
+    for got, want in zip((orbit.xs, orbit.ys, orbit.thetas), (xs, ys, ths)):
+        assert got.tobytes() == want.tobytes()
+    return orbit
+
+
+@pytest.mark.parametrize("n", [0, 1, 999, 1000, 1001])
+def test_replay_matches_sequential_loop_at_block_edges(n):
+    # one segment, a full block ending in a renormalization, one step past it
+    _assert_matches_oracle(_on_side_start(), "horocyclic", n / 100)
+
+
+@pytest.mark.parametrize("kind, B", [("horocyclic", 0.0), ("hypercyclic", 5.0)])
+def test_replay_matches_sequential_loop_over_ten_blocks(kind, B):
+    _assert_matches_oracle(seeded_unit_vector(3), kind, 105.37, B=B)
+
+
+@pytest.mark.parametrize("length", [10.0, 12.5])
+def test_replay_matches_sequential_loop_with_a_sweep_on_a_renormalization_step(length):
+    # from seeded start 1 the B = 5 hypercycle leaves the octagon on step 1000,
+    # so the reduced frame is renormalized on that same step
+    orbit = _assert_matches_oracle(seeded_unit_vector(1), "hypercyclic", length, B=5.0)
+    jump = hyperbolic_distance(HPoint(orbit.xs[999], orbit.ys[999]),
+                               HPoint(orbit.xs[1000], orbit.ys[1000]))
+    assert jump > 1.0  # a side pairing, not a flow step of 0.051
+
+
+def test_sample_orbit_memory_peak_is_at_most_twice_its_output():
+    # a whole-orbit frame array would add 4 * (n + 1) * 8 bytes to the 3 * (n + 1) * 8
+    group = octagon_group()
+    sample_orbit(V0, "horocyclic", 1.0, group=group)  # fill the group's cached forms
+    tracemalloc.start()
+    try:
+        orbit = sample_orbit(V0, "horocyclic", 1e3, group=group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit.xs) == 100_001
+    assert peak <= 2 * 3 * 100_001 * 8
+
+
 @pytest.mark.parametrize("length, step", [
     (math.nan, 1e-2), (math.inf, 1e-2), (-1.0, 1e-2),
     (10.0, 0.0), (10.0, -1e-2), (10.0, math.nan), (10.0, math.inf)])
@@ -325,3 +372,42 @@ def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
 def test_one_observable_pass_matches_the_per_length_loop(area_means, kind, B, lengths):
     rows = equidistribution_series(kind, V0, lengths, B=B, area_means=area_means)
     assert rows == _per_length_series(kind, V0, lengths, area_means, B=B)
+
+
+def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
+    group = octagon_group()
+    first = octagon_area_means(group)
+    first["bump0"] = math.nan
+    quadratures = []
+    monkeypatch.setattr(ergodic, "observable_family",
+                        lambda: quadratures.append(1) or observable_family())
+    again = octagon_area_means(octagon_group())  # an equal group shares the entry
+    assert again is not first and math.isfinite(again["bump0"])
+    assert again == octagon_area_means(group)
+    assert quadratures == []
+
+
+def test_position_bumps_match_the_unmasked_formula(horo_orbit):
+    x, y = horo_orbit.xs, horo_orbit.ys
+    for k, (name, f) in enumerate(observable_family()[:8]):
+        w = 0.3 * np.exp(1j * (k * math.pi / 4))
+        ck = 1j * (1 + w) / (1 - w)
+        coshd = 1.0 + ((x - ck.real) ** 2 + (y - ck.imag) ** 2) / (2.0 * y * ck.imag)
+        vals = f(x, y, 0.0)
+        assert vals.tobytes() == bump(np.arccosh(coshd) / 0.8).tobytes()
+        assert np.count_nonzero(vals) > 0
+        center = f(ck.real, ck.imag, 0.0)  # scalars still give a float
+        assert type(center) is float and center == 1.0
+        assert f(ck.real, 5.0 * ck.imag, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "missing"])
+def test_discrepancy_rejects_a_missing_or_non_finite_area_mean(area_means, monkeypatch, bad):
+    # max(0.0, nan) is 0.0: a NaN bump0 mean used to give the clean row
+    means = {**area_means, "bump0": bad}
+    if bad == "missing":
+        del means["bump0"]
+    monkeypatch.setattr(ergodic, "sample_orbit",
+                        lambda *args, **kw: pytest.fail("orbit sampled before the check"))
+    with pytest.raises(ValueError, match="finite area mean of bump0"):
+        equidistribution_series("horocyclic", V0, [10.0], area_means=means)

@@ -28,6 +28,7 @@ def test_run_equidistribution(tmp_path):
     assert [ln.split()[0] for ln in lines[::2]] == [
         "horocyclic", "hypercyclic", "hypercyclic", "geodesic"]
     assert len(lines) == 8 and all("discrepancy=" in ln for ln in lines)
+    assert all(float(ln.split("steps/s=")[1]) > 0 for ln in lines)
 
 
 def test_run_transport_suite(tmp_path):
