@@ -12,12 +12,14 @@ that growth.
 
 Then, for each s1 at a = 25, the Whittaker sweep `_whittaker_sweep` (degree 0,
 5 points across the turning point y = s1/a): median ms per sweep over 5
-repeats, its panel count and the max relative error against `mpmath.whitw`
-at 30 digits.  Its panels span the forbidden zone from the seed at
-y0 ~ 2 s1^2/a, so their count, and the cost, grow like s1^2.
+repeats, its panel count (Riccati + linear collocation panels, refinement
+re-solves included) and the max relative error against `mpmath.whitw` at 30
+digits.  The Riccati panels, geometric in y, cross the forbidden zone from the
+seed at y0 ~ 2 s1^2/a, so their count grows only like log(s1); the linear
+panels cover the turning point and the scan, so the cost is about flat in s1.
 
 Usage: python3 scripts/run_wave_scaling.py [--s 25,100,400,1600,6400]
-       [--oracle-max 1600] [--whittaker-s1 25,50,100,200]
+       [--oracle-max 1600] [--whittaker-s1 25,50,100,200,400]
 """
 
 import argparse
@@ -57,7 +59,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--s", default="25,100,400,1600,6400")
     ap.add_argument("--oracle-max", type=float, default=1600.0)
-    ap.add_argument("--whittaker-s1", default="25,50,100,200")
+    ap.add_argument("--whittaker-s1", default="25,50,100,200,400")
     args = ap.parse_args()
 
     B1, mts = 0.5, np.array([-0.5, -0.2, 0.1, 0.3, 0.5])
@@ -87,10 +89,14 @@ def main():
 
 def whittaker_rows(s1s, a=25.0):
     """Time, panel count and mpmath.whitw error of one Whittaker sweep per s1."""
-    panels, collocate = [], waves._collocate
+    panels, riccati, collocate = [0, 0], waves._riccati, waves._collocate
 
-    def counted(F, half):
-        panels.append(F.size // 32)
+    def counted_riccati(q, half):
+        panels[0] += len(q)
+        return riccati(q, half)
+
+    def counted_collocate(F, half):
+        panels[1] += F.size // 32
         return collocate(F, half)
 
     print(f"{'s1':>7} {'ms/sweep':>9} {'panels':>7} {'err vs whitw':>13}")
@@ -102,16 +108,16 @@ def whittaker_rows(s1s, a=25.0):
             t0 = time.perf_counter()
             got = waves.whittaker_W(p, ys)
             times.append(time.perf_counter() - t0)
-        waves._collocate = counted
+        panels[:] = 0, 0
+        waves._riccati, waves._collocate = counted_riccati, counted_collocate
         try:
             waves.whittaker_W(p, ys)
         finally:
-            waves._collocate = collocate
+            waves._riccati, waves._collocate = riccati, collocate
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.re(mpmath.whitw(0, 1j * s1, 2 * a * y))) for y in ys])
         err = np.max(np.abs(got - ref) / np.abs(ref))
-        print(f"{s1:7g} {1e3 * np.median(times[1:]):9.1f} {sum(panels):7d} {err:13.1e}")
-        panels.clear()
+        print(f"{s1:7g} {1e3 * np.median(times[1:]):9.1f} {'%d+%d' % tuple(panels):>7} {err:13.1e}")
 
 
 if __name__ == "__main__":

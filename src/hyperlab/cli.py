@@ -118,7 +118,7 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
         vals = np.abs(states[np.searchsorted(both, ys), 0]) / norm
         _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
                    zip(ys, vals))
-        all_peaks = _sweep_peaks(scan, states[np.searchsorted(both, scan)], y_s, dense)
+        all_peaks = _sweep_peaks(p, scan, states[np.searchsorted(both, scan)], y_s, dense)
         if all_peaks:
             y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
             peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk / norm})

@@ -271,7 +271,8 @@ def flow_step(kind: str, B: float, t: float) -> np.ndarray:
             g = np.eye(2) + t * (_X_GEO - _X_ROT)
         else:
             xb = math.sqrt(B * B + 1.0) * _X_GEO - B * _X_ROT
-            g = math.cosh(t / 2) * np.eye(2) + 2.0 * math.sinh(t / 2) * xb
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+                g = math.cosh(t / 2) * np.eye(2) + 2.0 * math.sinh(t / 2) * xb
     except OverflowError:
         g = None
     if g is None or not np.isfinite(g).all():

@@ -23,8 +23,10 @@ The radial picture on the half-plane gives the Whittaker-type waves:
 `whittaker_W` computes the recessive solution of w'' + (-a^2 + 2 tau a / y
 + (s1^2 + 1/4)/y^2) w = 0, normalized as e^{-a y} (2 a y)^tau at +infinity,
 at the scales (near 1e-34) of peak motion under ascension: one inward pass
-from the large-argument series, by the same panel collocation, carrying a
-log factor.  `whittaker_peaks` finds peaks as roots of the interpolated W'.
+from the large-argument series, by a batched Riccati solve for W'/W across
+the forbidden zone (panels geometric in y, so the cost is about flat in s1),
+then by the same panel collocation, carrying a log factor.  `whittaker_peaks`
+finds peaks as roots of the interpolated W' by Newton's method.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp  # noqa: F401, traced by perfbench
-from scipy.optimize import brentq
+from scipy.integrate import solve_ivp  # noqa: F401, traced by perfbench
 
 from .base import Q, Q_prime, branch_sign, check_field
 from .base import gauss_quad  # noqa: F401, traced by perfbench
@@ -90,16 +91,24 @@ def branch_ic(B1, mtilde, s: float, branch: str):
 
 
 # 32 second-kind Chebyshev nodes cos(theta) on [-1, 1] (ascending), their
-# barycentric weights, differentiation matrix, and the map (a discrete cosine
-# transform) from node values to the last two Chebyshev coefficients
+# barycentric weights, differentiation matrix, the map (a discrete cosine
+# transform) from node values to Chebyshev coefficients and its last two rows,
+# and the integral of the interpolant from the first node to each node (its
+# last row is the Clenshaw-Curtis rule)
 _THETA = np.pi * np.arange(31, -1, -1) / 31
 _NODES = np.cos(_THETA)
 _BARY = np.where(np.arange(32) % 2, -1.0, 1.0) / np.r_[2.0, np.ones(30), 2.0]
 _DIFF = np.outer(1 / _BARY, _BARY) / (_NODES[:, None] - _NODES + np.eye(32))
 _DIFF -= np.diag(_DIFF.sum(axis=1))
-_TAIL = np.cos(np.outer([30, 31], _THETA)) * np.abs(_BARY) / np.c_[[15.5, 31.0]]
+_COEF = (np.cos(np.outer(np.arange(32), _THETA)) * np.abs(_BARY)
+         / np.r_[31.0, np.full(30, 15.5), 31.0][:, None])
+_TAIL = _COEF[-2:]
+_CUMINT = np.polynomial.chebyshev.chebval(
+    _NODES, np.polynomial.chebyshev.chebint(_COEF, lbnd=-1)).T
 _PANEL_PHASE = 10.0  # radians of the fastest wave per panel
 _WHITTAKER_STEP = 5.0  # e-folds or radians of W per panel; 10 misses the whitw oracle
+_RICCATI_RATIO = 1.3  # outer/inner edge of a Riccati panel
+_RICCATI_TOL = 1e-13  # residual a Riccati panel must reach to be used
 _CHUNK = 256  # systems per batched linear solve
 
 
@@ -112,17 +121,27 @@ def _panel_edges(B1, mtilde, s: float, L: float) -> np.ndarray:
     g = np.linspace(0.0, np.arcsinh(np.tan(L)), 257)
     b = np.arctan(np.sinh(g))
     rate = max(s, 10.0) * np.cos(b) * np.sqrt(np.max(Q(B1[:, None], mtilde[:, None], b), axis=0))
-    phase = cumulative_trapezoid(rate, g, initial=0.0)
+    phase = _cumtrapz(rate, g)
     steps = np.linspace(0.0, phase[-1], 1 + int(np.ceil(phase[-1] / _PANEL_PHASE)))
     edges = np.arctan(np.sinh(np.interp(steps, phase, g)))
     edges[0], edges[-1] = 0.0, L
     return edges
 
 
+def _cumtrapz(y, x):
+    """scipy's cumulative_trapezoid(y, x, initial=0), bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _nodes(edges):
+    """Half-widths (P, 1), < 0 for descending edges, and nodes (P, 32) of P panels."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return half, 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _NODES
+
+
 def _fundamental(qa, qb, s: float, edges):
     """`_collocate` for phi'' = (qa tan + qb - s^2 / cos^2) phi: W waves, P panels."""
-    half = 0.5 * np.diff(edges)[:, None]
-    beta = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _NODES
+    half, beta = _nodes(edges)
     return _collocate(qa[:, None, None] * np.tan(beta) + qb[:, None, None]
                       - (s / np.cos(beta)) ** 2, half)
 
@@ -390,7 +409,7 @@ def _q(p: WhittakerParams, y):
 
 
 def _asymptotic_seed(p: WhittakerParams, x0: float) -> tuple[float, float, float]:
-    """Sign of W, log|W| and W'/W at large argument x0 (derivatives in x).
+    """Sign of W, log|S| and W'/W at large argument x0 (derivatives in x).
 
     W(x) = e^{-x/2} x^kappa S(x), with the series S (DLMF 13.19.3) cut
     before its smallest term once it starts to diverge.
@@ -402,49 +421,93 @@ def _asymptotic_seed(p: WhittakerParams, x0: float) -> tuple[float, float, float
             break
         S += term
         Sp -= k * term / x0
-    return (np.sign(S), -0.5 * x0 + p.tau * np.log(x0) + np.log(abs(S)),
-            -0.5 + p.tau / x0 + Sp / S)
+    return np.sign(S), np.log(abs(S)), -0.5 + p.tau / x0 + Sp / S
+
+
+def _riccati(q, half):
+    """Non-oscillatory solution u ~ -sqrt(q) of u' + u^2 = q on P panels at once: q
+    (P, 32) at the nodes, half-widths half (P, 1).  Defect correction (Agocs and
+    Barnett) u <- u - (u' + u^2 - q)/(2u) from u = -sqrt(q) - q'/(4q), 12 rounds;
+    returns each panel's best iterate and its residual max|u' + u^2 - q| / max|q|.
+    The iteration is asymptotic: it stalls unless sqrt(q) x panel length is large."""
+    u = -np.sqrt(q) - (q @ _DIFF.T) / (4 * half * q)
+    best, res = u, np.full(len(q), np.inf)
+    for _ in range(12):
+        R = (u @ _DIFF.T) / half + u * u - q
+        r = np.abs(R).max(axis=1) / np.abs(q).max(axis=1)
+        better = r < res
+        best, res = np.where(better[:, None], u, best), np.where(better, r, res)
+        u = u - R / (2 * u)
+    return best, res
 
 
 def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
-    """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys, by
-    `_collocate` on panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy),
-    chained with a log factor.  Returns (W, W') at ys, the switch point y_s (|W| is monotone
-    above it) and dense(y) -> (W, W') on the panels that meet [min ys, max ys]."""
+    """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys.
+    Returns (W, W') at ys, the switch point y_s (|W| is monotone above it) and
+    dense(y) -> (W, W') on the panels that meet [min ys, max ys].
+
+    Riccati leg: `_riccati` for u = W'/W on geometric panels from y0 down to the
+    turning point; those above the first that misses _RICCATI_TOL are used, down
+    to y_h, with log W(y) = -a y + tau ln(2 a y) + ln S(x0) - int_y^y0 (u + a -
+    tau/y) dy, whose small integrand avoids the O(s1^2) cancellation of seed and
+    action.  Linear leg: from y_h (or the seed) down to min ys, `_collocate` on
+    panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy), each
+    held to tol, chained with a log factor."""
     # the series terms shrink from the first once x0 >> s1^2 + tau^2
     x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
     ys, y0 = np.asarray(ys, dtype=float), x0 / (2 * p.a)
     if not (np.all(np.isfinite(ys) & (ys > 0) & (ys < y0)) and tol > 0):
         raise ValueError(f"need finite 0 < y < {y0} (the seed) and tol > 0")
     lo, hi = ys.min(), ys.max()
-    sign, log0, dlog0 = _asymptotic_seed(p, x0)
+    sign, lnS, dlog0 = _asymptotic_seed(p, x0)
     # largest root of q = a^2/4, below y0; under it q < a^2/4 for any tau
     y_s = max((2 * p.tau + np.sqrt(4 * p.tau ** 2 + 3 * p.s1 ** 2 + 0.75)) / (1.5 * p.a), lo)
-    g = np.geomspace(lo, y0, 4097)
-    steps = cumulative_trapezoid(np.sqrt(np.abs(_q(p, g))) + 1 / g, g, initial=0.0)
-    edges = np.interp(np.linspace(steps[-1], 0.0, 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))),
-                      steps, g)  # exactly y0 down to lo
+
+    y_t = (p.tau + np.sqrt(p.tau ** 2 + p.s1 ** 2 + 0.25)) / p.a
+    e = y0 / _RICCATI_RATIO ** np.arange(np.ceil(np.log(y0 / y_t) / np.log(_RICCATI_RATIO)))
+    half, y = _nodes(e)
+    u, res = _riccati(_q(p, y), half)
+    n = int(np.argmax(np.r_[res, np.inf] > _RICCATI_TOL))  # panels used
+    y_h, u, y = e[n], u[:n], y[:n]
+    C = half[:n] * ((u + p.a - p.tau / y) @ _CUMINT.T)  # int_{panel top}^y, y descending
+    logW = (-p.a * y + p.tau * np.log(2 * p.a * y) + lnS
+            + np.r_[0.0, np.cumsum(C[:-1, -1])][:, None] + C)
+    kept = [(e[k], e[k + 1], logW[k], u[k], 0.0, True)
+            for k in range(n) if e[k] >= lo and e[k + 1] <= hi]
+    if n:
+        w, dw, logfac = sign, sign * u[-1, -1], logW[-1, -1]
+    else:
+        w, dw = (sign * np.array([1.0, 2 * p.a * dlog0])).tolist()
+        logfac = -0.5 * x0 + p.tau * np.log(x0) + lnS
 
     def solve(e):
-        half = 0.5 * np.diff(e)[:, None]
-        return _collocate(_q(p, 0.5 * (e[1:] + e[:-1])[:, None] + half * _NODES)[None], half)
+        half, y = _nodes(e)
+        return _collocate(_q(p, y)[None], half)
 
-    (w, dw), logfac, kept = (sign * np.array([1.0, 2 * p.a * dlog0])).tolist(), log0, []
+    edges = [y_h]
+    if lo < y_h:
+        g = np.geomspace(lo, y_h, 4097)
+        steps = _cumtrapz(np.sqrt(np.abs(_q(p, g))) + 1 / g, g)
+        n_lin = 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))
+        edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
     for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
         e, (U,), (dU,) = _refined(solve, edges[i:i + 65], tol)
         for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
             if e[k + 1] <= hi:
-                kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac))
+                kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac, False))
             w, dw = u0 * w + u1 * dw, d0 * w + d1 * dw
             mag = max(abs(w), abs(dw))
             w, dw, logfac = w / mag, dw / mag, logfac + np.log(mag)
-    top, bottom, Wn, dWn, lf = map(np.array, zip(*kept[::-1]))  # upward
+    top, bottom, F1, F2, lf, ric = map(np.array, zip(*kept[::-1]))  # upward
 
     def dense(y):
+        # interpolates log W and u on Riccati panels, scaled W and W' on linear ones
         y = np.atleast_1d(y)
         k = np.clip(np.searchsorted(bottom, y, side="right") - 1, 0, len(bottom) - 1)
         M = _bary(((2 * y - top[k] - bottom[k]) / (bottom[k] - top[k]))[:, None])
-        return np.stack(((M * Wn[k]).sum(axis=1), (M * dWn[k]).sum(axis=1))) * np.exp(lf[k])
+        v, d, scale = (M * F1[k]).sum(axis=1), (M * F2[k]).sum(axis=1), np.exp(lf[k])
+        W = np.where(ric[k], sign * np.exp(v), v * scale)
+        return np.stack((W, np.where(ric[k], d * W, d * scale)))
 
     return dense(ys).T, y_s, dense
 
@@ -480,19 +543,24 @@ def whittaker_peaks(p: WhittakerParams, y_range: tuple[float, float],
         raise ValueError(f"need finite 0 < lo < hi and n_scan >= 3, got {y_range}, {n_scan}")
     ys = np.linspace(*y_range, n_scan)
     norm = ascension_norm(p.tau, p.s1) if normalized else 1.0
-    return [(y, v / norm) for y, v in _sweep_peaks(ys, *_whittaker_sweep(p, ys))]
+    return [(y, v / norm) for y, v in _sweep_peaks(p, ys, *_whittaker_sweep(p, ys))]
 
 
-def _sweep_peaks(ys, states, y_s, dense):
+def _sweep_peaks(p: WhittakerParams, ys, states, y_s, dense):
     """(abscissa, |W|) at each local maximum of |W| on the scan ys of a sweep,
-    refined to the root of W' on the dense output; the bracket is cut at the
-    switch point (|W| is monotone above the turning point)."""
+    refined to the root of W' on the dense output by Newton (W'' = q W) clipped
+    to the bracket, which is cut at the switch point (|W| is monotone above the
+    turning point)."""
     vals = np.abs(states[:, 0])
     peaks = []
     for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1:
-        bracket = ys[i - 1], min(ys[i + 1], y_s)
-        dw = dense(bracket)[1]
-        y_pk = (brentq(lambda y: dense(y)[1, 0], *bracket, xtol=1e-12)
-                if dw[0] * dw[1] < 0 else ys[i])
+        lo, hi = ys[i - 1], min(ys[i + 1], y_s)
+        y_pk, dw = ys[i], dense((lo, hi))[1]
+        if dw[0] * dw[1] < 0:
+            for _ in range(50):
+                (w,), (dw,) = dense(y_pk)
+                y_pk, y_old = min(max(y_pk - dw / (_q(p, y_pk) * w), lo), hi), y_pk
+                if abs(y_pk - y_old) <= 1e-12:
+                    break
         peaks.append((y_pk, abs(dense(y_pk)[0, 0])))
     return peaks

@@ -50,3 +50,16 @@ def test_imports_run_down_the_layers_without_a_cycle():
 
     for mod in sorted(graph):
         visit(mod, [mod])
+
+
+def test_scipy_comes_in_only_through_scipy_integrate():
+    # solve_ivp: the Hamiltonian oracle of geometry, and the binding in waves
+    # that the benchmark tracer patches; peaks and panel edges use numpy only
+    found = set()
+    for path in Path(hyperlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                found.add(node.module)
+            elif isinstance(node, ast.Import):
+                found.update(a.name for a in node.names if a.name.startswith("scipy"))
+    assert found == {"scipy.integrate"}

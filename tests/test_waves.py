@@ -507,6 +507,99 @@ def test_whittaker_matches_mpmath_whitw(tau, s1, a):
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
+def _whitw(tau, s1, a, ys):
+    """W and dW/dy at 30 digits: W(y) = W_{tau, i s1}(2 a y), and
+    dW/dx = (1/2 - tau/x) W - W_{tau+1}(x)/x (DLMF 13.15.23)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        w = [mpmath.re(mpmath.whitw(tau, 1j * s1, 2 * a * y)) for y in ys]
+        w1 = [mpmath.re(mpmath.whitw(tau + 1, 1j * s1, 2 * a * y)) for y in ys]
+        dw = [2 * a * ((0.5 - tau / (2 * a * y)) * v - v1 / (2 * a * y))
+              for y, v, v1 in zip(ys, w, w1)]
+        return np.array(w, dtype=float), np.array(dw, dtype=float)
+
+
+@pytest.mark.parametrize("s1", [200.0, 400.0])
+def test_whittaker_matches_mpmath_whitw_at_large_s1(s1):
+    # the Riccati leg crosses the forbidden zone from y0 = 2 s1^2/a in about
+    # 25 panels; the far-zone linear march missed this bound by 50-100x
+    p = W.WhittakerParams(0, s1, 25.0)
+    ys = s1 / 25.0 * np.linspace(0.8, 1.2, 5)
+    ref = _whitw(0, s1, 25.0, ys)[0]
+    assert np.max(np.abs(W.whittaker_W(p, ys) - ref) / np.abs(ref)) <= 1e-11
+
+
+def test_whittaker_dense_output_inside_the_riccati_zone(monkeypatch):
+    # at (0, 25, 0.5) the Riccati panels reach down to y = 526: these points
+    # are served from log W and u = W'/W alone, with no linear panel
+    monkeypatch.setattr(W, "_collocate", None)
+    p, ys = W.WhittakerParams(0, 25.0, 0.5), np.array([600.0, 800.0, 1000.0])
+    (w, dw), (ref_w, ref_dw) = W._whittaker_state(p, ys).T, _whitw(0, 25.0, 0.5, ys)
+    assert np.max(np.abs(w - ref_w) / np.abs(ref_w)) <= 1e-11
+    assert np.max(np.abs(dw - ref_dw) / np.abs(ref_dw)) <= 1e-11
+
+
+def _sweep_panels(monkeypatch, p, ys):
+    """(Riccati panels, linear panels incl. refinement re-solves) of one sweep."""
+    panels, riccati, collocate = [0, 0], W._riccati, W._collocate
+
+    def counted_riccati(q, half):
+        panels[0] += len(q)
+        return riccati(q, half)
+
+    def counted_collocate(F, half):
+        panels[1] += F.size // 32
+        return collocate(F, half)
+
+    with monkeypatch.context() as m:
+        m.setattr(W, "_riccati", counted_riccati)
+        m.setattr(W, "_collocate", counted_collocate)
+        W._whittaker_sweep(p, ys)
+    return panels
+
+
+def test_whittaker_sweep_cost_is_flat_in_s1(monkeypatch):
+    # the far-zone linear march took 248 panels at s1 = 25 and about 64000 at 400
+    counts = {s1: _sweep_panels(monkeypatch, W.WhittakerParams(0, s1, 25.0),
+                                s1 / 25.0 * np.linspace(0.8, 1.2, 5))
+              for s1 in (25.0, 400.0)}
+    assert sum(counts[400.0]) <= 2 * sum(counts[25.0])
+    assert counts[400.0][0] <= 30  # Riccati panels grow like log(s1)
+
+
+def test_whittaker_sweep_without_riccati_panels_is_the_seeded_linear_leg(monkeypatch):
+    # at (0, 5, 2) the seed sits at y0 = 30, too near the turning point for the
+    # Riccati iteration: no panel converges and the linear leg starts at the seed
+    p, ys = W.WhittakerParams(0, 5.0, 2.0), np.linspace(1.5, 3.0, 7)
+    residuals, riccati = [], W._riccati
+    monkeypatch.setattr(W, "_riccati", lambda q, h: residuals.append(riccati(q, h)[1])
+                        or riccati(q, h))
+    got = W._whittaker_sweep(p, ys)[0]
+    assert len(residuals[0]) and np.all(residuals[0] > W._RICCATI_TOL)
+    monkeypatch.setattr(W, "_RICCATI_TOL", -1.0)  # no panel can be used
+    assert np.array_equal(W._whittaker_sweep(p, ys)[0], got)
+    # forced at (0, 50, 25), the seeded leg marches the whole forbidden zone and
+    # still meets the oracle bound the linear sweep was held to
+    p, ys = W.WhittakerParams(0, 50.0, 25.0), np.array([1.5, 1.9, 2.2, 2.5, 3.0])
+    assert _sweep_panels(monkeypatch, p, ys)[1] > 900
+    ref = _whitw(0, 50.0, 25.0, ys)[0]
+    assert np.max(np.abs(W.whittaker_W(p, ys) - ref) / np.abs(ref)) <= 1e-10
+
+
+def test_whittaker_peaks_are_roots_of_the_dense_derivative():
+    # Newton's method on W' (with W'' = q W) lands where the dense W' vanishes
+    for tau in (0, 1, 2):
+        p = W.WhittakerParams(tau, 50.0, 25.0)
+        ys = np.linspace(1.80, 2.05, 400)
+        states, y_s, dense = W._whittaker_sweep(p, ys)
+        peaks = W._sweep_peaks(p, ys, states, y_s, dense)
+        assert peaks
+        for y_pk, v_pk in peaks:
+            w, dw = dense(y_pk)[:, 0]
+            assert abs(dw) <= 1e-12 * abs(w) * np.sqrt(abs(W._q(p, y_pk)))
+            assert v_pk == abs(w)
+
+
 def test_whittaker_contiguous_relation():
     ys = np.linspace(1.0, 3.0, 21)
     for s1 in (25.0, 50.0):
@@ -565,7 +658,7 @@ def test_whittaker_sweep_checks_tol(monkeypatch):
 
 
 def test_whittaker_peaks_memory_is_streamed():
-    # about 1000 panels lie between y0 = 201 and the scan; none of them may
-    # keep its 32 x 32 system or its node values
+    # no panel between y0 = 201 and the scan may keep its 32 x 32 system or
+    # its node values
     p = W.WhittakerParams(0, 50.0, 25.0)
     assert _peak_bytes(lambda: W.whittaker_peaks(p, (1.80, 2.05), n_scan=400)) < 2**20
