@@ -8,11 +8,17 @@ relative error (expected to decay faster than 1/s).
 Part 2: quadratic-form comparison across the magnetic map for a
 geodesic-concentrated packet (slow at large s; bound with --s-max).
 
+Part 3: the energy-shell check of acceptance criterion 8 on the K = 20
+packet at eta0: the off-shell/psi == 1 ratio, the time of the first symbol
+on the packet (its waves solved and transformed) and of a further symbol
+(one sum over the cached spectrum).
+
 Usage: python3 scripts/run_transport_suite.py [--B 0.5] [--s-max 200]
 """
 
 import argparse
 import math
+import time
 
 import numpy as np
 
@@ -57,6 +63,17 @@ def main():
     for r in rows:
         print(f"s={r['s']:.0f}  lhs={r['lhs_re']:.6e}  "
               f"rhs={r['rhs_re']:.6e}  rel_diff={r['rel_diff']:.3e}")
+
+    print("# energy shell off/ref, ms for the first and each further symbol")
+    for s in s_list:
+        u = qz.geodesic_packet(s, args.eta0, 20, 2 * math.pi)
+        t0 = time.perf_counter()
+        ref = qz.energy_shell_test(u, s, 0.0, np.ones_like)
+        t1 = time.perf_counter()
+        off = qz.energy_shell_test(u, s, 0.0, lambda xi: qz.bump(xi / 0.8))
+        t2 = time.perf_counter()
+        print(f"s={s:.0f}  off/ref={abs(off) / abs(ref):.3e}  "
+              f"first={1e3 * (t1 - t0):.2f} ms  further={1e3 * (t2 - t1):.2f} ms")
 
 
 if __name__ == "__main__":

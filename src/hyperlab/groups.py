@@ -82,7 +82,9 @@ class FuchsianGroup:
         """Greedy Dirichlet reduction of a frame: each sweep applies the move
         that lowers |F|^2 the most, by more than 1e-13, and appends its
         index to `used`.  A sweep runs only if a Dirichlet form is <= 1e-9
-        (far above their ~1e-13 rounding): the ungated result, bit for bit."""
+        (far above their ~1e-13 rounding): the ungated result, bit for bit.
+        On a cylinder the domain is the Dirichlet strip e^{-l/2} <= |z| <= e^{l/2},
+        not the strip 1 <= |z| < e^l of `reduce_to_domain`."""
         cur, threshold = a * a + b * b + c * c + d * d, self.reduce_threshold
         while cur > threshold:
             p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
@@ -115,7 +117,12 @@ def automorphy_factor(M: MobiusMap, z: HPoint, tau: int) -> AutomorphyFactor:
 
 
 def cylinder_group(l: float) -> FuchsianGroup:
-    """Group generated by z -> e^l z; strip 1 <= |z| < e^l is the domain."""
+    """Group generated by z -> e^l z, with two fundamental domains in use.
+
+    `reduce_to_domain` returns points of the strip 1 <= |z| < e^l;
+    `FuchsianGroup.reduce_frame` (and so `sample_orbit`) returns points of
+    the Dirichlet strip e^{-l/2} <= |z| <= e^{l/2} about i.
+    """
     if not l > 0:
         raise ValueError("neck length must be positive")
     h = math.exp(l / 2)
@@ -218,7 +225,12 @@ def side_pairing_error(G: FuchsianGroup) -> float:
 
 def reduce_to_domain(z: HPoint, G: FuchsianGroup) -> tuple[HPoint, MobiusMap]:
     """Move z into the fundamental domain; returns (point, map) with
-    map(point) = z."""
+    map(point) = z.
+
+    For a cylinder that domain is the strip 1 <= |z| < e^l, not the
+    Dirichlet strip e^{-l/2} <= |z| <= e^{l/2} of `reduce_frame`; an
+    octagon point goes through `reduce_frame`.
+    """
     ident = mobius_from_matrix(np.eye(2))
     if G.kind == "cylinder":
         sigma = 0.5 * math.log(z.x * z.x + z.y * z.y)

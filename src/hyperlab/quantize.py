@@ -8,6 +8,7 @@ the measure-transport comparison, and energy-shell localization checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -217,33 +218,63 @@ def a1_density(obs: Observable, B: float, beta_p: float, sigma: float,
             * math.exp(-2.0 * table.f3(pre, beta_p)))
 
 
+def _shell_grid(beta_cut: float, n: int) -> tuple[np.ndarray, float]:
+    """The periodic beta grid of energy_shell_test and its step."""
+    grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
+    return grid, grid[1] - grid[0]
+
+
+@functools.lru_cache(maxsize=1)  # callers evaluate their symbols packet by packet
+def _shell_spectrum(ms: tuple, weights: tuple, s: float, B1: float,
+                    beta_cut: float, n: int, tol: float) -> np.ndarray:
+    """Read-only cross spectrum sum_w weight_w fft(u_w) conj(fft(a_beta u_w)) / n.
+
+    u_w = w taper for the branch-I wave w of each frequency in ms, and
+    a_beta = taper = bump(beta / beta_cut).  The waves are solved once and
+    transformed one at a time, so memory stays O(n) beyond the solve.
+    """
+    grid, _ = _shell_grid(beta_cut, n)
+    taper = bump(grid / beta_cut)
+    waves = _branch_I(B1, np.array(ms) / s, s, grid, tol)
+    spec = np.zeros(n, dtype=complex)
+    for weight, w in zip(weights, waves):
+        u = w * taper
+        spec += weight * np.fft.fft(u) * np.conj(np.fft.fft(taper * u))
+    spec /= n
+    spec.flags.writeable = False
+    return spec
+
+
 def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
                       xi_profile, h_param: float | None = None,
                       beta_cut: float = 2.4, n: int = 8192,
                       tol: float = 1e-10) -> complex:
     """Diagonal quadratic form of a symbol a_beta(beta) psi(xi).
 
-    The xi multiplier acts per frequency through an FFT in beta at
-    semiclassical parameter h_param (default 1/s); a_beta is the inner
-    plateau bump(beta / beta_cut).  Symbols supported away from the
-    energy shell should produce small values relative to psi == 1.
+    The xi multiplier psi(h_param k) acts per frequency k of an FFT in beta
+    at semiclassical parameter h_param (default 1/s); a_beta is the inner
+    plateau bump(beta / beta_cut).  By Parseval the form is
+    sum_k psi(h_param k) S_k h for the packet's cross spectrum S
+    (`_shell_spectrum`), which is cached, so further symbols on the same
+    packet cost one O(n) sum.  Symbols supported away from the energy
+    shell should produce small values relative to psi == 1.
     """
+    check_field(B1, s)
     if h_param is None:
         h_param = 1.0 / s
-    grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
-    h = grid[1] - grid[0]
-    taper = bump(grid / beta_cut)
-    a_beta = taper
+    if not (0 < beta_cut < math.pi and n >= 2 and 0 < h_param < math.inf):
+        raise ValueError("need 0 < beta_cut < pi, n >= 2 and finite h_param > 0, "
+                         f"got beta_cut={beta_cut}, n={n}, h_param={h_param}")
+    _, h = _shell_grid(beta_cut, n)
+    mult = np.asarray(xi_profile(2 * math.pi * np.fft.fftfreq(n, d=h) * h_param),
+                      dtype=complex)
+    if mult.shape != (n,) or not np.all(np.isfinite(mult)):
+        raise ValueError(f"xi_profile must return {n} finite values")
     ms, alpha = _packet(coeffs)
-    waves = _branch_I(B1, ms / s, s, grid, tol)
-    freqs = 2 * math.pi * np.fft.fftfreq(n, d=h) * h_param
-    mult = np.asarray(xi_profile(freqs), dtype=complex)
-    forms = np.empty(len(ms), dtype=complex)
-    for k, w in enumerate(waves):
-        u = w * taper
-        v = np.fft.ifft(mult * np.fft.fft(u))
-        forms[k] = np.sum(a_beta * v * np.conj(u)) * h
-    return complex(np.sum(np.abs(alpha) ** 2 * coeffs.l * forms))
+    spec = _shell_spectrum(tuple(ms.tolist()),
+                           tuple((np.abs(alpha) ** 2 * coeffs.l).tolist()),
+                           s, B1, beta_cut, n, tol)
+    return complex(np.sum(mult * spec) * h)
 
 
 def packet_position_density(coeffs: WaveCoeffs, s: float,

@@ -104,6 +104,17 @@ def test_cylinder_reduction_interior_identity():
     assert gamma.matrix() == pytest.approx(np.eye(2))
 
 
+def test_cylinder_has_two_fundamental_domains():
+    # reduce_to_domain: 1 <= |z| < e^l; reduce_frame: e^{-l/2} <= |z| <= e^{l/2}
+    G, z = gr.cylinder_group(2.0), HPoint(0.1, 0.5)
+    red, _ = gr.reduce_to_domain(z, G)
+    assert abs(complex(red.x, red.y)) == pytest.approx(3.7677, abs=1e-4)
+    sq = math.sqrt(z.y)
+    a, b, c, d = G.reduce_frame(sq, z.x / sq, 0.0, 1.0 / sq)
+    den = c * c + d * d
+    assert abs(complex((a * c + b * d) / den, 1.0 / den)) == pytest.approx(0.5099, abs=1e-4)
+
+
 # --- octagon group ---
 
 

@@ -1,6 +1,7 @@
 """Tests for cylinder quantization, packets, and measure transport."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,3 +380,119 @@ def test_energy_shell_packet_is_sum_of_single_frequencies(s, B1, K, h_param):
                                      profile, h_param=h_param)
                 for m, e in u.entries.items())
     assert abs(whole - parts) <= 1e-8 * abs(parts)
+
+
+def _direct_shell(coeffs, s, B1, profile, h_param=None, beta_cut=2.4, n=8192,
+                  tol=1e-10):
+    """Frozen direct form: per wave, FFT, multiply, inverse FFT, inner product."""
+    if h_param is None:
+        h_param = 1.0 / s
+    grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
+    h = grid[1] - grid[0]
+    taper = qz.bump(grid / beta_cut)
+    ms, alpha = qz._packet(coeffs)
+    waves = qz._branch_I(B1, ms / s, s, grid, tol)
+    mult = np.asarray(profile(2 * math.pi * np.fft.fftfreq(n, d=h) * h_param),
+                      dtype=complex)
+    forms = np.empty(len(ms), dtype=complex)
+    for k, w in enumerate(waves):
+        u = w * taper
+        v = np.fft.ifft(mult * np.fft.fft(u))
+        forms[k] = np.sum(taper * v * np.conj(u)) * h
+    return complex(np.sum(np.abs(alpha) ** 2 * coeffs.l * forms))
+
+
+@pytest.mark.parametrize("s, B1, K, h_param, on, offs", [
+    # the two packet-shell configs, then the first packet of criterion 8;
+    # `on` symbols are compared with themselves, `offs` with psi == 1
+    (100.0, 0.0, 6, None, [lambda xi: qz.bump((xi - 1.0) / 2.0) * np.exp(1j * xi)],
+     [lambda xi: qz.bump(xi / 0.8)]),
+    (25.0, 8.0, 2, 1.0 / 200.0, [], [lambda xi: qz.bump((xi - 1.0) / 0.5)]),
+    (200.0, 0.0, 20, None, [lambda xi: qz.bump(xi / 8.0)],
+     [lambda xi: qz.bump(xi / 0.8)])])
+def test_energy_shell_matches_the_direct_fft_loop(s, B1, K, h_param, on, offs):
+    u = qz.geodesic_packet(s, 0.2, K, L)
+    if B1 > 0:
+        u = qz.ascend_coeffs(u, s, B1)
+    ref = _direct_shell(u, s, B1, np.ones_like, h_param)
+    for profile in [np.ones_like] + on:
+        want = _direct_shell(u, s, B1, profile, h_param)
+        got = qz.energy_shell_test(u, s, B1, profile, h_param=h_param)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    for profile in offs:
+        want = _direct_shell(u, s, B1, profile, h_param)
+        got = qz.energy_shell_test(u, s, B1, profile, h_param=h_param)
+        assert abs(got - want) <= 1e-15 * abs(ref)
+
+
+def test_energy_shell_solves_each_packet_once(monkeypatch):
+    solve, solves = qz.solve_waves, []
+
+    def counting(*args, **kw):
+        solves.append(1)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(qz, "solve_waves", counting)
+    qz._shell_spectrum.cache_clear()
+    u = qz.geodesic_packet(100.0, 0.2, 3, L)
+    qz.energy_shell_test(u, 100.0, 0.0, np.ones_like)
+    qz.energy_shell_test(u, 100.0, 0.0, lambda xi: qz.bump(xi / 0.8))
+    qz.energy_shell_test(u, 100.0, 0.0, np.ones_like, h_param=0.02)
+    assert len(solves) == 1
+    # a different alpha, l, B1, s or tol: a fresh solve each
+    doubled = WaveCoeffs(l=L, entries={m: (2 * a, b) for m, (a, b) in u.entries.items()})
+    for coeffs, s, B1, kw in [(doubled, 100.0, 0.0, {}),
+                              (WaveCoeffs(l=1.0, entries=u.entries), 100.0, 0.0, {}),
+                              (u, 100.0, 0.5, {}), (u, 120.0, 0.0, {}),
+                              (u, 100.0, 0.0, {"tol": 1e-9})]:
+        before = len(solves)
+        qz.energy_shell_test(coeffs, s, B1, np.ones_like, **kw)
+        assert len(solves) == before + 1
+
+
+def test_energy_shell_spectrum_is_read_only():
+    u = qz.geodesic_packet(100.0, 0.2, 2, L)
+    qz.energy_shell_test(u, 100.0, 0.0, np.ones_like, n=256)
+    ms, alpha = qz._packet(u)
+    spec = qz._shell_spectrum(tuple(ms.tolist()),
+                              tuple((np.abs(alpha) ** 2 * L).tolist()),
+                              100.0, 0.0, 2.4, 256, 1e-10)
+    assert qz._shell_spectrum.cache_info().hits >= 1
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
+
+
+def test_energy_shell_first_call_memory():
+    # a solve and FFT loop per call peaked at 3.16 MiB here
+    qz.energy_shell_test(qz.geodesic_packet(100.0, 0.3, 6, L), 100.0, 0.0, np.ones_like)
+    qz._shell_spectrum.cache_clear()
+    u = qz.geodesic_packet(100.0, 0.2, 6, L)
+    tracemalloc.start()
+    try:
+        qz.energy_shell_test(u, 100.0, 0.0, np.ones_like)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
+
+
+@pytest.mark.parametrize("s, kw", [
+    (100.0, {"beta_cut": -2.4}), (100.0, {"beta_cut": 0.0}),
+    (100.0, {"beta_cut": math.pi}), (100.0, {"beta_cut": math.nan}),
+    (100.0, {"n": 0}), (100.0, {"n": 1}),
+    (100.0, {"h_param": math.nan}), (100.0, {"h_param": 0.0}),
+    (100.0, {"h_param": -0.01}), (100.0, {"h_param": math.inf}),
+    (100.0, {"xi_profile": lambda xi: np.full_like(xi, math.nan)}),
+    (100.0, {"xi_profile": lambda xi: 1.0}),
+    (100.0, {"xi_profile": lambda xi: np.ones(len(xi) - 1)}),
+    (math.inf, {}), (0.0, {}), (100.0, {"B1": -1.0}), (100.0, {"B1": math.nan})])
+def test_energy_shell_rejects_bad_input_before_solving(monkeypatch, s, kw):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the input checks")
+
+    monkeypatch.setattr(qz, "solve_waves", no_solve)
+    qz._shell_spectrum.cache_clear()
+    kw = {"B1": 0.0, "xi_profile": np.ones_like, **kw}
+    with pytest.raises(ValueError):  # RuntimeWarnings are errors in this suite
+        qz.energy_shell_test(qz.geodesic_packet(100.0, 0.2, 2, L), s, **kw)

@@ -36,6 +36,8 @@ def test_run_transport_suite(tmp_path):
     assert lines[0] == "# modulus transport |omega(Phi)| vs |w0| e^{f3}"
     assert "# packet quadratic forms across the magnetic map" in lines
     assert lines[-1].startswith("s=50 ")
+    shell = lines.index("# energy shell off/ref, ms for the first and each further symbol")
+    assert lines[shell + 1].startswith("s=50  off/ref=")
 
 
 def test_run_wave_scaling(tmp_path):
