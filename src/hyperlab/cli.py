@@ -62,16 +62,6 @@ class RunConfig:
     json_summary: bool = False
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand, "s": self.s, "b_field": self.B,
-            "eta0": self.eta0, "eps": self.eps, "l": self.l,
-            "tau_max": self.tau_max, "s1": self.s1, "a": self.a,
-            "lengths": self.lengths, "surface": self.surface,
-            "flow_kind": self.flow_kind, "out": self.out,
-            "tolerances": self.tolerances,
-        }
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -107,18 +97,16 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
 
     _check_tau_max(cfg)
     out = _out_dir(cfg)
-    # one sweep per degree serves the CSV grid and the peak scan
+    # one sweep per degree on the peak scan; the CSV grid reads its dense output
     ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
-    both = np.union1d(ys, scan)
     peak_rows = []
     for tau in range(cfg.tau_max + 1):
         p = WhittakerParams(tau=tau, s1=cfg.s1, a=cfg.a)
-        states, y_s, dense = _whittaker_sweep(p, both)
+        states, dense = _whittaker_sweep(p, scan)
         norm = ascension_norm(tau, cfg.s1)
-        vals = np.abs(states[np.searchsorted(both, ys), 0]) / norm
         _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
-                   zip(ys, vals))
-        all_peaks = _sweep_peaks(p, scan, states[np.searchsorted(both, scan)], y_s, dense)
+                   zip(ys, np.abs(dense(ys)[0]) / norm))
+        all_peaks = _sweep_peaks(p, scan, states, dense)
         if all_peaks:
             y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
             peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk / norm})
@@ -294,6 +282,22 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
+# the RunConfig fields a flag can set: (flag, type, help); the flag names the field
+_VALUE_FLAGS = (
+    ("--s", _float_list, "spectral parameter(s), comma-separated (default 100)"),
+    ("--B", float, "magnetic field intensity (default 0)"),
+    ("--eta0", float, "packet frequency center (default 0.2)"),
+    ("--eps", float, "observable window width (default 0.2)"),
+    ("--l", float, "cylinder circumference (default 2*pi)"),
+    ("--tau-max", int, "top ascension degree, or flow time span for `flows` (default 2)"),
+    ("--s1", float, "Whittaker spectral parameter (default 50)"),
+    ("--a", float, "Whittaker frequency (default 25)"),
+    ("--lengths", _float_list, "orbit lengths, comma-separated (default 1e2,1e3,1e4)"),
+    ("--surface", None, "quotient surface (default octagon)"),
+    ("--out", None, "output directory (default .)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hyperlab",
@@ -308,31 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default horocyclic)")
         p.add_argument("--config", default=None,
                        help="optional JSON config file; flags take precedence")
-        p.add_argument("--s", type=_float_list, default=None,
-                       help="spectral parameter(s), comma-separated "
-                            "(default 100)")
-        p.add_argument("--B", type=float, default=None,
-                       help="magnetic field intensity (default 0)")
-        p.add_argument("--eta0", type=float, default=None,
-                       help="packet frequency center (default 0.2)")
-        p.add_argument("--eps", type=float, default=None,
-                       help="observable window width (default 0.2)")
-        p.add_argument("--l", type=float, default=None,
-                       help="cylinder circumference (default 2*pi)")
-        p.add_argument("--tau-max", type=int, default=None,
-                       help="top ascension degree, or flow time span for "
-                            "`flows` (default 2)")
-        p.add_argument("--s1", type=float, default=None,
-                       help="Whittaker spectral parameter (default 50)")
-        p.add_argument("--a", type=float, default=None,
-                       help="Whittaker frequency (default 25)")
-        p.add_argument("--lengths", type=_float_list, default=None,
-                       help="orbit lengths, comma-separated "
-                            "(default 1e2,1e3,1e4)")
-        p.add_argument("--surface", default=None,
-                       help="quotient surface (default octagon)")
-        p.add_argument("--out", default=None,
-                       help="output directory (default .)")
+        for flag, typ, text in _VALUE_FLAGS:
+            p.add_argument(flag, type=typ, default=None, help=text)
         p.add_argument("--assert", dest="do_assert", action="store_true",
                        help="exit nonzero if built-in tolerance checks fail")
         p.add_argument("--json-summary", action="store_true",
@@ -351,9 +332,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, val)
             else:
                 raise ValueError(f"unknown config key {key!r}")
-    for key in ("s", "B", "eta0", "eps", "l", "tau_max", "s1", "a",
-                "lengths", "surface", "out"):
-        val = getattr(args, key, None)
+    for flag, _, _ in _VALUE_FLAGS:
+        key = flag[2:].replace("-", "_")
+        val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
     if getattr(args, "flow_kind", None):

@@ -120,6 +120,8 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     on the same beta grid.
     """
     check_field(B, s)
+    if not (n_grid >= 3 and n_grid % 2 == 1):  # the Simpson rule needs an odd count
+        raise ValueError(f"need an odd n_grid >= 3, got {n_grid}")
     if freq_window is None:
         freq_window = default_window(s)
     grid = np.linspace(*obs.beta_support(), n_grid)
@@ -153,8 +155,9 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
 
 def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
     """Equal-weight packet on the K lattice frequencies nearest eta0*s."""
-    if not (abs(eta0) < 0.5 and K >= 1 and l > 0):
-        raise ValueError("need |eta0| < 1/2, K >= 1, l > 0")
+    if not (math.isfinite(s) and abs(eta0) < 0.5 and K >= 1 and 0 < l < math.inf):
+        raise ValueError(f"need finite s, |eta0| < 1/2, K >= 1 and finite l > 0, "
+                         f"got s={s}, eta0={eta0}, K={K}, l={l}")
     step = 2 * math.pi / l
     k0 = round(eta0 * s / step)
     cand = [step * (k0 + j) for j in range(-K - 1, K + 2)]
@@ -281,6 +284,7 @@ def packet_position_density(coeffs: WaveCoeffs, s: float,
                             betas: np.ndarray, sigmas: np.ndarray,
                             tol: float = 1e-10) -> np.ndarray:
     """|u(beta, sigma)|^2 for u = sum alpha_m e^{im sigma} w_m(beta)."""
+    check_field(0.0, s)  # before branch_ic does arithmetic on bad input
     ms, alpha = _packet(coeffs)
     waves = alpha[:, None] * _branch_I(0.0, ms / s, s, betas, tol)
     return np.abs(waves.T @ np.exp(1j * np.outer(ms, sigmas))) ** 2

@@ -293,37 +293,14 @@ def apply_lowering(m: float, tau: float, grid, values, derivs, s: float | None =
     return out
 
 
-def apply_D_tau(m: float, tau: float, grid, values, derivs, second_derivs=None):
-    """Separated eigenoperator: -cos^2 w'' + 2 i tau cos^2 w' + (m^2 cos^2 - 2 tau m sin cos) w.
-
-    Without explicit second derivatives they are estimated by 5-point
-    central differences (uniform grid required, step <= 1e-3).
-    """
+def apply_D_tau(m: float, tau: float, grid, values, derivs, second_derivs):
+    """Separated eigenoperator: -cos^2 w'' + 2 i tau cos^2 w' + (m^2 cos^2 - 2 tau m sin cos) w,
+    from samples of w, w' and w'' on the grid (`second_deriv_from_ode` gives w'')."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values)
-    derivs = np.asarray(derivs)
-    if second_derivs is None:
-        h = np.diff(grid)
-        if not (np.allclose(h, h[0], rtol=1e-8) and h[0] <= 1e-3):
-            raise ValueError("finite-difference fallback needs a uniform grid, step <= 1e-3")
-        second_derivs = _five_point_second(values, h[0])
     c, sn = np.cos(grid), np.sin(grid)
-    return (-c * c * np.asarray(second_derivs) + 2j * tau * c * c * derivs
+    return (-c * c * np.asarray(second_derivs) + 2j * tau * c * c * np.asarray(derivs)
             + (m * m * c * c - 2 * tau * m * sn * c) * values)
-
-
-def _five_point_first(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.gradient(f, h, edge_order=2)
-    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
-    return out
-
-
-def _five_point_second(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
-    out[:2] = out[2]
-    out[-2:] = out[-3]
-    return out
 
 
 def second_deriv_from_ode(wave: CylWave, grid=None):
@@ -443,8 +420,8 @@ def _riccati(q, half):
 
 def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
     """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys.
-    Returns (W, W') at ys, the switch point y_s (|W| is monotone above it) and
-    dense(y) -> (W, W') on the panels that meet [min ys, max ys].
+    Returns (W, W') at ys, one row per point, and dense(y) -> (W, W') on the
+    panels that meet [min ys, max ys].
 
     Riccati leg: `_riccati` for u = W'/W on geometric panels from y0 down to the
     turning point; those above the first that misses _RICCATI_TOL are used, down
@@ -460,9 +437,6 @@ def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
         raise ValueError(f"need finite 0 < y < {y0} (the seed) and tol > 0")
     lo, hi = ys.min(), ys.max()
     sign, lnS, dlog0 = _asymptotic_seed(p, x0)
-    # largest root of q = a^2/4, below y0; under it q < a^2/4 for any tau
-    y_s = max((2 * p.tau + np.sqrt(4 * p.tau ** 2 + 3 * p.s1 ** 2 + 0.75)) / (1.5 * p.a), lo)
-
     y_t = (p.tau + np.sqrt(p.tau ** 2 + p.s1 ** 2 + 0.25)) / p.a
     e = y0 / _RICCATI_RATIO ** np.arange(np.ceil(np.log(y0 / y_t) / np.log(_RICCATI_RATIO)))
     half, y = _nodes(e)
@@ -509,23 +483,18 @@ def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
         W = np.where(ric[k], sign * np.exp(v), v * scale)
         return np.stack((W, np.where(ric[k], d * W, d * scale)))
 
-    return dense(ys).T, y_s, dense
-
-
-def _whittaker_state(p: WhittakerParams, ys, tol=1e-12):
-    """(W, dW/dy) at the requested points, one row per point."""
-    return _whittaker_sweep(p, ys, tol)[0]
+    return dense(ys).T, dense
 
 
 def whittaker_W(p: WhittakerParams, ys, tol: float = 1e-12):
     """Recessive radial wave, normalized e^{-a y} (2 a y)^tau at +infinity."""
-    vals = _whittaker_state(p, np.atleast_1d(ys), tol)[:, 0]
+    vals = _whittaker_sweep(p, np.atleast_1d(ys), tol)[0][:, 0]
     return vals if np.ndim(ys) else float(vals[0])
 
 
 def whittaker_deriv(p: WhittakerParams, ys, tol: float = 1e-12):
     """dW/dy by the same inward scheme (second state component)."""
-    vals = _whittaker_state(p, np.atleast_1d(ys), tol)[:, 1]
+    vals = _whittaker_sweep(p, np.atleast_1d(ys), tol)[0][:, 1]
     return vals if np.ndim(ys) else float(vals[0])
 
 
@@ -546,15 +515,14 @@ def whittaker_peaks(p: WhittakerParams, y_range: tuple[float, float],
     return [(y, v / norm) for y, v in _sweep_peaks(p, ys, *_whittaker_sweep(p, ys))]
 
 
-def _sweep_peaks(p: WhittakerParams, ys, states, y_s, dense):
+def _sweep_peaks(p: WhittakerParams, ys, states, dense):
     """(abscissa, |W|) at each local maximum of |W| on the scan ys of a sweep,
     refined to the root of W' on the dense output by Newton (W'' = q W) clipped
-    to the bracket, which is cut at the switch point (|W| is monotone above the
-    turning point)."""
+    to the bracket of its scan neighbours."""
     vals = np.abs(states[:, 0])
     peaks = []
     for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1:
-        lo, hi = ys[i - 1], min(ys[i + 1], y_s)
+        lo, hi = ys[i - 1], ys[i + 1]
         y_pk, dw = ys[i], dense((lo, hi))[1]
         if dw[0] * dw[1] < 0:
             for _ in range(50):

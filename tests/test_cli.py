@@ -1,12 +1,14 @@
 """Tests for the batch front end: artifacts, determinism, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hyperlab.cli import (RunConfig, _write_json, build_parser,
+from hyperlab.cli import (_VALUE_FLAGS, RunConfig, _write_json, build_parser,
                           config_from_args, main)
 from hyperlab import waves
 from hyperlab.waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
@@ -32,12 +34,13 @@ def test_parser_accepts_all_flags():
     assert cfg.do_assert and cfg.json_summary
 
 
-def test_config_round_trip(tmp_path):
-    cfg = RunConfig(subcommand="flows", B=1.5, tau_max=4)
-    blob = json.dumps(cfg.to_dict())
-    back = json.loads(blob)
-    assert back["b_field"] == 1.5 and back["tau_max"] == 4
-    assert json.loads(json.dumps(back)) == back
+def test_value_flags_are_the_config_fields():
+    # one table drives the parser and config_from_args: it must name every
+    # settable RunConfig field, and nothing else
+    dests = {argparse.ArgumentParser().add_argument(flag).dest for flag, _, _ in _VALUE_FLAGS}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert dests == fields - {"subcommand", "flow_kind", "do_assert",
+                              "json_summary", "tolerances"}
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

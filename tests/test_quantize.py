@@ -182,6 +182,15 @@ def test_quad_form_matches_pairwise_single_solves(B):
     assert abs(qz.quad_form(u, obs, B, s, n_grid=41) - ref) <= 1e-8 * abs(ref)
 
 
+@pytest.mark.parametrize("n_grid", [1, 2, 40])
+def test_quad_form_rejects_bad_grid_before_solving(monkeypatch, n_grid):
+    # the Simpson rule needs an odd sample count of at least 3
+    monkeypatch.setattr(qz, "solve_waves", None)
+    obs = qz.Observable(eta0=0.2, eps=0.2)
+    with pytest.raises(ValueError, match="n_grid"):
+        qz.quad_form(qz.geodesic_packet(50.0, 0.2, 3, L), obs, 0.0, 50.0, n_grid=n_grid)
+
+
 @pytest.mark.parametrize("B", [np.nan, np.inf, -0.5])
 def test_quad_form_rejects_bad_field(B):
     obs = qz.Observable(eta0=0.2, eps=0.2)
@@ -208,10 +217,16 @@ def test_packet_normalization_and_lattice():
 
 
 def test_packet_rejects_bad_input():
-    with pytest.raises(ValueError):
-        qz.geodesic_packet(100.0, 0.7, 5, L)
-    with pytest.raises(ValueError):
-        qz.geodesic_packet(100.0, 0.2, 0, L)
+    for s, eta0, K, l in [(100.0, 0.7, 5, L), (100.0, 0.2, 0, L), (math.inf, 0.2, 5, L),
+                          (math.nan, 0.2, 5, L), (100.0, 0.2, 5, math.inf)]:
+        with pytest.raises(ValueError, match="need"):
+            qz.geodesic_packet(s, eta0, K, l)
+
+
+def test_position_density_rejects_non_finite_s():
+    u = qz.geodesic_packet(100.0, 0.2, 3, L)
+    with pytest.raises(ValueError):  # RuntimeWarnings are errors in this suite
+        qz.packet_position_density(u, math.inf, np.zeros(3), np.zeros(2))
 
 
 @pytest.mark.slow

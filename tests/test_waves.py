@@ -292,6 +292,20 @@ def test_D_tau_on_constant():
     assert np.max(np.abs(out)) == 0
 
 
+def _five_point_first(f: np.ndarray, h: float) -> np.ndarray:
+    out = np.gradient(f, h, edge_order=2)
+    out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * h)
+    return out
+
+
+def _five_point_second(f: np.ndarray, h: float) -> np.ndarray:
+    out = np.empty_like(f)
+    out[2:-2] = (-f[:-4] + 16 * f[1:-3] - 30 * f[2:-2] + 16 * f[3:-1] - f[4:]) / (12 * h * h)
+    out[:2] = out[2]
+    out[-2:] = out[-3]
+    return out
+
+
 def test_intertwining_on_smooth_test_function():
     # K_tau D^tau = D^{tau+1} K_tau on a generic smooth separated function
     # step 1e-3: fine enough for the 4th-order stencils, coarse enough that
@@ -300,14 +314,14 @@ def test_intertwining_on_smooth_test_function():
     h = grid[1] - grid[0]
     m, tau = 2.0, 3.0
     u = np.exp(np.sin(2 * grid)) * np.exp(1j * np.cos(3 * grid))
-    du = W._five_point_first(u, h)
-    ddu = W._five_point_second(u, h)
+    du = _five_point_first(u, h)
+    ddu = _five_point_second(u, h)
     Du = W.apply_D_tau(m, tau, grid, u, du, ddu)
-    dDu = W._five_point_first(Du, h)
+    dDu = _five_point_first(Du, h)
     KDu = W.apply_raising(m, tau, grid, Du, dDu)
     Ku = W.apply_raising(m, tau, grid, u, du)
-    dKu = W._five_point_first(Ku, h)
-    ddKu = W._five_point_second(Ku, h)
+    dKu = _five_point_first(Ku, h)
+    ddKu = _five_point_second(Ku, h)
     DKu = W.apply_D_tau(m, tau + 1, grid, Ku, dKu, ddKu)
     inner = slice(20, -20)
     resid = np.max(np.abs((KDu - DKu)[inner])) / np.max(np.abs(u))
@@ -458,7 +472,7 @@ def test_whittaker_reality_and_ode_residual():
     assert np.all(np.isreal(vals))
     # self-consistency: re-integrating the equation from the computed state
     # at 1.5 must land on the computed state at 1.4
-    st = W._whittaker_state(p, np.array([1.4, 1.5]))
+    st = W._whittaker_sweep(p, np.array([1.4, 1.5]))[0]
 
     def rhs(y, u):
         w, dw = u
@@ -534,7 +548,7 @@ def test_whittaker_dense_output_inside_the_riccati_zone(monkeypatch):
     # are served from log W and u = W'/W alone, with no linear panel
     monkeypatch.setattr(W, "_collocate", None)
     p, ys = W.WhittakerParams(0, 25.0, 0.5), np.array([600.0, 800.0, 1000.0])
-    (w, dw), (ref_w, ref_dw) = W._whittaker_state(p, ys).T, _whitw(0, 25.0, 0.5, ys)
+    (w, dw), (ref_w, ref_dw) = W._whittaker_sweep(p, ys)[0].T, _whitw(0, 25.0, 0.5, ys)
     assert np.max(np.abs(w - ref_w) / np.abs(ref_w)) <= 1e-11
     assert np.max(np.abs(dw - ref_dw) / np.abs(ref_dw)) <= 1e-11
 
@@ -591,8 +605,8 @@ def test_whittaker_peaks_are_roots_of_the_dense_derivative():
     for tau in (0, 1, 2):
         p = W.WhittakerParams(tau, 50.0, 25.0)
         ys = np.linspace(1.80, 2.05, 400)
-        states, y_s, dense = W._whittaker_sweep(p, ys)
-        peaks = W._sweep_peaks(p, ys, states, y_s, dense)
+        states, dense = W._whittaker_sweep(p, ys)
+        peaks = W._sweep_peaks(p, ys, states, dense)
         assert peaks
         for y_pk, v_pk in peaks:
             w, dw = dense(y_pk)[:, 0]
