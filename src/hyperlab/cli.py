@@ -321,19 +321,41 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_tolerances(val) -> dict:
+    """The `tolerances` object of a config file: known keys, finite numbers."""
+    if not (isinstance(val, dict) and set(val) <= set(_DEFAULT_TOLERANCES)
+            and all(type(t) in (int, float) and math.isfinite(t) for t in val.values())):
+        raise ValueError(f"config tolerances must map keys of {sorted(_DEFAULT_TOLERANCES)} "
+                         f"to finite numbers, got {val!r}")
+    return val
+
+
+def _config_value(key: str, typ, val):
+    """A config file value read as its flag reads text: lists joined by commas."""
+    text = ",".join(map(str, val)) if isinstance(val, list) else val
+    try:
+        if type(text) not in (str, int, float):
+            raise ValueError("need a number, a string or a list")
+        return (typ or str)(str(text))
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}, got {val!r}") from None
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(subcommand=args.subcommand)
+    types = {flag[2:].replace("-", "_"): typ for flag, typ, _ in _VALUE_FLAGS}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise ValueError("a config file must hold a JSON object")
         for key, val in file_cfg.items():
             if key == "tolerances":
-                cfg.tolerances.update(val)
-            elif hasattr(cfg, key):
-                setattr(cfg, key, val)
+                cfg.tolerances.update(_config_tolerances(val))
+            elif key in types:
+                setattr(cfg, key, _config_value(key, types[key], val))
             else:
                 raise ValueError(f"unknown config key {key!r}")
-    for flag, _, _ in _VALUE_FLAGS:
-        key = flag[2:].replace("-", "_")
+    for key in types:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)

@@ -168,8 +168,7 @@ def _area_means(group: FuchsianGroup) -> tuple:
 
 
 def equidistribution_series(kind: str, v0: TangentVec, lengths,
-                            B: float = 0.0, step: float = 1e-2,
-                            group: FuchsianGroup | None = None,
+                            B: float = 0.0, group: FuchsianGroup | None = None,
                             area_means: dict | None = None,
                             observables: list | None = None) -> list:
     """(length, discrepancy) rows; discrepancy is the max over the family
@@ -187,12 +186,12 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
         if not math.isfinite(area_means.get(name, math.nan)):
             raise ValueError(f"need a finite area mean of {name}, "
                              f"got {area_means.get(name)}")
-    orbit = sample_orbit(v0, kind, lengths[-1], B=B, step=step, group=group)
+    orbit = sample_orbit(v0, kind, lengths[-1], B=B, group=group)
     discs = [0.0] * len(lengths)
     for name, f in observables:  # one evaluation per observable, prefix means
         vals = f(orbit.xs, orbit.ys, orbit.thetas)
         for i, L in enumerate(lengths):
-            avg = float(np.mean(vals[:int(round(L / step)) + 1]))
+            avg = float(np.mean(vals[:int(round(L / orbit.step)) + 1]))
             if not math.isfinite(avg):
                 raise ValueError(f"non-finite Birkhoff average of {name} at length {L}")
             discs[i] = max(discs[i], abs(avg - area_means[name]))

@@ -3,7 +3,7 @@
 Automorphy factors for forms of integer degree, the cylinder group
 generated by a single dilation, a compact genus-2 group built from the
 regular hyperbolic octagon with vertex angles pi/4, and greedy reduction
-of points into the corresponding fundamental domains.
+of points into each group's Dirichlet domain centered at i.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .geometry import (HPoint, MobiusMap, hyperbolic_distance, mobius_apply,
 # cosh(apothem) = cot(pi/8) and cosh(center-to-vertex) = cot(pi/8)^2
 _COSH_HALF_T = 1.0 + math.sqrt(2.0)  # cosh of the apothem = half pairing length
 _COSH_R = 3.0 + 2.0 * math.sqrt(2.0)  # cosh of center-to-vertex distance
-
-REDUCE_THRESHOLD = 2.0 * _COSH_HALF_T + 1e-9  # the octagon's reduce_threshold
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class FuchsianGroup:
     kind: str  # 'cylinder' or 'octagon'
     generators: tuple[MobiusMap, ...]
     inverses: tuple[MobiusMap, ...]
-    l: float | None = None  # neck length, cylinder only
     vertices: tuple[complex, ...] = ()  # half-plane vertices, octagon only
     center: HPoint = field(default_factory=lambda: HPoint(0.0, 1.0))
 
@@ -82,9 +79,7 @@ class FuchsianGroup:
         """Greedy Dirichlet reduction of a frame: each sweep applies the move
         that lowers |F|^2 the most, by more than 1e-13, and appends its
         index to `used`.  A sweep runs only if a Dirichlet form is <= 1e-9
-        (far above their ~1e-13 rounding): the ungated result, bit for bit.
-        On a cylinder the domain is the Dirichlet strip e^{-l/2} <= |z| <= e^{l/2},
-        not the strip 1 <= |z| < e^l of `reduce_to_domain`."""
+        (far above their ~1e-13 rounding): the ungated result, bit for bit."""
         cur, threshold = a * a + b * b + c * c + d * d, self.reduce_threshold
         while cur > threshold:
             p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
@@ -117,18 +112,13 @@ def automorphy_factor(M: MobiusMap, z: HPoint, tau: int) -> AutomorphyFactor:
 
 
 def cylinder_group(l: float) -> FuchsianGroup:
-    """Group generated by z -> e^l z, with two fundamental domains in use.
-
-    `reduce_to_domain` returns points of the strip 1 <= |z| < e^l;
-    `FuchsianGroup.reduce_frame` (and so `sample_orbit`) returns points of
-    the Dirichlet strip e^{-l/2} <= |z| <= e^{l/2} about i.
-    """
+    """Group generated by z -> e^l z; its Dirichlet domain about i is the strip
+    e^{-l/2} <= |z| <= e^{l/2}."""
     if not l > 0:
         raise ValueError("neck length must be positive")
     h = math.exp(l / 2)
     g = mobius_from_matrix(np.array([[h, 0.0], [0.0, 1.0 / h]]))
-    return FuchsianGroup(kind="cylinder", generators=(g,),
-                         inverses=(g.inverse(),), l=l)
+    return FuchsianGroup(kind="cylinder", generators=(g,), inverses=(g.inverse(),))
 
 
 def _disk_generator(k: int) -> np.ndarray:
@@ -224,28 +214,13 @@ def side_pairing_error(G: FuchsianGroup) -> float:
 
 
 def reduce_to_domain(z: HPoint, G: FuchsianGroup) -> tuple[HPoint, MobiusMap]:
-    """Move z into the fundamental domain; returns (point, map) with
-    map(point) = z.
-
-    For a cylinder that domain is the strip 1 <= |z| < e^l, not the
-    Dirichlet strip e^{-l/2} <= |z| <= e^{l/2} of `reduce_frame`; an
-    octagon point goes through `reduce_frame`.
-    """
-    ident = mobius_from_matrix(np.eye(2))
-    if G.kind == "cylinder":
-        sigma = 0.5 * math.log(z.x * z.x + z.y * z.y)
-        k = math.floor(sigma / G.l)
-        if k == 0:
-            return z, ident
-        f = math.exp(-k * G.l)
-        gamma = mobius_from_matrix(
-            np.array([[math.exp(k * G.l / 2), 0.0],
-                      [0.0, math.exp(-k * G.l / 2)]]))
-        return HPoint(z.x * f, z.y * f), gamma
-
+    """Move z into the Dirichlet domain of `reduce_frame`; returns (point, map)
+    with map(point) = z, and z itself when no move applies."""
     sq, used = math.sqrt(z.y), []
     a, b, c, d = G.reduce_frame(sq, z.x / sq, 0.0, 1.0 / sq, used)
-    gamma = ident
+    gamma = mobius_from_matrix(np.eye(2))
+    if not used:  # the frame round trip would move z by rounding
+        return z, gamma
     for k in used:  # move k is undone by (inverses + generators)[k]
         gamma = gamma.compose((G.inverses + G.generators)[k])
     den = c * c + d * d

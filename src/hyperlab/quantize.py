@@ -30,7 +30,7 @@ class Observable:
     beta0: float = 0.0
     sigma0: float = 0.0
     eps: float = 0.2
-    _ft_cache: dict = field(default_factory=dict, repr=False)
+    _ft_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (all(map(math.isfinite, (self.eta0, self.beta0, self.sigma0)))
@@ -77,9 +77,10 @@ def _packet(coeffs: WaveCoeffs) -> tuple[np.ndarray, np.ndarray]:
     return ms[alpha != 0], alpha[alpha != 0]
 
 
-def _branch_I(B1: float, mts, s: float, grid, tol: float) -> np.ndarray:
-    """Branch-I wave values of every frequency in mts, one row each."""
-    return solve_waves(B1, mts, s, *branch_ic(B1, mts, s, "I"), grid, tol,
+def _branch_I(B1: float, mts, s: float, grid) -> np.ndarray:
+    """Branch-I wave values of every frequency in mts, one row each, to the packet
+    tolerance 1e-10."""
+    return solve_waves(B1, mts, s, *branch_ic(B1, mts, s, "I"), grid, 1e-10,
                        derivs=False)[0]
 
 
@@ -110,8 +111,7 @@ def default_window(s: float) -> float:
 
 
 def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
-              freq_window: float | None = None, n_grid: int = 801,
-              tol: float = 1e-10) -> complex:
+              freq_window: float | None = None, n_grid: int = 801) -> complex:
     """Windowed double sum of q_{m,m'} over the coefficient support.
 
     For B = 0 this is the plain form against a0; for B > 0 the waves are
@@ -132,7 +132,7 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     p5 = bump(mts * 0.999)
     B1 = math.floor(B * s) / s
     if B1 == 0:
-        w_all = _branch_I(0.0, mts, s, grid, tol)
+        w_all = _branch_I(0.0, mts, s, grid)
     pairs = np.zeros((len(ms), len(ms)), dtype=complex)
     for i in np.flatnonzero(p1):
         near = np.flatnonzero(np.abs(ms - ms[i]) <= freq_window)
@@ -143,7 +143,7 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
             weight = weight * np.exp(
                 -2.0 * (table.f3(grid, pts) + tr.wave_norm_shift(B1, mts[i]))
                 + 1j * (ms[i] - ms[near])[:, None] * table.f4(grid, pts))
-            w = _branch_I(B1, mts[near], s, pts, tol)
+            w = _branch_I(B1, mts[near], s, pts)
         else:
             w = w_all[near]
         ft = np.array([obs.sigma_ft(ms[i] - mp) for mp in ms[near]])
@@ -221,41 +221,38 @@ def a1_density(obs: Observable, B: float, beta_p: float, sigma: float,
             * math.exp(-2.0 * table.f3(pre, beta_p)))
 
 
-def _shell_grid(beta_cut: float, n: int) -> tuple[np.ndarray, float]:
-    """The periodic beta grid of energy_shell_test and its step."""
-    grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
-    return grid, grid[1] - grid[0]
+# the periodic beta grid of energy_shell_test: n points on [-beta_cut/2, beta_cut/2)
+_SHELL_CUT, _SHELL_N = 2.4, 8192
+_SHELL_GRID = np.linspace(-_SHELL_CUT / 2, _SHELL_CUT / 2, _SHELL_N, endpoint=False)
+_SHELL_STEP = _SHELL_GRID[1] - _SHELL_GRID[0]
 
 
 @functools.lru_cache(maxsize=1)  # callers evaluate their symbols packet by packet
-def _shell_spectrum(ms: tuple, weights: tuple, s: float, B1: float,
-                    beta_cut: float, n: int, tol: float) -> np.ndarray:
+def _shell_spectrum(ms: tuple, weights: tuple, s: float, B1: float) -> np.ndarray:
     """Read-only cross spectrum sum_w weight_w fft(u_w) conj(fft(a_beta u_w)) / n.
 
     u_w = w taper for the branch-I wave w of each frequency in ms, and
     a_beta = taper = bump(beta / beta_cut).  The waves are solved once and
     transformed one at a time, so memory stays O(n) beyond the solve.
     """
-    grid, _ = _shell_grid(beta_cut, n)
-    taper = bump(grid / beta_cut)
-    waves = _branch_I(B1, np.array(ms) / s, s, grid, tol)
-    spec = np.zeros(n, dtype=complex)
+    taper = bump(_SHELL_GRID / _SHELL_CUT)
+    waves = _branch_I(B1, np.array(ms) / s, s, _SHELL_GRID)
+    spec = np.zeros(_SHELL_N, dtype=complex)
     for weight, w in zip(weights, waves):
         u = w * taper
         spec += weight * np.fft.fft(u) * np.conj(np.fft.fft(taper * u))
-    spec /= n
+    spec /= _SHELL_N
     spec.flags.writeable = False
     return spec
 
 
 def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
-                      xi_profile, h_param: float | None = None,
-                      beta_cut: float = 2.4, n: int = 8192,
-                      tol: float = 1e-10) -> complex:
+                      xi_profile, h_param: float | None = None) -> complex:
     """Diagonal quadratic form of a symbol a_beta(beta) psi(xi).
 
     The xi multiplier psi(h_param k) acts per frequency k of an FFT in beta
-    at semiclassical parameter h_param (default 1/s); a_beta is the inner
+    at semiclassical parameter h_param (default 1/s), on n = 8192 points
+    of [-beta_cut/2, beta_cut/2), beta_cut = 2.4; a_beta is the inner
     plateau bump(beta / beta_cut).  By Parseval the form is
     sum_k psi(h_param k) S_k h for the packet's cross spectrum S
     (`_shell_spectrum`), which is cached, so further symbols on the same
@@ -265,28 +262,24 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
     check_field(B1, s)
     if h_param is None:
         h_param = 1.0 / s
-    if not (0 < beta_cut < math.pi and n >= 2 and 0 < h_param < math.inf):
-        raise ValueError("need 0 < beta_cut < pi, n >= 2 and finite h_param > 0, "
-                         f"got beta_cut={beta_cut}, n={n}, h_param={h_param}")
-    _, h = _shell_grid(beta_cut, n)
-    mult = np.asarray(xi_profile(2 * math.pi * np.fft.fftfreq(n, d=h) * h_param),
-                      dtype=complex)
-    if mult.shape != (n,) or not np.all(np.isfinite(mult)):
-        raise ValueError(f"xi_profile must return {n} finite values")
+    if not 0 < h_param < math.inf:
+        raise ValueError(f"need finite h_param > 0, got h_param={h_param}")
+    mult = np.asarray(xi_profile(2 * math.pi * np.fft.fftfreq(_SHELL_N, d=_SHELL_STEP)
+                                 * h_param), dtype=complex)
+    if mult.shape != (_SHELL_N,) or not np.all(np.isfinite(mult)):
+        raise ValueError(f"xi_profile must return {_SHELL_N} finite values")
     ms, alpha = _packet(coeffs)
     spec = _shell_spectrum(tuple(ms.tolist()),
-                           tuple((np.abs(alpha) ** 2 * coeffs.l).tolist()),
-                           s, B1, beta_cut, n, tol)
-    return complex(np.sum(mult * spec) * h)
+                           tuple((np.abs(alpha) ** 2 * coeffs.l).tolist()), s, B1)
+    return complex(np.sum(mult * spec) * _SHELL_STEP)
 
 
 def packet_position_density(coeffs: WaveCoeffs, s: float,
-                            betas: np.ndarray, sigmas: np.ndarray,
-                            tol: float = 1e-10) -> np.ndarray:
+                            betas: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """|u(beta, sigma)|^2 for u = sum alpha_m e^{im sigma} w_m(beta)."""
     check_field(0.0, s)  # before branch_ic does arithmetic on bad input
     ms, alpha = _packet(coeffs)
-    waves = alpha[:, None] * _branch_I(0.0, ms / s, s, betas, tol)
+    waves = alpha[:, None] * _branch_I(0.0, ms / s, s, betas)
     return np.abs(waves.T @ np.exp(1j * np.outer(ms, sigmas))) ** 2
 
 

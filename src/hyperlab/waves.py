@@ -109,6 +109,7 @@ _PANEL_PHASE = 10.0  # radians of the fastest wave per panel
 _WHITTAKER_STEP = 5.0  # e-folds or radians of W per panel; 10 misses the whitw oracle
 _RICCATI_RATIO = 1.3  # outer/inner edge of a Riccati panel
 _RICCATI_TOL = 1e-13  # residual a Riccati panel must reach to be used
+_WHITTAKER_TOL = 1e-12  # trailing coefficients of a Whittaker sweep's linear leg
 _CHUNK = 256  # systems per batched linear solve
 
 
@@ -198,7 +199,8 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
     Batched linear solves give two fundamental solutions per panel and wave;
     chaining their 2x2 transfer matrices from beta = 0 fixes phi, which is
-    interpolated on each point's panel.  `_refined` holds every panel to tol.
+    interpolated on each point's panel.  `_refined` holds every panel to tol
+    (1e-11 for `solve_wave`, `solve_wave_ic` and `ascend`).
     With derivs=False the derivatives are not formed (None is returned).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
@@ -249,18 +251,17 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     return values, dvals
 
 
-def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid,
-               tol: float = 1e-11) -> CylWave:
+def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid) -> CylWave:
     """Solve the separated wave equation for the given WKB branch on a grid."""
     check_field(B1, s)  # before branch_ic does arithmetic on bad input
     w0, dw0 = branch_ic(B1, mtilde, s, branch)
-    return solve_wave_ic(B1, mtilde, s, w0, dw0, grid, tol, branch)
+    return solve_wave_ic(B1, mtilde, s, w0, dw0, grid, branch)
 
 
 def solve_wave_ic(B1: float, mtilde: float, s: float, w0: complex, dw0: complex,
-                  grid, tol: float = 1e-11, branch: str = "-") -> CylWave:
+                  grid, branch: str = "-") -> CylWave:
     """Same equation, arbitrary initial data at beta = 0 (branch unset)."""
-    values, derivs = solve_waves(B1, mtilde, s, w0, dw0, grid, tol)
+    values, derivs = solve_waves(B1, mtilde, s, w0, dw0, grid)
     return CylWave(B1, mtilde, s, branch, np.asarray(grid, dtype=float),
                    values[0], derivs[0])
 
@@ -303,12 +304,11 @@ def apply_D_tau(m: float, tau: float, grid, values, derivs, second_derivs):
             + (m * m * c * c - 2 * tau * m * sn * c) * values)
 
 
-def second_deriv_from_ode(wave: CylWave, grid=None):
-    """w'' on the grid via the wave's own differential equation."""
-    grid = wave.grid if grid is None else np.asarray(grid)
+def second_deriv_from_ode(wave: CylWave):
+    """w'' on the wave's grid via its own differential equation."""
     tau = wave.tau
     return (2j * tau * wave.derivs
-            + (tau * tau - wave.s**2 * Q(wave.B1, wave.mtilde, grid)) * wave.values)
+            + (tau * tau - wave.s**2 * Q(wave.B1, wave.mtilde, wave.grid)) * wave.values)
 
 
 # --- transfer coefficients ---
@@ -345,7 +345,7 @@ def decompose_I_II(value_at_0: complex, deriv_at_0: complex,
 # --- ascension ---
 
 
-def ascend(m: float, s: float, B: float, grid, tol: float = 1e-11):
+def ascend(m: float, s: float, B: float, grid):
     """Iterate [Bs] normalized raisings on the branch-I wave of frequency m.
 
     The chain keeps only (w(0), w'(0)) per degree: the raised value and
@@ -371,7 +371,7 @@ def ascend(m: float, s: float, B: float, grid, tol: float = 1e-11):
         w0, dw0 = r0 / norm, dr0 / norm
     prod = complex(np.prod(c1(np.arange(n) / s, mtilde, s)))
     _, dI = branch_ic(n / s, mtilde, s, "I")
-    values, derivs = solve_waves(n / s, mtilde, s, [w0, 1.0], [dw0, dI], grid, tol)
+    values, derivs = solve_waves(n / s, mtilde, s, [w0, 1.0], [dw0, dI], grid)
     exact = CylWave(n / s, mtilde, s, "-" if n else "I",
                     np.asarray(grid, dtype=float), values[0], derivs[0])
     return exact, values[1] * prod, prod
@@ -418,7 +418,7 @@ def _riccati(q, half):
     return best, res
 
 
-def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
+def _whittaker_sweep(p: WhittakerParams, ys):
     """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys.
     Returns (W, W') at ys, one row per point, and dense(y) -> (W, W') on the
     panels that meet [min ys, max ys].
@@ -429,12 +429,12 @@ def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
     tau/y) dy, whose small integrand avoids the O(s1^2) cancellation of seed and
     action.  Linear leg: from y_h (or the seed) down to min ys, `_collocate` on
     panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy), each
-    held to tol, chained with a log factor."""
+    held to _WHITTAKER_TOL, chained with a log factor."""
     # the series terms shrink from the first once x0 >> s1^2 + tau^2
     x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
     ys, y0 = np.asarray(ys, dtype=float), x0 / (2 * p.a)
-    if not (np.all(np.isfinite(ys) & (ys > 0) & (ys < y0)) and tol > 0):
-        raise ValueError(f"need finite 0 < y < {y0} (the seed) and tol > 0")
+    if not np.all(np.isfinite(ys) & (ys > 0) & (ys < y0)):
+        raise ValueError(f"need finite 0 < y < {y0} (the seed)")
     lo, hi = ys.min(), ys.max()
     sign, lnS, dlog0 = _asymptotic_seed(p, x0)
     y_t = (p.tau + np.sqrt(p.tau ** 2 + p.s1 ** 2 + 0.25)) / p.a
@@ -465,7 +465,7 @@ def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
         n_lin = 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))
         edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
     for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
-        e, (U,), (dU,) = _refined(solve, edges[i:i + 65], tol)
+        e, (U,), (dU,) = _refined(solve, edges[i:i + 65], _WHITTAKER_TOL)
         for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
             if e[k + 1] <= hi:
                 kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac, False))
@@ -486,15 +486,15 @@ def _whittaker_sweep(p: WhittakerParams, ys, tol=1e-12):
     return dense(ys).T, dense
 
 
-def whittaker_W(p: WhittakerParams, ys, tol: float = 1e-12):
+def whittaker_W(p: WhittakerParams, ys):
     """Recessive radial wave, normalized e^{-a y} (2 a y)^tau at +infinity."""
-    vals = _whittaker_sweep(p, np.atleast_1d(ys), tol)[0][:, 0]
+    vals = _whittaker_sweep(p, np.atleast_1d(ys))[0][:, 0]
     return vals if np.ndim(ys) else float(vals[0])
 
 
-def whittaker_deriv(p: WhittakerParams, ys, tol: float = 1e-12):
+def whittaker_deriv(p: WhittakerParams, ys):
     """dW/dy by the same inward scheme (second state component)."""
-    vals = _whittaker_sweep(p, np.atleast_1d(ys), tol)[0][:, 1]
+    vals = _whittaker_sweep(p, np.atleast_1d(ys))[0][:, 1]
     return vals if np.ndim(ys) else float(vals[0])
 
 

@@ -114,6 +114,36 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand, file_cfg, message", [
+    # a config key that is no value flag used to switch the subcommand or the flow kind
+    ("whittaker", {"subcommand": "flows", "tau_max": 0}, "subcommand"),
+    ("equidistribute", {"flow_kind": "geodesic", "lengths": [10]}, "flow_kind"),
+    # a non-object `tolerances` used to escape as a TypeError traceback
+    ("flows", {"tolerances": 5}, "tolerances"),
+    # values go through the flag's own type: 2.7 is no int, "a" no float list
+    ("flows", {"tau_max": 2.7}, "tau_max"),
+    ("ascend", {"s": "a"}, "'s'"),
+    # a file that is no JSON object used to escape as an AttributeError traceback
+    ("flows", [1], "object")])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, subcommand, file_cfg, message):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(file_cfg))
+    code, out = run_cli([subcommand, "--config", str(cfgfile), "--out", str(tmp_path),
+                         "--json-summary"], capsys)
+    assert code == 2
+    diag = json.loads(out)
+    assert diag["passed"] is False and message in diag["error"]
+
+
+def test_config_lists_and_numbers_read_as_flag_text(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"s": [25, 50.5], "tau_max": 3, "B": 1,
+                                   "tolerances": {"flow_conjugacy_abs": 1}}))
+    cfg = config_from_args(build_parser().parse_args(["flows", "--config", str(cfgfile)]))
+    assert cfg.s == [25.0, 50.5] and cfg.tau_max == 3 and cfg.B == 1.0
+    assert type(cfg.B) is float and cfg.tolerances["flow_conjugacy_abs"] == 1
+
+
 def test_equidistribute_artifacts(tmp_path, capsys):
     code, out = run_cli(["equidistribute", "horocyclic",
                          "--lengths", "20,50", "--out", str(tmp_path),

@@ -104,11 +104,11 @@ def test_cylinder_reduction_interior_identity():
     assert gamma.matrix() == pytest.approx(np.eye(2))
 
 
-def test_cylinder_has_two_fundamental_domains():
-    # reduce_to_domain: 1 <= |z| < e^l; reduce_frame: e^{-l/2} <= |z| <= e^{l/2}
+def test_cylinder_has_one_fundamental_domain():
+    # reduce_to_domain and reduce_frame both land in e^{-l/2} <= |z| <= e^{l/2}
     G, z = gr.cylinder_group(2.0), HPoint(0.1, 0.5)
     red, _ = gr.reduce_to_domain(z, G)
-    assert abs(complex(red.x, red.y)) == pytest.approx(3.7677, abs=1e-4)
+    assert abs(complex(red.x, red.y)) == pytest.approx(0.5099, abs=1e-4)
     sq = math.sqrt(z.y)
     a, b, c, d = G.reduce_frame(sq, z.x / sq, 0.0, 1.0 / sq)
     den = c * c + d * d
@@ -188,8 +188,8 @@ def test_octagon_greedy_steps_decrease_distance():
 
 def _ungated_reduce(moves, a, b, c, d):
     """Frozen 8-move greedy sweep on the frame norm, with no gate."""
-    cur = a * a + b * b + c * c + d * d
-    while cur > gr.REDUCE_THRESHOLD:
+    cur, threshold = a * a + b * b + c * c + d * d, gr.octagon_group().reduce_threshold
+    while cur > threshold:
         best, best_t = cur, None
         for ma, mb, mc, md in moves:
             na = ma * a + mb * c

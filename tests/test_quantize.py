@@ -75,6 +75,13 @@ def test_observable_profiles():
     assert obs.sigma_ft(0.0).imag == 0.0
 
 
+def test_observable_equality_ignores_the_transform_cache():
+    obs, other = qz.Observable(0.2), qz.Observable(0.2)
+    obs.sigma_ft(3.0)
+    assert obs == other
+    assert obs != qz.Observable(0.2, eps=0.1)
+
+
 # --- pair forms ---
 
 
@@ -82,7 +89,7 @@ def test_q_mm_eta_cutoff_gives_zero():
     obs = qz.Observable(eta0=0.2, eps=0.2)
     s = 100.0
     grid = np.linspace(-0.1, 0.1, 201)
-    w = solve_wave(0.0, 0.45, s, "I", grid, 1e-10)
+    w = solve_wave(0.0, 0.45, s, "I", grid)
     # m/s = 0.45 lies outside supp phi1 = [0.1, 0.3]
     assert qz.q_mm(45.0, 45.0, obs, s, grid, w.values, w.values) == 0.0
 
@@ -91,7 +98,7 @@ def test_q_mm_diagonal_factorizes():
     obs = qz.Observable(eta0=0.2, eps=0.2)
     s, m = 100.0, 20.0
     grid = np.linspace(-0.1, 0.1, 401)
-    w = solve_wave(0.0, m / s, s, "I", grid, 1e-10)
+    w = solve_wave(0.0, m / s, s, "I", grid)
     got = qz.q_mm(m, m, obs, s, grid, w.values, w.values)
     beta_int = qz._simpson(obs.phi2(grid) * np.abs(w.values) ** 2,
                            grid[1] - grid[0])
@@ -106,7 +113,7 @@ def test_quad_form_single_frequency_reduces_to_q_mm():
     coeffs = WaveCoeffs(l=L, entries={m: (1.0, 0.0)})
     full = qz.quad_form(coeffs, obs, 0.0, s)
     grid = np.linspace(*obs.beta_support(), 801)
-    w = solve_wave(0.0, m / s, s, "I", grid, 1e-10)
+    w = solve_wave(0.0, m / s, s, "I", grid)
     assert full == pytest.approx(
         qz.q_mm(m, m, obs, s, grid, w.values, w.values), rel=1e-10)
 
@@ -160,11 +167,11 @@ def _quad_form_by_pairs(coeffs, obs, B, s, n_grid):
             pts, f4v = table.Phi(grid), table.f4(grid)
             weight = weight * np.exp(-2.0 * (table.f3(grid)
                                              + tr.wave_norm_shift(B1, mt)))
-        wm = solve_wave(B1, mt, s, "I", pts, 1e-10).values
+        wm = solve_wave(B1, mt, s, "I", pts).values
         for mp, (amp, _) in coeffs.entries.items():
             if abs(mp - m) > qz.default_window(s):
                 continue
-            wmp = solve_wave(B1, mp / s, s, "I", pts, 1e-10).values
+            wmp = solve_wave(B1, mp / s, s, "I", pts).values
             integrand = weight * wm * np.conj(wmp) * np.exp(1j * (m - mp) * f4v)
             total += (am * np.conj(amp) * qz.bump(mt * 0.999)
                       * qz.bump(mp / s * 0.999)
@@ -304,9 +311,9 @@ def test_ascend_coeffs_matches_exact_chain():
     grid = np.linspace(-0.4, 0.4, 81)
     u = WaveCoeffs(l=L, entries={m: (1.0, 0.0)})
     uB = qz.ascend_coeffs(u, s, B)
-    wB = solve_wave(math.floor(B * s) / s, m / s, s, "I", grid, 1e-11)
+    wB = solve_wave(math.floor(B * s) / s, m / s, s, "I", grid)
     approx = uB.entries[m][0] * wB.values
-    exact, _, _ = ascend(m, s, B, grid, tol=1e-11)
+    exact, _, _ = ascend(m, s, B, grid)
     rel = np.max(np.abs(approx - exact.values)) / np.max(np.abs(exact.values))
     assert rel < 10.0 / s
 
@@ -397,8 +404,7 @@ def test_energy_shell_packet_is_sum_of_single_frequencies(s, B1, K, h_param):
     assert abs(whole - parts) <= 1e-8 * abs(parts)
 
 
-def _direct_shell(coeffs, s, B1, profile, h_param=None, beta_cut=2.4, n=8192,
-                  tol=1e-10):
+def _direct_shell(coeffs, s, B1, profile, h_param=None, beta_cut=2.4, n=8192):
     """Frozen direct form: per wave, FFT, multiply, inverse FFT, inner product."""
     if h_param is None:
         h_param = 1.0 / s
@@ -406,7 +412,7 @@ def _direct_shell(coeffs, s, B1, profile, h_param=None, beta_cut=2.4, n=8192,
     h = grid[1] - grid[0]
     taper = qz.bump(grid / beta_cut)
     ms, alpha = qz._packet(coeffs)
-    waves = qz._branch_I(B1, ms / s, s, grid, tol)
+    waves = qz._branch_I(B1, ms / s, s, grid)
     mult = np.asarray(profile(2 * math.pi * np.fft.fftfreq(n, d=h) * h_param),
                       dtype=complex)
     forms = np.empty(len(ms), dtype=complex)
@@ -454,24 +460,21 @@ def test_energy_shell_solves_each_packet_once(monkeypatch):
     qz.energy_shell_test(u, 100.0, 0.0, lambda xi: qz.bump(xi / 0.8))
     qz.energy_shell_test(u, 100.0, 0.0, np.ones_like, h_param=0.02)
     assert len(solves) == 1
-    # a different alpha, l, B1, s or tol: a fresh solve each
+    # a different alpha, l, B1 or s: a fresh solve each
     doubled = WaveCoeffs(l=L, entries={m: (2 * a, b) for m, (a, b) in u.entries.items()})
-    for coeffs, s, B1, kw in [(doubled, 100.0, 0.0, {}),
-                              (WaveCoeffs(l=1.0, entries=u.entries), 100.0, 0.0, {}),
-                              (u, 100.0, 0.5, {}), (u, 120.0, 0.0, {}),
-                              (u, 100.0, 0.0, {"tol": 1e-9})]:
+    for coeffs, s, B1 in [(doubled, 100.0, 0.0), (WaveCoeffs(l=1.0, entries=u.entries), 100.0, 0.0),
+                          (u, 100.0, 0.5), (u, 120.0, 0.0)]:
         before = len(solves)
-        qz.energy_shell_test(coeffs, s, B1, np.ones_like, **kw)
+        qz.energy_shell_test(coeffs, s, B1, np.ones_like)
         assert len(solves) == before + 1
 
 
 def test_energy_shell_spectrum_is_read_only():
     u = qz.geodesic_packet(100.0, 0.2, 2, L)
-    qz.energy_shell_test(u, 100.0, 0.0, np.ones_like, n=256)
+    qz.energy_shell_test(u, 100.0, 0.0, np.ones_like)
     ms, alpha = qz._packet(u)
     spec = qz._shell_spectrum(tuple(ms.tolist()),
-                              tuple((np.abs(alpha) ** 2 * L).tolist()),
-                              100.0, 0.0, 2.4, 256, 1e-10)
+                              tuple((np.abs(alpha) ** 2 * L).tolist()), 100.0, 0.0)
     assert qz._shell_spectrum.cache_info().hits >= 1
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
@@ -492,16 +495,18 @@ def test_energy_shell_first_call_memory():
     assert peak <= 3.5 * 2**20
 
 
-@pytest.mark.parametrize("s, kw", [
-    (100.0, {"beta_cut": -2.4}), (100.0, {"beta_cut": 0.0}),
-    (100.0, {"beta_cut": math.pi}), (100.0, {"beta_cut": math.nan}),
-    (100.0, {"n": 0}), (100.0, {"n": 1}),
+_BAD_SHELL_INPUT = [
     (100.0, {"h_param": math.nan}), (100.0, {"h_param": 0.0}),
     (100.0, {"h_param": -0.01}), (100.0, {"h_param": math.inf}),
     (100.0, {"xi_profile": lambda xi: np.full_like(xi, math.nan)}),
     (100.0, {"xi_profile": lambda xi: 1.0}),
     (100.0, {"xi_profile": lambda xi: np.ones(len(xi) - 1)}),
-    (math.inf, {}), (0.0, {}), (100.0, {"B1": -1.0}), (100.0, {"B1": math.nan})])
+    (math.inf, {}), (0.0, {}), (100.0, {"B1": -1.0}), (100.0, {"B1": math.nan})]
+
+
+# numbered from 6: cases 0-5 rejected the beta_cut and n arguments, now fixed
+@pytest.mark.parametrize("s, kw", _BAD_SHELL_INPUT,
+                         ids=[f"{s}-kw{i}" for i, (s, _) in enumerate(_BAD_SHELL_INPUT, 6)])
 def test_energy_shell_rejects_bad_input_before_solving(monkeypatch, s, kw):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the input checks")

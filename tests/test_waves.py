@@ -139,7 +139,7 @@ def _phi_form_reference(B1, mts, s, w0, dw0, grid, tol=1e-13):
 
 
 @pytest.mark.parametrize("B1", [0.0, 0.5, 8.0])
-@pytest.mark.parametrize("s", [25.0, 100.0, 400.0])
+@pytest.mark.parametrize("s", [25.0, 100.0, pytest.param(400.0, marks=pytest.mark.slow)])
 def test_collocation_kernel_within_1e9_of_dop853_oracle(s, B1):
     # both branches, |mtilde| up to 1/2, grid out to beta = +-1.56
     mts = np.array([-0.5, -0.2, 0.3, 0.5])
@@ -196,9 +196,13 @@ def test_kernel_refines_panels_to_meet_tol(monkeypatch):
     assert np.max(np.abs(values - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
 
 
-def test_kernel_raises_when_tol_is_out_of_reach():
+def test_kernel_raises_when_tol_is_out_of_reach(monkeypatch):
+    rounds = []
+    collocate = W._collocate
+    monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
     with pytest.raises(RuntimeError, match="tol"):
         W.solve_waves(0.5, 0.3, 100.0, 1.0, 1j, GRID, tol=1e-19)
+    assert len(rounds) <= 2  # the first solve and at most one refinement
 
 
 def test_kernel_chunking_changes_no_bit(monkeypatch):
@@ -657,18 +661,6 @@ def test_whittaker_sweep_takes_no_ode_steps(monkeypatch):
     monkeypatch.setattr(W, "solve_ivp", None)
     p = W.WhittakerParams(1, 50.0, 25.0)
     assert W.whittaker_peaks(p, (1.80, 2.05), n_scan=100)
-
-
-def test_whittaker_sweep_checks_tol(monkeypatch):
-    p, ys = W.WhittakerParams(0, 50.0, 25.0), np.linspace(1.8, 2.05, 50)
-    with pytest.raises(ValueError, match="tol"):
-        W._whittaker_sweep(p, ys, tol=0.0)
-    rounds = []
-    collocate = W._collocate
-    monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
-    with pytest.raises(RuntimeError, match="tol"):
-        W._whittaker_sweep(p, ys, tol=1e-19)
-    assert len(rounds) <= 2  # the first solve and at most one refinement
 
 
 def test_whittaker_peaks_memory_is_streamed():
