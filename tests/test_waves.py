@@ -663,6 +663,18 @@ def test_whittaker_sweep_takes_no_ode_steps(monkeypatch):
     assert W.whittaker_peaks(p, (1.80, 2.05), n_scan=100)
 
 
+def test_whittaker_sweep_checks_tol(monkeypatch):
+    # the sweep's fixed tolerance, set out of reach, stops it within one refinement
+    p, ys = W.WhittakerParams(0, 50.0, 25.0), np.linspace(1.8, 2.05, 50)
+    rounds = []
+    collocate = W._collocate
+    monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
+    monkeypatch.setattr(W, "_WHITTAKER_TOL", 1e-19)
+    with pytest.raises(RuntimeError, match="tol"):
+        W._whittaker_sweep(p, ys)
+    assert len(rounds) <= 2  # the first solve and at most one refinement
+
+
 def test_whittaker_peaks_memory_is_streamed():
     # no panel between y0 = 201 and the scan may keep its 32 x 32 system or
     # its node values
