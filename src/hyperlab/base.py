@@ -16,12 +16,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 def gauss_quad(f, a: float, b: float, panels: int = 8):
     """Composite 32-point Gauss-Legendre rule on `panels` equal panels of [a, b].
 
-    f is called once, on the nodes as an array of shape (panels, 32).
+    f is called once, on the nodes as an array of shape (panels, 32), and may
+    return leading axes, (..., panels, 32): the rule sums over the last two
+    axes only, one integral per leading index.
     """
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     return np.sum(half * _GL_WEIGHTS * f(0.5 * (edges[1:] + edges[:-1])[:, None]
-                                         + half * _GL_NODES))
+                                         + half * _GL_NODES), axis=(-2, -1))
 
 
 def Q(B1: float, mtilde: float, beta):

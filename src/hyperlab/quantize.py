@@ -1,28 +1,58 @@
 """Quantization on the hyperbolic cylinder.
 
-Separable observables built from a single plateau bump, the frequency
-quadratic forms q_{m,m'}, windowed assembly into full quadratic forms,
-geodesic-concentrated wave packets, ascension of packet coefficients,
-the measure-transport comparison, and energy-shell localization checks.
+Separable observables built from a single plateau bump, branch-I packets
+as arrays over frequencies, their windowed quadratic forms, geodesic
+packets, ascension of packet coefficients, the measure-transport
+comparison, and energy-shell localization checks.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import transport as tr
 from .base import bump, check_field, gauss_quad  # perfbench traces quantize.gauss_quad
 # solve_wave is re-exported: code that wraps quantize.solve_wave finds it here
-from .waves import WaveCoeffs, branch_ic, c1, solve_wave, solve_waves  # noqa: F401
+from .waves import branch_ic, c1, solve_wave, solve_waves  # noqa: F401
 
 _bump_arr = bump  # the array bump under its former name, called by perfbench
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class WaveCoeffs:
+    """Branch-I packet sum_m alpha_m e^{i m sigma} w^I_m(beta), m in 2*pi*Z/l.
+
+    ms and alpha are read-only 1-D arrays of one shape; ms is finite and
+    strictly increasing, alpha finite.  Only branch I is carried: geodesic
+    packets and their ascension stay on it up to O(1/s^2) per step.
+    """
+
+    l: float
+    ms: np.ndarray
+    alpha: np.ndarray
+
+    def __post_init__(self):
+        ms, alpha = np.array(self.ms, dtype=float), np.array(self.alpha, dtype=complex)
+        if not (0 < self.l < math.inf and ms.ndim == 1 and alpha.shape == ms.shape
+                and np.all(np.isfinite(ms)) and np.all(np.diff(ms) > 0)
+                and np.all(np.isfinite(alpha))):
+            raise ValueError("need finite l > 0, finite strictly increasing 1-D ms and finite "
+                             f"alpha of its shape, got l={self.l}, ms={ms}, alpha={alpha}")
+        for name, arr in (("ms", ms), ("alpha", alpha)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @property
+    def entries(self) -> dict:
+        """{m: (alpha_m, 0j)} in increasing m; read only by perfbench/workloads.py."""
+        return {m: (a, 0j) for m, a in zip(self.ms.tolist(), self.alpha.tolist())}
+
+
+@dataclass(frozen=True)
 class Observable:
     """Separable symbol phi1(eta) phi2(beta) phi3(sigma) with xi cutoff."""
 
@@ -30,7 +60,6 @@ class Observable:
     beta0: float = 0.0
     sigma0: float = 0.0
     eps: float = 0.2
-    _ft_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (all(map(math.isfinite, (self.eta0, self.beta0, self.sigma0)))
@@ -58,23 +87,12 @@ class Observable:
     def beta_support(self) -> tuple[float, float]:
         return (self.beta0 - self.eps / 2, self.beta0 + self.eps / 2)
 
-    def sigma_ft(self, k: float) -> complex:
-        """Fourier transform of phi3 at frequency k: int phi3 e^{ik sigma}."""
-        key = round(k, 12)
-        if key not in self._ft_cache:
-            self._ft_cache[key] = complex(gauss_quad(
-                lambda s_: self.phi3(s_) * np.exp(1j * k * s_),
-                self.sigma0 - self.eps / 2, self.sigma0 + self.eps / 2,
-                max(8, int(abs(k) * self.eps) + 8)))
-        return self._ft_cache[key]
-
-
-def _packet(coeffs: WaveCoeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted frequencies and branch-I coefficients of the nonzero entries."""
-    items = sorted(coeffs.entries.items())
-    ms = np.array([m for m, _ in items], dtype=float)
-    alpha = np.array([a for _, (a, _) in items], dtype=complex)
-    return ms[alpha != 0], alpha[alpha != 0]
+    def sigma_ft(self, k):
+        """int phi3(sigma) e^{ik sigma} at each k: one quadrature, panels for the largest |k|."""
+        k = np.asarray(k, dtype=float)
+        return gauss_quad(lambda s_: self.phi3(s_) * np.exp(1j * k[..., None, None] * s_),
+                          self.sigma0 - self.eps / 2, self.sigma0 + self.eps / 2,
+                          max(8, int(np.max(np.abs(k), initial=0.0) * self.eps) + 8))
 
 
 def _branch_I(B1: float, mts, s: float, grid) -> np.ndarray:
@@ -95,24 +113,14 @@ def _simpson(vals: np.ndarray, h: float):
     return np.sum(w * vals, axis=-1) * h / 3.0
 
 
-def q_mm(m: float, mp: float, obs: Observable, s: float,
-         grid: np.ndarray, wm: np.ndarray, wmp: np.ndarray) -> complex:
-    """Pair form phi1(m/s) FT[phi3](m-m') int phi2(b) w_m conj(w_m')."""
-    p1 = bump((m / s - obs.eta0) / obs.eps)
-    if p1 == 0.0:
-        return 0.0 + 0.0j
-    beta_int = _simpson(obs.phi2(grid) * wm * np.conj(wmp),
-                        grid[1] - grid[0])
-    return p1 * obs.sigma_ft(m - mp) * beta_int
-
-
 def default_window(s: float) -> float:
     return s ** 0.125
 
 
 def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
               freq_window: float | None = None, n_grid: int = 801) -> complex:
-    """Windowed double sum of q_{m,m'} over the coefficient support.
+    """Windowed double sum over pairs (m, m') of the packet's frequencies of
+    alpha_m conj(alpha_m') phi1(m/s) FT[phi3](m-m') int phi2(b) w_m conj(w_m').
 
     For B = 0 this is the plain form against a0; for B > 0 the waves are
     taken at degree [Bs] and weighted by the transported symbol a1, with
@@ -125,17 +133,22 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     if freq_window is None:
         freq_window = default_window(s)
     grid = np.linspace(*obs.beta_support(), n_grid)
-    ms, alpha = _packet(coeffs)
-    ms, alpha = ms[np.abs(ms) <= s / 2], alpha[np.abs(ms) <= s / 2]
+    keep = np.abs(coeffs.ms) <= s / 2
+    ms, alpha = coeffs.ms[keep], coeffs.alpha[keep]
     mts = ms / s
     p1 = obs.phi1(mts)
     p5 = bump(mts * 0.999)
     B1 = math.floor(B * s) / s
     if B1 == 0:
         w_all = _branch_I(0.0, mts, s, grid)
-    pairs = np.zeros((len(ms), len(ms)), dtype=complex)
+    diff = ms[:, None] - ms
+    window = (np.abs(diff) <= freq_window) & (p1 != 0)[:, None]
+    # one transform of each distinct windowed difference; other pairs read k = 0, unused
+    ks, inv = np.unique(np.where(window, diff, 0.0), return_inverse=True)
+    ft = obs.sigma_ft(ks)[inv.reshape(diff.shape)]
+    pairs = np.zeros(diff.shape, dtype=complex)
     for i in np.flatnonzero(p1):
-        near = np.flatnonzero(np.abs(ms - ms[i]) <= freq_window)
+        near = np.flatnonzero(window[i])
         weight = obs.phi2(grid)
         if B1 > 0:
             table = tr.PhaseTable(B=B1, mtilde=mts[i])
@@ -146,10 +159,9 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
             w = _branch_I(B1, mts[near], s, pts)
         else:
             w = w_all[near]
-        ft = np.array([obs.sigma_ft(ms[i] - mp) for mp in ms[near]])
         beta_int = _simpson(weight * w[near == i] * np.conj(w), grid[1] - grid[0])
         pairs[i, near] = (alpha[i] * np.conj(alpha[near]) * p5[i] * p5[near]
-                          * p1[i] * ft * beta_int)
+                          * p1[i] * ft[i, near] * beta_int)
     return complex(np.sum(pairs))
 
 
@@ -163,10 +175,7 @@ def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
     cand = [step * (k0 + j) for j in range(-K - 1, K + 2)]
     cand.sort(key=lambda mu: (abs(mu - eta0 * s), mu))
     ms = sorted(cand[:K])
-    if not ms:
-        raise ValueError("no lattice frequencies selected")
-    alpha = 1.0 / math.sqrt(K)
-    return WaveCoeffs(l=l, entries={m: (alpha, 0.0) for m in ms})
+    return WaveCoeffs(l, ms, np.full(K, 1.0 / math.sqrt(K)))
 
 
 def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
@@ -175,16 +184,9 @@ def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
     n = int(math.floor(B * s))
     if n < 1:
         return coeffs
-    ms = np.array(list(coeffs.entries), dtype=float)
-    alpha, alpha_II = np.array(list(coeffs.entries.values()),
-                               dtype=complex).reshape(-1, 2).T
-    if np.any(alpha_II != 0):
-        raise ValueError("packet ascension needs pure branch-I data")
-    if not np.all(np.isfinite(ms)):
-        raise ValueError("frequencies must be finite")
-    alpha = alpha * np.prod(c1(np.arange(n) / s, ms[:, None] / s, s), axis=1)
-    return WaveCoeffs(l=coeffs.l, entries={m: (a, 0.0) for m, a in
-                                           zip(coeffs.entries, alpha)})
+    ms = coeffs.ms
+    return WaveCoeffs(coeffs.l, ms,
+                      coeffs.alpha * np.prod(c1(np.arange(n) / s, ms[:, None] / s, s), axis=1))
 
 
 def measure_transport_check(s_list, B: float, obs: Observable,
@@ -268,19 +270,17 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
                                  * h_param), dtype=complex)
     if mult.shape != (_SHELL_N,) or not np.all(np.isfinite(mult)):
         raise ValueError(f"xi_profile must return {_SHELL_N} finite values")
-    ms, alpha = _packet(coeffs)
-    spec = _shell_spectrum(tuple(ms.tolist()),
-                           tuple((np.abs(alpha) ** 2 * coeffs.l).tolist()), s, B1)
+    spec = _shell_spectrum(tuple(coeffs.ms.tolist()),
+                           tuple((np.abs(coeffs.alpha) ** 2 * coeffs.l).tolist()), s, B1)
     return complex(np.sum(mult * spec) * _SHELL_STEP)
 
 
 def packet_position_density(coeffs: WaveCoeffs, s: float,
                             betas: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """|u(beta, sigma)|^2 for u = sum alpha_m e^{im sigma} w_m(beta)."""
-    check_field(0.0, s)  # before branch_ic does arithmetic on bad input
-    ms, alpha = _packet(coeffs)
-    waves = alpha[:, None] * _branch_I(0.0, ms / s, s, betas)
-    return np.abs(waves.T @ np.exp(1j * np.outer(ms, sigmas))) ** 2
+    check_field(0.0, s)  # before ms / s divides by it
+    waves = coeffs.alpha[:, None] * _branch_I(0.0, coeffs.ms / s, s, betas)
+    return np.abs(waves.T @ np.exp(1j * np.outer(coeffs.ms, sigmas))) ** 2
 
 
 def limit_geodesic_sigma(eta0: float, sigma_ref: float,

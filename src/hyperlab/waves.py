@@ -70,20 +70,14 @@ class WhittakerParams:
             raise ValueError("frequency a must be positive")
 
 
-@dataclass(frozen=True)
-class WaveCoeffs:
-    """Finite frequency expansion m -> (alpha_m, alpha_m_II), m in 2*pi*Z/l."""
-
-    l: float
-    entries: dict  # m (float) -> (complex, complex)
-
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 + abs(b) ** 2 for a, b in self.entries.values())
-
-
 def branch_ic(B1, mtilde, s: float, branch: str):
-    """Initial data (w(0), w'(0)) pinning the WKB branch at beta = 0."""
+    """Initial data (w(0), w'(0)) pinning the WKB branch at beta = 0; the WKB
+    phases need finite input and Q(B1, mtilde, 0) > 0, checked before any arithmetic."""
+    if not (np.all(np.isfinite(B1)) and np.all(np.isfinite(mtilde)) and np.isfinite(s)):
+        raise ValueError(f"need finite B1, mtilde and s, got B1={B1}, mtilde={mtilde}, s={s}")
     q0 = Q(B1, mtilde, 0.0)
+    if not np.all(q0 > 0):
+        raise ValueError(f"need Q(B1, mtilde, 0) > 0, got B1={B1}, mtilde={mtilde}")
     qp0 = Q_prime(B1, mtilde, 0.0)
     tau = B1 * s
     sign = branch_sign(branch)
@@ -253,7 +247,6 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
 
 def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid) -> CylWave:
     """Solve the separated wave equation for the given WKB branch on a grid."""
-    check_field(B1, s)  # before branch_ic does arithmetic on bad input
     w0, dw0 = branch_ic(B1, mtilde, s, branch)
     return solve_wave_ic(B1, mtilde, s, w0, dw0, grid, branch)
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlab import quantize as qz
 from hyperlab import transport as tr
-from hyperlab.waves import WaveCoeffs, c1, solve_wave
+from hyperlab.quantize import WaveCoeffs
+from hyperlab.waves import c1, solve_wave
 
 L = 2 * math.pi
 
@@ -82,45 +83,102 @@ def test_observable_equality_ignores_the_transform_cache():
     assert obs != qz.Observable(0.2, eps=0.1)
 
 
-# --- pair forms ---
+def test_sigma_ft_on_an_array_matches_the_scalar_calls():
+    obs = qz.Observable(eta0=0.2, sigma0=0.3, eps=0.2)
+    # differences within quad_form's window, which share one 8-panel rule
+    ks = np.array([[-2.0, -1.0, 0.0], [0.5, 1.0, 2.0]])
+    got = obs.sigma_ft(ks)
+    assert got.shape == ks.shape
+    want = np.array([[obs.sigma_ft(k) for k in row] for row in ks])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert obs.sigma_ft(0.0).imag == 0.0
+    # |k| = 9.5 adds a ninth panel for the whole array: the rules differ by
+    # their own error, 5e-15 at k = 0
+    wide = obs.sigma_ft(np.array([0.0, 9.5]))
+    assert np.max(np.abs(wide - [obs.sigma_ft(0.0), obs.sigma_ft(9.5)])) <= 1e-14
 
 
-def test_q_mm_eta_cutoff_gives_zero():
+# --- packet boundary ---
+
+
+@pytest.mark.parametrize("l, ms, alpha", [
+    (-1.0, [20.0], [1.0]), (0.0, [20.0], [1.0]), (math.nan, [20.0], [1.0]),
+    (math.inf, [20.0], [1.0]),
+    (L, [20.0, 21.0], [1.0, math.nan]), (L, [20.0], [complex(1.0, math.inf)]),
+    (L, [math.nan], [1.0]), (L, [20.0, math.inf], [1.0, 1.0]),
+    (L, [21.0, 20.0], [1.0, 1.0]), (L, [20.0, 20.0], [1.0, 1.0]),
+    (L, [20.0, 21.0], [1.0]), (L, [[20.0, 21.0]], [[1.0, 1.0]]), (L, 20.0, 1.0)],
+    ids=["l-negative", "l-zero", "l-nan", "l-inf", "alpha-nan", "alpha-inf", "ms-nan",
+         "ms-inf", "ms-unsorted", "ms-duplicate", "shape-mismatch", "ms-2d", "ms-0d"])
+def test_wave_coeffs_rejects_bad_packets(l, ms, alpha):
+    # l = -1 gave an energy-shell "form" of -1.447, a NaN alpha a NaN form
+    with pytest.raises(ValueError, match="need"):
+        WaveCoeffs(l, ms, alpha)
+
+
+def test_wave_coeffs_are_read_only_copies():
+    ms, alpha = np.array([20.0, 21.0]), np.array([1.0, 0.5])
+    u = WaveCoeffs(L, ms, alpha)
+    ms[0], alpha[0] = 0.0, 0.0
+    assert u.ms.tolist() == [20.0, 21.0] and u.alpha.tolist() == [1.0, 0.5]
+    with pytest.raises(ValueError):
+        u.alpha[0] = 2.0
+
+
+def test_entries_pin_the_dict_read_by_perfbench():
+    u = qz.ascend_coeffs(qz.geodesic_packet(25.0, 0.2, 2, L), 25.0, 8.0)
+    assert u.entries == {m: (a, 0j) for m, a in zip(u.ms, u.alpha)}
+    assert list(u.entries) == sorted(u.entries)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qz.solve_wave(0.0, 1.0, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
+    lambda: qz.solve_wave(0.0, 1.5, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
+    lambda: qz.branch_ic(math.nan, 0.2, 100.0, "I"),
+    lambda: qz.energy_shell_test(WaveCoeffs(L, [150.0], [1.0]), 100.0, 0.0, np.ones_like),
+    lambda: qz.packet_position_density(WaveCoeffs(L, [150.0], [1.0]), 100.0,
+                                       np.zeros(3), np.zeros(2))],
+    ids=["solve-mtilde-1", "solve-mtilde-1.5", "nan-B1", "shell-m-1.5s", "density-m-1.5s"])
+def test_branch_ic_rejects_forbidden_or_non_finite_data(call):
+    # Q(B1, mtilde, 0) <= 0 used to raise RuntimeWarnings from the WKB arithmetic
+    with pytest.raises(ValueError, match="need"):
+        call()
+
+
+# --- quadratic forms ---
+
+
+def test_quad_form_eta_cutoff_gives_zero():
     obs = qz.Observable(eta0=0.2, eps=0.2)
-    s = 100.0
-    grid = np.linspace(-0.1, 0.1, 201)
-    w = solve_wave(0.0, 0.45, s, "I", grid)
     # m/s = 0.45 lies outside supp phi1 = [0.1, 0.3]
-    assert qz.q_mm(45.0, 45.0, obs, s, grid, w.values, w.values) == 0.0
+    assert qz.quad_form(WaveCoeffs(L, [45.0], [1.0]), obs, 0.0, 100.0, n_grid=201) == 0.0
 
 
-def test_q_mm_diagonal_factorizes():
+def test_quad_form_single_frequency_factorizes():
     obs = qz.Observable(eta0=0.2, eps=0.2)
     s, m = 100.0, 20.0
     grid = np.linspace(-0.1, 0.1, 401)
-    w = solve_wave(0.0, m / s, s, "I", grid)
-    got = qz.q_mm(m, m, obs, s, grid, w.values, w.values)
-    beta_int = qz._simpson(obs.phi2(grid) * np.abs(w.values) ** 2,
-                           grid[1] - grid[0])
+    w = qz._branch_I(0.0, np.array([m / s]), s, grid)[0]
+    got = qz.quad_form(WaveCoeffs(L, [m], [1.0]), obs, 0.0, s, n_grid=401)
+    beta_int = qz._simpson(obs.phi2(grid) * np.abs(w) ** 2, grid[1] - grid[0])
     expect = 1.0 * obs.sigma_ft(0.0) * beta_int
     assert got == pytest.approx(expect, rel=1e-12)
     assert got.imag == pytest.approx(0.0, abs=1e-12)
 
 
-def test_quad_form_single_frequency_reduces_to_q_mm():
+def test_quad_form_single_frequency_matches_single_wave_solve():
     obs = qz.Observable(eta0=0.2, eps=0.2)
     s, m = 100.0, 20.0
-    coeffs = WaveCoeffs(l=L, entries={m: (1.0, 0.0)})
-    full = qz.quad_form(coeffs, obs, 0.0, s)
+    full = qz.quad_form(WaveCoeffs(L, [m], [1.0]), obs, 0.0, s)
     grid = np.linspace(*obs.beta_support(), 801)
     w = solve_wave(0.0, m / s, s, "I", grid)
-    assert full == pytest.approx(
-        qz.q_mm(m, m, obs, s, grid, w.values, w.values), rel=1e-10)
+    assert full == pytest.approx(obs.sigma_ft(0.0) * qz._simpson(
+        obs.phi2(grid) * w.values * np.conj(w.values), grid[1] - grid[0]), rel=1e-10)
 
 
 def test_quad_form_empty_window():
     obs = qz.Observable(eta0=0.2, eps=0.2)
-    coeffs = WaveCoeffs(l=L, entries={})
+    coeffs = WaveCoeffs(L, [], [])
     assert qz.quad_form(coeffs, obs, 0.0, 100.0) == 0.0
 
 
@@ -129,10 +187,9 @@ def test_quad_form_real_observable_hermitian():
     rng = np.random.default_rng(9)
     s = 100.0
     ms = [18.0, 19.0, 20.0, 21.0, 22.0]
-    entries = {m: (complex(rng.normal(), rng.normal()), 0.0) for m in ms}
-    coeffs = WaveCoeffs(l=L, entries=entries)
+    coeffs = WaveCoeffs(L, ms, [complex(rng.normal(), rng.normal()) for _ in ms])
     val = qz.quad_form(coeffs, obs, 0.0, s)
-    assert abs(val.imag) < 1e-8 * coeffs.norm_sq()
+    assert abs(val.imag) < 1e-8 * np.sum(np.abs(coeffs.alpha) ** 2)
 
 
 def test_quad_form_faraway_pairs_small():
@@ -159,7 +216,7 @@ def _quad_form_by_pairs(coeffs, obs, B, s, n_grid):
     grid = np.linspace(*obs.beta_support(), n_grid)
     B1 = math.floor(B * s) / s
     total = 0j
-    for m, (am, _) in coeffs.entries.items():
+    for m, am in zip(coeffs.ms, coeffs.alpha):
         mt = m / s
         pts, weight, f4v = grid, obs.phi2(grid), np.zeros_like(grid)
         if B1 > 0:
@@ -168,7 +225,7 @@ def _quad_form_by_pairs(coeffs, obs, B, s, n_grid):
             weight = weight * np.exp(-2.0 * (table.f3(grid)
                                              + tr.wave_norm_shift(B1, mt)))
         wm = solve_wave(B1, mt, s, "I", pts).values
-        for mp, (amp, _) in coeffs.entries.items():
+        for mp, amp in zip(coeffs.ms, coeffs.alpha):
             if abs(mp - m) > qz.default_window(s):
                 continue
             wmp = solve_wave(B1, mp / s, s, "I", pts).values
@@ -210,17 +267,17 @@ def test_quad_form_rejects_bad_field(B):
 
 def test_packet_single_harmonic():
     u = qz.geodesic_packet(100.0, 0.2, 1, L)
-    assert list(u.entries.keys()) == [20.0]
-    assert u.entries[20.0][0] == 1.0
+    assert u.ms.tolist() == [20.0]
+    assert u.alpha.tolist() == [1.0]
 
 
 def test_packet_normalization_and_lattice():
     u = qz.geodesic_packet(250.0, 0.2, 20, L)
-    assert u.norm_sq() == pytest.approx(1.0, abs=1e-12)
-    for m in u.entries:
+    assert np.sum(np.abs(u.alpha) ** 2) == pytest.approx(1.0, abs=1e-12)
+    for m in u.ms:
         assert m == pytest.approx(round(m * L / (2 * math.pi))
                                   * 2 * math.pi / L, abs=1e-9)
-    assert len(u.entries) == 20
+    assert len(u.ms) == 20
 
 
 def test_packet_rejects_bad_input():
@@ -298,8 +355,9 @@ def test_ascend_coeffs_modulus_matches_b7():
     s, B = 400.0, 0.5
     u = qz.geodesic_packet(s, 0.2, 5, L)
     uB = qz.ascend_coeffs(u, s, B)
-    for m in u.entries:
-        ratio = abs(uB.entries[m][0]) / abs(u.entries[m][0])
+    assert uB.ms.tolist() == u.ms.tolist()
+    for m, a, aB in zip(u.ms, u.alpha, uB.alpha):
+        ratio = abs(aB) / abs(a)
         assert ratio == pytest.approx(math.exp(tr.b7(B, m / s)),
                                       abs=10.0 / s)
 
@@ -309,10 +367,10 @@ def test_ascend_coeffs_matches_exact_chain():
 
     s, B, m = 100.0, 0.5, 20.0
     grid = np.linspace(-0.4, 0.4, 81)
-    u = WaveCoeffs(l=L, entries={m: (1.0, 0.0)})
+    u = WaveCoeffs(L, [m], [1.0])
     uB = qz.ascend_coeffs(u, s, B)
     wB = solve_wave(math.floor(B * s) / s, m / s, s, "I", grid)
-    approx = uB.entries[m][0] * wB.values
+    approx = uB.alpha[0] * wB.values
     exact, _, _ = ascend(m, s, B, grid)
     rel = np.max(np.abs(approx - exact.values)) / np.max(np.abs(exact.values))
     assert rel < 10.0 / s
@@ -322,26 +380,19 @@ def test_ascend_coeffs_matches_loop_product():
     s, B = 25.0, 8.0
     u = qz.geodesic_packet(s, 0.2, 4, L)
     uB = qz.ascend_coeffs(u, s, B)
-    for m, (a, _) in u.entries.items():
+    assert uB.ms.tolist() == u.ms.tolist()
+    for m, a, aB in zip(u.ms, u.alpha, uB.alpha):
         prod = 1.0 + 0j
         for tau in range(int(math.floor(B * s))):
             prod *= c1(tau / s, m / s, s)
-        assert abs(uB.entries[m][0] - a * prod) <= 1e-12 * abs(a * prod)
+        assert abs(aB - a * prod) <= 1e-12 * abs(a * prod)
 
 
 @pytest.mark.parametrize("s, B", [(100.0, -1.0), (100.0, np.nan),
                                   (100.0, np.inf), (0.0, 0.5), (np.nan, 0.5)])
 def test_ascend_coeffs_rejects_bad_input(s, B):
     with pytest.raises(ValueError):
-        qz.ascend_coeffs(WaveCoeffs(l=L, entries={20.0: (1.0, 0.0)}), s, B)
-    with pytest.raises(ValueError):
-        qz.ascend_coeffs(WaveCoeffs(l=L, entries={np.nan: (1.0, 0.0)}), 100.0, 0.5)
-
-
-def test_ascend_coeffs_rejects_mixed_branches():
-    u = WaveCoeffs(l=L, entries={20.0: (1.0, 0.5)})
-    with pytest.raises(ValueError):
-        qz.ascend_coeffs(u, 100.0, 0.5)
+        qz.ascend_coeffs(WaveCoeffs(L, [20.0], [1.0]), s, B)
 
 
 # --- measure transport ---
@@ -398,9 +449,9 @@ def test_energy_shell_packet_is_sum_of_single_frequencies(s, B1, K, h_param):
         u = qz.ascend_coeffs(u, s, B1)
     profile = lambda xi: qz._bump_arr((xi - 1.0) / 2.0)  # noqa: E731
     whole = qz.energy_shell_test(u, s, B1, profile, h_param=h_param)
-    parts = sum(qz.energy_shell_test(WaveCoeffs(l=L, entries={m: e}), s, B1,
+    parts = sum(qz.energy_shell_test(WaveCoeffs(L, [m], [a]), s, B1,
                                      profile, h_param=h_param)
-                for m, e in u.entries.items())
+                for m, a in zip(u.ms, u.alpha))
     assert abs(whole - parts) <= 1e-8 * abs(parts)
 
 
@@ -411,7 +462,7 @@ def _direct_shell(coeffs, s, B1, profile, h_param=None, beta_cut=2.4, n=8192):
     grid = np.linspace(-beta_cut / 2, beta_cut / 2, n, endpoint=False)
     h = grid[1] - grid[0]
     taper = qz.bump(grid / beta_cut)
-    ms, alpha = qz._packet(coeffs)
+    ms, alpha = coeffs.ms, coeffs.alpha
     waves = qz._branch_I(B1, ms / s, s, grid)
     mult = np.asarray(profile(2 * math.pi * np.fft.fftfreq(n, d=h) * h_param),
                       dtype=complex)
@@ -461,8 +512,8 @@ def test_energy_shell_solves_each_packet_once(monkeypatch):
     qz.energy_shell_test(u, 100.0, 0.0, np.ones_like, h_param=0.02)
     assert len(solves) == 1
     # a different alpha, l, B1 or s: a fresh solve each
-    doubled = WaveCoeffs(l=L, entries={m: (2 * a, b) for m, (a, b) in u.entries.items()})
-    for coeffs, s, B1 in [(doubled, 100.0, 0.0), (WaveCoeffs(l=1.0, entries=u.entries), 100.0, 0.0),
+    for coeffs, s, B1 in [(WaveCoeffs(L, u.ms, 2 * u.alpha), 100.0, 0.0),
+                          (WaveCoeffs(1.0, u.ms, u.alpha), 100.0, 0.0),
                           (u, 100.0, 0.5), (u, 120.0, 0.0)]:
         before = len(solves)
         qz.energy_shell_test(coeffs, s, B1, np.ones_like)
@@ -472,9 +523,8 @@ def test_energy_shell_solves_each_packet_once(monkeypatch):
 def test_energy_shell_spectrum_is_read_only():
     u = qz.geodesic_packet(100.0, 0.2, 2, L)
     qz.energy_shell_test(u, 100.0, 0.0, np.ones_like)
-    ms, alpha = qz._packet(u)
-    spec = qz._shell_spectrum(tuple(ms.tolist()),
-                              tuple((np.abs(alpha) ** 2 * L).tolist()), 100.0, 0.0)
+    spec = qz._shell_spectrum(tuple(u.ms.tolist()),
+                              tuple((np.abs(u.alpha) ** 2 * L).tolist()), 100.0, 0.0)
     assert qz._shell_spectrum.cache_info().hits >= 1
     assert not spec.flags.writeable
     with pytest.raises(ValueError):
