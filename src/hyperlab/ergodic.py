@@ -21,6 +21,7 @@ from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
 from .groups import _COSH_R, FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
+_CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of ungated steps
 _COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
 
 
@@ -48,9 +49,29 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     rounding-sensitive: a 1e-15 shift of the start moves the B = 5
     discrepancy from 0.0077 to 0.0092.  Two passes give those bits:
 
-    1. The float loop runs every step but keeps only the restarts, the
-       frames that are not fl(F S) of the frame before: the start, each
-       step whose reduction moved the frame, and each renormalization.
+    1. A float loop keeps only the restarts, the frames that are not
+       fl(F S) of the frame before: the start, each step whose reduction
+       moved the frame, and each renormalization.  A frame past the
+       |F|^2 gate reads the unit Dirichlet forms before `reduce_frame`:
+       each is sinh of the signed distance to its side, and a step moves
+       F i by exactly delta = d(i, S i).  With g the smallest, the frame
+       and the next k = floor((asinh g - margin) / delta) frames lie
+       margin inside every side, where every float form is > 1e-9 and
+       the reduction gives back its frame: those steps run as bare
+       F <- fl(F S), clipped at the renormalization edge, and only the
+       frames within margin of a side are reduced (6,228 `reduce_frame`
+       calls for 291,403, horocyclic, seed 7, length 1e4).
+
+       margin = asinh(1e-6 / min norm) + 1e-8 max_j |u_j|_1 over the unit
+       forms u_j: every form is >= 1e-6 there, 1000 times the 1e-9 test,
+       and the second term (|u_j|_1 >= 1) bounds the rounding while
+       |F|^2 |S|^2 < 1e3 over the chunk (checked at its start, as |F|^2
+       grows at most e^{k delta} <= 2g + 1; past it every frame is
+       reduced as before): g and the forms are exact to 6u |f|_1 |F|^2
+       (u = 2^-53), det F to 1e-10, and each of <= 1000 products moves
+       F i at most 3.5u |F|^2 |S|^2 past delta, < 1e-9 in all.  delta is
+       2 asinh(|(sa - sd, sb + sc)| / (2 sqrt(det S))) of the float S,
+       with det S lowered by its rounding and a 1e-9 relative slack.
     2. Between two restarts the frames are F <- fl(F S), so all segments
        (at most 1000 steps each) are replayed in lockstep on arrays,
        longest first, and each sample is formed straight into the output.
@@ -62,27 +83,14 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
             and 0 < step < math.inf):
         raise ValueError("need finite B >= 0, length >= 0 and step > 0")
     group = group or octagon_group()
-    reduce, threshold = group.reduce_frame, group.reduce_threshold
-    sa, sb, sc, sd = map(float, flow_step(kind, B, step).ravel())
-    a, b, c, d = reduce(*map(float, frame_of(v0).ravel()))
+    step_matrix = tuple(map(float, flow_step(kind, B, step).ravel()))
+    sa, sb, sc, sd = step_matrix
+    a, b, c, d = map(float, frame_of(v0).ravel())
+    if not math.isfinite(a * a + b * b + c * c + d * d):
+        raise ValueError(f"cannot reduce the start frame {(a, b, c, d)}: "
+                         "need a finite base point whose |F|^2 does not overflow")
     n = int(round(length / step))
-    starts, frames = [0], [a, b, c, d]  # pass 1: the restarts
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
-        for i in range(start, stop):
-            a, b = a * sa + b * sc, a * sb + b * sd
-            c, d = c * sa + d * sc, c * sb + d * sd
-            if a * a + b * b + c * c + d * d > threshold:
-                r = reduce(a, b, c, d)
-                if r != (a, b, c, d):
-                    a, b, c, d = r
-                    starts.append(i)
-                    frames.extend(r)
-        if stop - start == _BLOCK:  # a reduction restart on this step becomes an empty segment
-            f = 1.0 / math.sqrt(a * d - b * c)
-            a, b, c, d = a * f, b * f, c * f, d * f
-            starts.append(stop - 1)
-            frames.extend((a, b, c, d))
+    starts, frames = _restarts(group, step_matrix, group.reduce_frame(a, b, c, d), n)
     starts = np.array(starts)  # pass 2: the segments in lockstep
     lens = np.diff(starts, append=n + 1)
     order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
@@ -100,6 +108,56 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
     return OrbitSample(kind, B, step, length, *out)
+
+
+def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) -> tuple:
+    """Pass 1 of `sample_orbit`: the restart steps and their frames, flat."""
+    reduce, threshold = group.reduce_frame, group.reduce_threshold
+    units = group.unit_dirichlet_forms
+    margin = (math.asinh(1e-6 / min(group.dirichlet_norms)) + 1e-11 * _CHUNK_CAP
+              * max(abs(u) + abs(v) + abs(w) for u, v, w in units))
+    lo = math.sinh(margin)
+    sa, sb, sc, sd = step_matrix
+    det = sa * sd - sb * sc - 1e-15 * (abs(sa * sd) + abs(sb * sc))
+    delta = (2.0 * math.asinh(math.hypot(sa - sd, sb + sc) / (2.0 * math.sqrt(det)))
+             * (1.0 + 1e-9) if det > 0 else math.inf)
+    reach = 1.0 / max(delta, 1e-300)  # steps per unit distance; a step that fixes i has delta 0
+    cap = _CHUNK_CAP / (sa * sa + sb * sb + sc * sc + sd * sd)
+    a, b, c, d = frame
+    starts, frames = [0], [a, b, c, d]
+    for start in range(1, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        i = start
+        while i < stop:
+            a, b = a * sa + b * sc, a * sb + b * sd
+            c, d = c * sa + d * sc, c * sb + d * sd
+            if a * a + b * b + c * c + d * d > threshold:
+                p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
+                g = math.inf  # the smallest unit form: sinh of the distance to the nearest side
+                for u, v, w in units:
+                    x = u * p + v * q + w * r
+                    if x < g:
+                        g = x
+                if g > lo and (p + r) * (2.0 * g + 1.0) < cap:  # False for a non-finite frame
+                    k = (math.asinh(g) - margin) * reach  # reduce would keep this frame and the next k
+                    k = stop - 1 - i if k >= stop - 1 - i else int(k)
+                    for _ in range(k):
+                        a, b = a * sa + b * sc, a * sb + b * sd
+                        c, d = c * sa + d * sc, c * sb + d * sd
+                    i += k
+                else:
+                    rf = reduce(a, b, c, d)
+                    if rf != (a, b, c, d):
+                        a, b, c, d = rf
+                        starts.append(i)
+                        frames.extend(rf)
+            i += 1
+        if stop - start == _BLOCK:  # a reduction restart on this step becomes an empty segment
+            f = 1.0 / math.sqrt(a * d - b * c)
+            a, b, c, d = a * f, b * f, c * f, d * f
+            starts.append(stop - 1)
+            frames.extend((a, b, c, d))
+    return starts, frames
 
 
 def birkhoff_average(orbit: OrbitSample, f) -> float:

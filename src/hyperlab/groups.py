@@ -70,6 +70,20 @@ class FuchsianGroup:
                  mb * mb + md * md - 1.0) for ma, mb, mc, md in self.moves]
 
     @cached_property
+    def dirichlet_norms(self) -> list[float]:
+        """Minkowski norm sqrt((fp - fr)^2 + fq^2 - (fp + fr)^2) of each Dirichlet form,
+        4 sinh(D/2) = 2 sqrt(|M|^2 - 2) for a move M carrying i a distance D, evaluated
+        without the cancellation of the squares."""
+        return [2.0 * math.hypot(ma - md, mb + mc) for ma, mb, mc, md in self.moves]
+
+    @cached_property
+    def unit_dirichlet_forms(self) -> list[tuple[float, float, float]]:
+        """Each Dirichlet form divided by its norm: on a unit-determinant frame it
+        reads sinh of the signed distance from F i to its side (positive inside)."""
+        return [(fp / n, fq / n, fr / n)
+                for (fp, fq, fr), n in zip(self.dirichlet_forms, self.dirichlet_norms)]
+
+    @cached_property
     def reduce_threshold(self) -> float:
         """|F|^2 = 2 cosh d(F i, i) past which reduction engages: sqrt(|M|^2 + 2) = 2 cosh(l/2)
         for the move M of shortest translation l."""

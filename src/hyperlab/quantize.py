@@ -179,8 +179,12 @@ def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
 
 
 def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
-    """Multiply each alpha_m by the product of transfer coefficients."""
+    """Multiply each alpha_m by the product of transfer coefficients; every
+    frequency must satisfy |m| <= s/2, the range `quad_form` keeps."""
     check_field(B, s)
+    if np.any(np.abs(coeffs.ms) > s / 2):
+        raise ValueError(f"need |m| <= s/2 = {s / 2} for every frequency, "
+                         f"got max |m| = {np.max(np.abs(coeffs.ms))}")
     n = int(math.floor(B * s))
     if n < 1:
         return coeffs
@@ -200,7 +204,8 @@ def measure_transport_check(s_list, B: float, obs: Observable,
     for s in s_list:
         u0 = geodesic_packet(s, eta0, K, l)
         lhs = quad_form(u0, obs, 0.0, s, n_grid=n_grid)
-        uB = ascend_coeffs(u0, s, B)
+        keep = np.abs(u0.ms) <= s / 2  # the frequencies quad_form uses (K = 20 at s = 25 has more)
+        uB = ascend_coeffs(WaveCoeffs(l, u0.ms[keep], u0.alpha[keep]), s, B)
         rhs = quad_form(uB, obs, B, s, n_grid=n_grid)
         denom = abs(lhs) if lhs != 0 else 1.0
         rows.append({

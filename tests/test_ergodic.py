@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperlab import ergodic
 from hyperlab.base import bump
@@ -15,8 +16,8 @@ from hyperlab.ergodic import (OrbitSample, birkhoff_average,
 from hyperlab.geometry import (HPoint, TangentVec, flow_step, frame_of,
                                hypercyclic_flow, hyperbolic_distance,
                                mobius_apply_vec, mobius_from_matrix, scale)
-from hyperlab.groups import (_COSH_HALF_T, cylinder_group, octagon_group,
-                             reduce_to_domain)
+from hyperlab.groups import (_COSH_HALF_T, _COSH_R, FuchsianGroup, cylinder_group,
+                             octagon_group, reduce_to_domain)
 
 
 V0 = seeded_unit_vector(7)
@@ -252,10 +253,10 @@ def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
     return xs, ys, ths
 
 
-def _on_side_start():
-    # midpoint of octagon side 1 (disk direction pi/4, at the apothem),
-    # pointing along the side
-    w = math.tanh(math.acosh(_COSH_HALF_T) / 2) * np.exp(1j * math.pi / 4)
+def _on_side_start(inside=0.0):
+    # midpoint of octagon side 1 (disk direction pi/4, at the apothem), or the
+    # point `inside` from it towards the centre, pointing along the side
+    w = math.tanh((math.acosh(_COSH_HALF_T) - inside) / 2) * np.exp(1j * math.pi / 4)
     z = 1j * (1 + w) / (1 - w)
     dz = 1j * w / abs(w) * (2j / (1 - w) ** 2)  # tangent to the side at z
     dz *= z.imag / abs(dz)
@@ -276,10 +277,10 @@ def test_orbit_is_bit_identical_to_sequential_loop(kind, B):
     assert np.array_equal(orbit.thetas, ths)
 
 
-def _assert_matches_oracle(v0, kind, length, B=0.0):
-    orbit = sample_orbit(v0, kind, length, B=B)
-    xs, ys, ths = _sequential_orbit(v0, kind, length, B=B)
-    assert len(orbit.xs) == int(round(length / 1e-2)) + 1
+def _assert_matches_oracle(v0, kind, length, B=0.0, step=1e-2):
+    orbit = sample_orbit(v0, kind, length, B=B, step=step)
+    xs, ys, ths = _sequential_orbit(v0, kind, length, B=B, step=step)
+    assert len(orbit.xs) == int(round(length / step)) + 1
     for got, want in zip((orbit.xs, orbit.ys, orbit.thetas), (xs, ys, ths)):
         assert got.tobytes() == want.tobytes()
     return orbit
@@ -304,6 +305,101 @@ def test_replay_matches_sequential_loop_with_a_sweep_on_a_renormalization_step(l
     jump = hyperbolic_distance(HPoint(orbit.xs[999], orbit.ys[999]),
                                HPoint(orbit.xs[1000], orbit.ys[1000]))
     assert jump > 1.0  # a side pairing, not a flow step of 0.051
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["geodesic", "horocyclic", "hypercyclic"]),
+       B=st.floats(0.0, 20.0), step=st.floats(1e-3, 0.2), n=st.integers(0, 2100))
+def test_chunked_orbit_is_bit_identical_to_sequential_loop(seed, kind, B, step, n):
+    # large steps (and fields) make the ungated chunks short or empty
+    _assert_matches_oracle(seeded_unit_vector(seed), kind, n * step, B=B, step=step)
+
+
+def _vertex_start(inside=0.0):
+    # on octagon vertex 0 (disk direction pi/8), or `inside` from it towards
+    # the centre, pointing into the octagon
+    w = math.tanh((math.acosh(_COSH_R) - inside) / 2) * np.exp(1j * math.pi / 8)
+    z = 1j * (1 + w) / (1 - w)
+    return TangentVec(HPoint(z.real, z.imag), -z.real, 1.0 - z.imag)
+
+
+@pytest.mark.parametrize("start", ["vertex", "side"])
+@pytest.mark.parametrize("kind, B", [("geodesic", 0.0), ("horocyclic", 0.0),
+                                     ("hypercyclic", 5.0)])
+def test_orbit_from_a_vertex_or_within_the_margin_of_a_side_is_exact(start, kind, B):
+    # 1e-7 inside a side is within the chunk margin (1.6e-7 for the octagon)
+    v0 = _vertex_start() if start == "vertex" else _on_side_start(inside=1e-7)
+    _assert_matches_oracle(v0, kind, 25.37, B=B)
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "horocyclic", "hypercyclic"])
+def test_a_step_whose_float_matrix_fixes_i_is_exact(kind):
+    # at step 1e-17 the float step matrix fixes i, so delta = 0; the start is
+    # past the |F|^2 gate and 0.3 inside the octagon
+    _assert_matches_oracle(_vertex_start(inside=0.3), kind, 50e-17, B=2.0, step=1e-17)
+
+
+def _gated_restarts(group, step_matrix, frame, n):
+    """Frozen pass 1 with the per-step |F|^2 gate: the restarts to reproduce."""
+    reduce, threshold = group.reduce_frame, group.reduce_threshold
+    sa, sb, sc, sd = step_matrix
+    a, b, c, d = frame
+    starts, frames = [0], [a, b, c, d]
+    for start in range(1, n + 1, 1000):
+        stop = min(start + 1000, n + 1)
+        for i in range(start, stop):
+            a, b = a * sa + b * sc, a * sb + b * sd
+            c, d = c * sa + d * sc, c * sb + d * sd
+            if a * a + b * b + c * c + d * d > threshold:
+                r = reduce(a, b, c, d)
+                if r != (a, b, c, d):
+                    a, b, c, d = r
+                    starts.append(i)
+                    frames.extend(r)
+        if stop - start == 1000:
+            f = 1.0 / math.sqrt(a * d - b * c)
+            a, b, c, d = a * f, b * f, c * f, d * f
+            starts.append(stop - 1)
+            frames.extend((a, b, c, d))
+    return starts, frames
+
+
+def test_ungated_chunks_keep_the_restarts_with_few_reductions(monkeypatch):
+    # the per-step gate called reduce_frame 30,674 times on this orbit, the chunks 642
+    group = octagon_group()
+    step_matrix = tuple(map(float, flow_step("horocyclic", 0.0, 1e-2).ravel()))
+    frame = group.reduce_frame(*map(float, frame_of(V0).ravel()))
+    want = _gated_restarts(group, step_matrix, frame, 100_000)
+    calls = []
+    reduce = FuchsianGroup.reduce_frame
+    monkeypatch.setattr(FuchsianGroup, "reduce_frame",
+                        lambda self, *frame: calls.append(1) or reduce(self, *frame))
+    sample_orbit(V0, "horocyclic", 1e3, group=group)
+    assert 0 < len(calls) <= 5000
+    assert ergodic._restarts(group, step_matrix, frame, 100_000) == want
+    assert len(want[0]) == 742  # 100 renormalizations and 641 side crossings
+
+
+@pytest.mark.parametrize("x", [math.nan, 1e200])
+def test_sample_orbit_rejects_a_start_it_cannot_reduce(x):
+    # a NaN base point gave an all-NaN orbit; at x = 1e200 |F|^2 overflowed,
+    # reduce_frame gave up and no sample lay in the domain
+    with pytest.raises(ValueError, match="start frame"):
+        sample_orbit(TangentVec(HPoint(x, 1.0), 0.0, 1.0), "horocyclic", 1.0)
+
+
+def test_unit_dirichlet_forms_read_sinh_of_the_distance_to_each_side():
+    # at F = I (p = r = 1, q = 0) every octagon side is an apothem away
+    for u, v, w in octagon_group().unit_dirichlet_forms:
+        assert u + w == pytest.approx(math.sqrt(_COSH_HALF_T ** 2 - 1), rel=1e-12)
+    # the strip e^{-1/2} <= |z| <= e^{1/2} seen from i e^{0.2}
+    t, group = 0.2, cylinder_group(1.0)
+    vals = sorted(u * math.exp(t) + w * math.exp(-t) for u, v, w in group.unit_dirichlet_forms)
+    assert vals == pytest.approx([math.sinh(0.5 - t), math.sinh(0.5 + t)], rel=1e-12)
+    # 4 sinh(l/2) with no cancellation of the 1e40-sized squares
+    assert cylinder_group(46.0).dirichlet_norms == pytest.approx([4 * math.sinh(23.0)] * 2,
+                                                                 rel=1e-12)
 
 
 def test_sample_orbit_memory_peak_is_at_most_twice_its_output():

@@ -395,6 +395,24 @@ def test_ascend_coeffs_rejects_bad_input(s, B):
         qz.ascend_coeffs(WaveCoeffs(L, [20.0], [1.0]), s, B)
 
 
+@pytest.mark.parametrize("m", [60.0, -60.0, 150.0])
+def test_ascend_coeffs_rejects_a_frequency_past_half_s(m):
+    # m = 60 at s = 100 ascended to 0.748+0.540j; m = 150 took the root of a negative D
+    with pytest.raises(ValueError, match="s/2"):
+        qz.ascend_coeffs(WaveCoeffs(L, sorted([20.0, m]), [1.0, 1.0]), 100.0, 0.5)
+    assert np.isfinite(qz.ascend_coeffs(WaveCoeffs(L, [50.0], [1.0]), 100.0, 0.5).alpha).all()
+
+
+def test_measure_transport_ascends_only_the_frequencies_the_form_keeps():
+    # at s = 25 the 20-frequency packet reaches m = 14 > s/2, which quad_form drops
+    obs = qz.Observable(eta0=0.2, eps=0.2)
+    u0 = qz.geodesic_packet(25.0, 0.2, 20, L)
+    assert u0.ms.max() > 12.5
+    (row,) = qz.measure_transport_check([25.0], 0.5, obs, K=20, l=L, n_grid=101)
+    assert complex(row["lhs_re"], row["lhs_im"]) == qz.quad_form(u0, obs, 0.0, 25.0, n_grid=101)
+    assert math.isfinite(row["rel_diff"])
+
+
 # --- measure transport ---
 
 
