@@ -34,11 +34,11 @@ def modulus_errors(B, mtilde, s_list):
         B1 = math.floor(B * s) / s
         table = tr.PhaseTable(B=B1, mtilde=mtilde)
         pts = table.Phi(grid)
-        _, closed, _ = W.ascend(mtilde * s, s, B, pts)
-        w0 = W.solve_wave(0.0, mtilde, s, "I", grid)
+        # one solve: the ascended wave at Phi(beta), the base wave w0 at beta
+        _, closed, _, w0 = W.ascend(mtilde * s, s, B, np.r_[pts, grid])
         f3s = table.f3(grid, pts)
-        pred = np.abs(w0.values) * np.exp(f3s + tr.wave_norm_shift(B1, mtilde))
-        errs[s] = float(np.max(np.abs(np.abs(closed) / pred - 1.0)))
+        pred = np.abs(w0.values[len(grid):]) * np.exp(f3s + tr.wave_norm_shift(B1, mtilde))
+        errs[s] = float(np.max(np.abs(np.abs(closed[:len(grid)]) / pred - 1.0)))
     return errs
 
 

@@ -74,7 +74,7 @@ def main():
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
-            values, derivs = solve_waves(B1, mts, s, w0, dw0, grid, tol=1e-10)
+            values, derivs = solve_waves(B1, mts, s, w0, dw0, grid)
             times.append(time.perf_counter() - t0)
         per_wave = 1e3 * float(np.median(times)) / len(mts)
         err = "-"

@@ -138,7 +138,7 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
 
 def cmd_ascend(cfg: RunConfig) -> dict:
     from .transport import wave_norm_shift
-    from .waves import ascend, solve_wave
+    from .waves import ascend
 
     if len(cfg.s) != 1:
         raise ValueError(f"ascend takes exactly one --s value, got {cfg.s}")
@@ -146,8 +146,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
     s = cfg.s[0]
     m = cfg.eta0 * s
     grid = np.linspace(-1.0, 1.0, 401)
-    exact, closed, prod = ascend(m, s, cfg.B, grid)
-    base = solve_wave(0.0, m / s, s, "I", grid)
+    exact, closed, prod, base = ascend(m, s, cfg.B, grid)
     _write_csv(out / "ascend_wave.csv",
                ["beta", "re_omega", "im_omega", "re_closed", "im_closed",
                 "re_w0", "im_w0"],

@@ -96,10 +96,8 @@ class Observable:
 
 
 def _branch_I(B1: float, mts, s: float, grid) -> np.ndarray:
-    """Branch-I wave values of every frequency in mts, one row each, to the packet
-    tolerance 1e-10."""
-    return solve_waves(B1, mts, s, *branch_ic(B1, mts, s, "I"), grid, 1e-10,
-                       derivs=False)[0]
+    """Branch-I wave values of every frequency in mts, one row each."""
+    return solve_waves(B1, mts, s, *branch_ic(B1, mts, s, "I"), grid, derivs=False)[0]
 
 
 def _simpson(vals: np.ndarray, h: float):
@@ -122,10 +120,13 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     """Windowed double sum over pairs (m, m') of the packet's frequencies of
     alpha_m conj(alpha_m') phi1(m/s) FT[phi3](m-m') int phi2(b) w_m conj(w_m').
 
-    For B = 0 this is the plain form against a0; for B > 0 the waves are
-    taken at degree [Bs] and weighted by the transported symbol a1, with
-    the beta' integral pulled back through Phi so that both sides live
-    on the same beta grid.
+    The waves are taken at degree [Bs] and weighted by the transported
+    symbol a1, with the beta' integral pulled back through Phi so that
+    both sides live on the same beta grid.  Each row frequency m in supp
+    phi1 has its `PhaseTable`, whose Phi gives the row's beta' points; at
+    B = 0 the table is the identity, so this is the plain form against a0.
+    Every wave is solved in one call on the union of the row grids, and
+    the windowed pairs are arrays of shape (pairs, n_grid).
     """
     check_field(B, s)
     if not (n_grid >= 3 and n_grid % 2 == 1):  # the Simpson rule needs an odd count
@@ -139,29 +140,29 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     p1 = obs.phi1(mts)
     p5 = bump(mts * 0.999)
     B1 = math.floor(B * s) / s
-    if B1 == 0:
-        w_all = _branch_I(0.0, mts, s, grid)
     diff = ms[:, None] - ms
     window = (np.abs(diff) <= freq_window) & (p1 != 0)[:, None]
-    # one transform of each distinct windowed difference; other pairs read k = 0, unused
-    ks, inv = np.unique(np.where(window, diff, 0.0), return_inverse=True)
-    ft = obs.sigma_ft(ks)[inv.reshape(diff.shape)]
-    pairs = np.zeros(diff.shape, dtype=complex)
-    for i in np.flatnonzero(p1):
-        near = np.flatnonzero(window[i])
-        weight = obs.phi2(grid)
-        if B1 > 0:
-            table = tr.PhaseTable(B=B1, mtilde=mts[i])
-            pts = table.Phi(grid)
-            weight = weight * np.exp(
-                -2.0 * (table.f3(grid, pts) + tr.wave_norm_shift(B1, mts[i]))
-                + 1j * (ms[i] - ms[near])[:, None] * table.f4(grid, pts))
-            w = _branch_I(B1, mts[near], s, pts)
-        else:
-            w = w_all[near]
-        beta_int = _simpson(weight * w[near == i] * np.conj(w), grid[1] - grid[0])
-        pairs[i, near] = (alpha[i] * np.conj(alpha[near]) * p5[i] * p5[near]
-                          * p1[i] * ft[i, near] * beta_int)
+    rows = np.flatnonzero(window.any(axis=1))
+    if not rows.size:
+        return 0j
+    r, J = np.nonzero(window[rows])  # pair k is (row r[k], frequency J[k])
+    I = rows[r]
+    # one transform of each distinct windowed difference
+    ks, inv = np.unique(diff[I, J], return_inverse=True)
+    ft = obs.sigma_ft(ks)[inv]
+    tables = [tr.PhaseTable(B=B1, mtilde=mt) for mt in mts[rows]]
+    pts = np.array([t.Phi(grid) for t in tables])
+    f3 = np.array([t.f3(grid, p) + tr.wave_norm_shift(B1, t.mtilde) for t, p in zip(tables, pts)])
+    f4 = np.array([t.f4(grid, p) for t, p in zip(tables, pts)])
+    union, at = np.unique(pts, return_inverse=True)
+    waves = _branch_I(B1, mts, s, union)
+    at = at.reshape(pts.shape)[r]  # each pair's row grid in the union
+    weight = obs.phi2(grid) * np.exp(-2.0 * f3[r] + 1j * (ms[I] - ms[J])[:, None] * f4[r])
+    beta_int = _simpson(weight * waves[I[:, None], at] * np.conj(waves[J[:, None], at]),
+                        grid[1] - grid[0])
+    pairs = np.zeros(diff.shape, dtype=complex)  # summed as (K, K): the order sets the last bits
+    pairs[I, J] = (alpha[I] * np.conj(alpha[J]) * p5[I] * p5[J]
+                   * p1[I] * ft * beta_int)
     return complex(np.sum(pairs))
 
 

@@ -5,7 +5,8 @@ free phases, its eta-derivative, the amplitude/shift corrections f3, f4,
 the induced boundary map G with density A, and the WKB waves whose phase
 is s*P.  Functions of an angle map scalars to scalars and arrays to arrays.
 P and the f4 numerator are closed forms (an asinh plus the logarithm `_J`),
-Phi is a masked Newton solve; `PhaseTable` implements Phi, Phi_inv, f3 and f4.
+Phi is a masked Newton solve.  `PhaseTable(B, mtilde)` is the one interface to
+Phi, Phi_inv, their derivatives, f3 and f4.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ class PhaseTable:
     Each method takes a scalar or an array of angles and returns the same
     shape.  `f3`, `f4` and the derivatives accept precomputed values
     `phi = Phi(beta)`, so a grid needs one Phi solve for all of them.
+    At B = 0 the table is the identity, bit for bit: Phi and Phi_inv
+    return their argument, and f3 and f4 are exactly 0.
     """
 
     B: float
@@ -213,15 +216,6 @@ class PhaseTable:
         """
         return _dPhi_dm_numerator(self.B, self.mtilde, beta,
                                   self._phi(beta, phi))
-
-
-# Module-level forms of the PhaseTable maps, for one-off evaluations.
-def Phi(B, m, beta): return PhaseTable(B, m).Phi(beta)
-def Phi_inv(B, m, beta_prime): return PhaseTable(B, m).Phi_inv(beta_prime)
-def dPhi_dbeta(B, m, beta): return PhaseTable(B, m).dPhi_dbeta(beta)
-def dPhi_dm(B, m, beta): return PhaseTable(B, m).dPhi_dm(beta)
-def f3(B, beta, m): return PhaseTable(B, m).f3(beta)
-def f4(B, beta, m): return PhaseTable(B, m).f4(beta)
 
 
 def wave_norm_shift(B: float, eta: float) -> float:

@@ -103,7 +103,7 @@ _PANEL_PHASE = 10.0  # radians of the fastest wave per panel
 _WHITTAKER_STEP = 5.0  # e-folds or radians of W per panel; 10 misses the whitw oracle
 _RICCATI_RATIO = 1.3  # outer/inner edge of a Riccati panel
 _RICCATI_TOL = 1e-13  # residual a Riccati panel must reach to be used
-_WHITTAKER_TOL = 1e-12  # trailing coefficients of a Whittaker sweep's linear leg
+_COLLOCATION_TOL = 1e-12  # trailing Chebyshev coefficients of every collocated panel
 _CHUNK = 256  # systems per batched linear solve
 
 
@@ -158,19 +158,20 @@ def _collocate(F, half):
     return out.reshape((2,) + shape)
 
 
-def _refined(solve, edges, tol: float):
+def _refined(solve, edges):
     """(edges, U, dU) for (U, dU) = solve(edges) of shape (W, P, 32, 2), with panels halved
-    while their last two Chebyshev coefficients exceed tol relative to U; RuntimeError
-    once halving stops helping (round-off)."""
+    while their last two Chebyshev coefficients exceed _COLLOCATION_TOL relative to U;
+    RuntimeError once halving stops helping (round-off)."""
     worst = np.inf
     while True:
         U, dU = solve(edges)
         tail = (np.abs(_TAIL @ U) / np.abs(U).max(axis=-2, keepdims=True)).max(axis=(0, 2, 3))
-        if np.all(tail <= tol):
+        if np.all(tail <= _COLLOCATION_TOL):
             return edges, U, dU
         if not tail.max() < 0.1 * worst:
-            raise RuntimeError(f"tol={tol} out of reach: trailing coefficients {tail.max():.1e}")
-        worst, bad = tail.max(), np.flatnonzero(tail > tol)
+            raise RuntimeError(f"tol={_COLLOCATION_TOL} out of reach: "
+                               f"trailing coefficients {tail.max():.1e}")
+        worst, bad = tail.max(), np.flatnonzero(tail > _COLLOCATION_TOL)
         edges = np.insert(edges, bad + 1, 0.5 * (edges[bad] + edges[bad + 1]))
 
 
@@ -182,8 +183,7 @@ def _bary(t):
     return np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
 
 
-def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
-                derivs: bool = True):
+def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     """K waves in one solve: values and beta-derivatives, each of shape (K, n).
 
     B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  For
@@ -193,8 +193,8 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
     Batched linear solves give two fundamental solutions per panel and wave;
     chaining their 2x2 transfer matrices from beta = 0 fixes phi, which is
-    interpolated on each point's panel.  `_refined` holds every panel to tol
-    (1e-11 for `solve_wave`, `solve_wave_ic` and `ascend`).
+    interpolated on each point's panel.  `_refined` holds every panel to
+    _COLLOCATION_TOL.
     With derivs=False the derivatives are not formed (None is returned).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
@@ -206,8 +206,6 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
         raise ValueError("need finite |mtilde| <= 1/2 and finite initial data")
     if not np.all(np.abs(grid) < np.pi / 2):
         raise ValueError("grid must lie inside (-pi/2, pi/2)")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     K, tau = len(B1), B1 * s
     values = np.empty((K, len(grid)), dtype=complex)
     dvals = np.empty((K, len(grid)), dtype=complex) if derivs else None
@@ -223,7 +221,7 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, tol: float = 1e-11,
     state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
     qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
     edges = _panel_edges(Bm, mm, s, x.max())
-    edges, U, dU = _refined(lambda e: _fundamental(qa, qb, s, e), edges, tol)
+    edges, U, dU = _refined(lambda e: _fundamental(qa, qb, s, e), edges)
     order = np.argsort(x, kind="stable")
     bounds = np.searchsorted(x[order], edges, side="right")
     for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
@@ -346,15 +344,18 @@ def ascend(m: float, s: float, B: float, grid):
     the raised wave is recovered by solving at the next degree, so no
     sampling error accumulates.  Returns the exact chain wave on the
     grid, the closed-form approximation (final branch-I wave times the
-    accumulated c1 product), and the product itself.  Both waves share
-    (B1, mtilde) and come from one two-wave solve.
+    accumulated c1 product), the product itself, and the degree-0
+    branch-I wave the chain starts from.  The three waves come from one
+    solve; the base wave's potential lies below the others', so it does
+    not move the panel edges.
     """
     check_field(B, s)
     n = int(np.floor(B * s))
     mtilde = m / s
     if not abs(mtilde) <= 0.5:
         raise ValueError("need finite |m/s| <= 1/2")
-    w0, dw0 = branch_ic(0.0, mtilde, s, "I")
+    base_ic = branch_ic(0.0, mtilde, s, "I")
+    w0, dw0 = base_ic
     for tau in range(n):
         norm = np.sqrt(s * s + tau * (tau + 1))
         ddw0 = 2j * tau * dw0 + (tau * tau - s * s * Q(tau / s, mtilde, 0.0)) * w0
@@ -364,10 +365,12 @@ def ascend(m: float, s: float, B: float, grid):
         w0, dw0 = r0 / norm, dr0 / norm
     prod = complex(np.prod(c1(np.arange(n) / s, mtilde, s)))
     _, dI = branch_ic(n / s, mtilde, s, "I")
-    values, derivs = solve_waves(n / s, mtilde, s, [w0, 1.0], [dw0, dI], grid)
-    exact = CylWave(n / s, mtilde, s, "-" if n else "I",
-                    np.asarray(grid, dtype=float), values[0], derivs[0])
-    return exact, values[1] * prod, prod
+    values, derivs = solve_waves([n / s, n / s, 0.0], mtilde, s, [w0, 1.0, base_ic[0]],
+                                 [dw0, dI, base_ic[1]], grid)
+    grid = np.asarray(grid, dtype=float)
+    exact = CylWave(n / s, mtilde, s, "-" if n else "I", grid, values[0], derivs[0])
+    base = CylWave(0.0, mtilde, s, "I", grid, values[2], derivs[2])
+    return exact, values[1] * prod, prod, base
 
 
 # --- Whittaker waves ---
@@ -422,7 +425,7 @@ def _whittaker_sweep(p: WhittakerParams, ys):
     tau/y) dy, whose small integrand avoids the O(s1^2) cancellation of seed and
     action.  Linear leg: from y_h (or the seed) down to min ys, `_collocate` on
     panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy), each
-    held to _WHITTAKER_TOL, chained with a log factor."""
+    held to _COLLOCATION_TOL, chained with a log factor."""
     # the series terms shrink from the first once x0 >> s1^2 + tau^2
     x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
     ys, y0 = np.asarray(ys, dtype=float), x0 / (2 * p.a)
@@ -458,7 +461,7 @@ def _whittaker_sweep(p: WhittakerParams, ys):
         n_lin = 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))
         edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
     for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
-        e, (U,), (dU,) = _refined(solve, edges[i:i + 65], _WHITTAKER_TOL)
+        e, (U,), (dU,) = _refined(solve, edges[i:i + 65])
         for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
             if e[k + 1] <= hi:
                 kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac, False))

@@ -101,10 +101,11 @@ def test_criterion_4_modulus_transport():
         errs = {}
         for s in (200.0, 400.0):
             B1 = math.floor(B * s) / s
-            pts = np.array([tr.Phi(B1, mt, b) for b in grid])
-            _, closed, _ = W.ascend(mt * s, s, B, pts)
+            table = tr.PhaseTable(B1, mt)
+            pts = np.array([table.Phi(b) for b in grid])
+            _, closed, _, _ = W.ascend(mt * s, s, B, pts)
             w0 = W.solve_wave(0.0, mt, s, "I", grid)
-            f3s = np.array([tr.f3(B1, b, mt) for b in grid])
+            f3s = np.array([table.f3(b) for b in grid])
             shift = tr.wave_norm_shift(B1, mt)
             pred = np.abs(w0.values) * np.exp(f3s + shift)
             errs[s] = np.max(np.abs(np.abs(closed) / pred - 1.0))

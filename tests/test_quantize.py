@@ -246,6 +246,18 @@ def test_quad_form_matches_pairwise_single_solves(B):
     assert abs(qz.quad_form(u, obs, B, s, n_grid=41) - ref) <= 1e-8 * abs(ref)
 
 
+@pytest.mark.parametrize("B", [0.0, 0.5])
+def test_quad_form_solves_every_wave_in_one_call(monkeypatch, B):
+    # all 20 waves on the union of the row grids, at any field
+    solve, calls = qz.solve_waves, []
+    monkeypatch.setattr(qz, "solve_waves",
+                        lambda *a, **kw: calls.append(len(a[1])) or solve(*a, **kw))
+    s = 200.0
+    u = qz.geodesic_packet(s, 0.2, 20, L)
+    assert qz.quad_form(u, qz.Observable(eta0=0.2, eps=0.2), B, s, n_grid=41) != 0
+    assert calls == [20]
+
+
 @pytest.mark.parametrize("n_grid", [1, 2, 40])
 def test_quad_form_rejects_bad_grid_before_solving(monkeypatch, n_grid):
     # the Simpson rule needs an odd sample count of at least 3
@@ -371,7 +383,7 @@ def test_ascend_coeffs_matches_exact_chain():
     uB = qz.ascend_coeffs(u, s, B)
     wB = solve_wave(math.floor(B * s) / s, m / s, s, "I", grid)
     approx = uB.alpha[0] * wB.values
-    exact, _, _ = ascend(m, s, B, grid)
+    exact, _, _, _ = ascend(m, s, B, grid)
     rel = np.max(np.abs(approx - exact.values)) / np.max(np.abs(exact.values))
     assert rel < 10.0 / s
 

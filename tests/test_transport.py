@@ -194,8 +194,8 @@ def test_b7_accumulates_b3():
 
 def test_Phi_identity_at_zero_field():
     for m, b in [(0.0, 0.7), (0.4, -1.2), (-0.5, 1.5)]:
-        assert tr.Phi(0.0, m, b) == b
-        assert tr.Phi_inv(0.0, m, b) == b
+        assert tr.PhaseTable(0.0, m).Phi(b) == b
+        assert tr.PhaseTable(0.0, m).Phi_inv(b) == b
 
 
 def test_Phi_defining_residual_and_roundtrip():
@@ -204,10 +204,10 @@ def test_Phi_defining_residual_and_roundtrip():
         B = rng.uniform(0.0, 3.0)
         m = rng.uniform(-0.5, 0.5)
         b = rng.uniform(-1.55, 1.55)
-        ph = tr.Phi(B, m, b)
+        ph = tr.PhaseTable(B, m).Phi(b)
         resid = tr.phase_P(B, m, ph) - tr.phase_P(0.0, m, b) + tr.b4(B, m)
         assert abs(resid) < 1e-10
-        assert tr.Phi_inv(B, m, ph) == pytest.approx(b, abs=1e-9)
+        assert tr.PhaseTable(B, m).Phi_inv(ph) == pytest.approx(b, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,12 +218,13 @@ def test_Phi_defining_residual_and_roundtrip():
 )
 def test_Phi_monotone_and_chain_rule(B, m, b):
     h = 1e-6
-    d = (tr.Phi(B, m, b + h) - tr.Phi(B, m, b - h)) / (2 * h)
+    table = tr.PhaseTable(B, m)
+    d = (table.Phi(b + h) - table.Phi(b - h)) / (2 * h)
     assert d > 0
-    ph = tr.Phi(B, m, b)
-    dinv = (tr.Phi_inv(B, m, ph + h) - tr.Phi_inv(B, m, ph - h)) / (2 * h)
+    ph = table.Phi(b)
+    dinv = (table.Phi_inv(ph + h) - table.Phi_inv(ph - h)) / (2 * h)
     assert d * dinv == pytest.approx(1.0, abs=1e-7)
-    assert tr.dPhi_dbeta(B, m, b) == pytest.approx(d, abs=1e-7)
+    assert table.dPhi_dbeta(b) == pytest.approx(d, abs=1e-7)
 
 
 @pytest.mark.parametrize("B, m", [(0.5, 0.2), (1.7, -0.45), (3.0, 0.1)])
@@ -254,30 +255,42 @@ def test_phase_table_arrays_match_pointwise_calls():
 
 
 def test_dPhi_dm_zero_field():
-    assert tr.dPhi_dm(0.0, 0.3, 0.8) == 0.0
+    assert tr.PhaseTable(0.0, 0.3).dPhi_dm(0.8) == 0.0
 
 
 def test_dPhi_dm_matches_finite_differences():
     h = 1e-5
     for B, m, b in [(0.5, 0.2, 0.8), (2.0, 0.0, 1.2), (1.0, -0.3, -0.5),
                     (0.7, 0.4, 1.5), (1.5, 0.0, -1.3)]:
-        fd = (tr.Phi(B, m + h, b) - tr.Phi(B, m - h, b)) / (2 * h)
-        assert tr.dPhi_dm(B, m, b) == pytest.approx(fd, abs=1e-6)
+        fd = (tr.PhaseTable(B, m + h).Phi(b) - tr.PhaseTable(B, m - h).Phi(b)) / (2 * h)
+        assert tr.PhaseTable(B, m).dPhi_dm(b) == pytest.approx(fd, abs=1e-6)
 
 
 # --- corrections f3, f4 ---
 
 
 def test_f3_f4_vanish_at_zero_field():
-    assert tr.f3(0.0, 0.9, 0.3) == 0.0
-    assert tr.f4(0.0, 0.9, 0.3) == 0.0
+    assert tr.PhaseTable(0.0, 0.3).f3(0.9) == 0.0
+    assert tr.PhaseTable(0.0, 0.3).f4(0.9) == 0.0
+
+
+@pytest.mark.parametrize("m", [-0.45, -0.2, 0.0, 0.2, 0.35])
+def test_phase_table_is_the_identity_at_zero_field_bit_for_bit(m):
+    # quad_form runs B = 0 through the same tables as B > 0; its B = 0 form
+    # equals the plain form against a0 only because of this
+    table = tr.PhaseTable(0.0, m)
+    grid = np.linspace(-1.55, 1.55, 801)
+    ph = table.Phi(grid)
+    assert np.array_equal(ph, grid) and np.array_equal(table.Phi_inv(grid), grid)
+    assert np.all(table.f3(grid, ph) == 0.0) and np.all(table.f4(grid, ph) == 0.0)
+    assert tr.wave_norm_shift(0.0, m) == 0.0
 
 
 def test_f4_vanishes_linearly_at_boundary():
     ratios = []
     for k in range(4, 13):
         b = math.pi / 2 - 2.0 ** -k
-        ratios.append(abs(tr.f4(1.0, b, 0.3)) / (math.pi / 2 - b))
+        ratios.append(abs(tr.PhaseTable(1.0, 0.3).f4(b)) / (math.pi / 2 - b))
     assert max(ratios) < 20.0
 
 
@@ -287,7 +300,7 @@ def test_dPhi_dm_numerator_bounded_at_boundary():
         ratios = []
         for k in range(4, 13):
             b = math.pi / 2 - 2.0 ** -k
-            ph = tr.Phi(B, eta, b)
+            ph = tr.PhaseTable(B, eta).Phi(b)
             num = tr._dPhi_dm_numerator(B, eta, b, ph)
             ratios.append(abs(num) / (math.pi / 2 - b))
         # ratio tends to a finite parameter-dependent constant
@@ -304,12 +317,13 @@ def test_modulus_transport_of_ascended_wave():
     const = math.exp(tr.wave_norm_shift(B, mt))
     errs = {}
     for s in (100.0, 200.0):
-        phis = np.array([tr.Phi(B, mt, b) for b in betas])
-        wave, _, _ = ascend(mt * s, s, B, phis)
+        table = tr.PhaseTable(B, mt)
+        phis = np.array([table.Phi(b) for b in betas])
+        wave, _, _, _ = ascend(mt * s, s, B, phis)
         w0 = solve_wave(0.0, mt, s, "I", betas)
         ratio = np.abs(wave.values) / (
             np.abs(w0.values) * const
-            * np.exp([tr.f3(B, b, mt) for b in betas]))
+            * np.exp([table.f3(b) for b in betas]))
         errs[s] = float(np.max(np.abs(ratio - 1.0)))
     assert errs[100.0] < 10.0 / 100.0
     assert errs[200.0] < 0.65 * errs[100.0]
@@ -394,12 +408,13 @@ def test_G_moves_base_points_boundedly():
 
 
 def test_phase_table_matches_functions():
+    # the offsets against the module functions; f3 and f4 with a precomputed
+    # phi against their own Phi solve
     t = tr.PhaseTable(B=0.8, mtilde=0.25)
     assert t.b4_val == pytest.approx(tr.b4(0.8, 0.25), abs=1e-12)
     assert t.b7_val == pytest.approx(tr.b7(0.8, 0.25), abs=1e-12)
     for b in [-1.2, 0.3, 1.45]:
-        assert t.Phi(b) == pytest.approx(tr.Phi(0.8, 0.25, b), abs=1e-10)
-        assert t.Phi_inv(b) == pytest.approx(
-            tr.Phi_inv(0.8, 0.25, b), abs=1e-10)
-        assert t.f3(b) == pytest.approx(tr.f3(0.8, b, 0.25), abs=1e-10)
-        assert t.f4(b) == pytest.approx(tr.f4(0.8, b, 0.25), abs=1e-10)
+        ph = t.Phi(b)
+        assert t.Phi_inv(ph) == pytest.approx(b, abs=1e-10)
+        assert t.f3(b, ph) == pytest.approx(t.f3(b), abs=1e-10)
+        assert t.f4(b, ph) == pytest.approx(t.f4(b), abs=1e-10)

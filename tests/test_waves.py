@@ -101,13 +101,14 @@ def _w_form_reference(B1, mt, s, w0, dw0, grid, tol=1e-13):
 
 
 @pytest.mark.parametrize("s, B1", [(25.0, 8.0), (100.0, 0.5), (400.0, 0.0)])
-def test_batched_kernel_matches_tight_reference(s, B1):
+def test_batched_kernel_matches_tight_reference(s, B1, monkeypatch):
     # one solve of three waves, mixed frequencies, both branches, at the
-    # packet tolerance 1e-10; each wave against its own w-form solve at 1e-13
+    # tolerance 1e-10; each wave against its own w-form solve at 1e-13
+    monkeypatch.setattr(W, "_COLLOCATION_TOL", 1e-10)
     mts, branches = [-0.3, 0.05, 0.45], ["I", "II", "I"]
     ics = [W.branch_ic(B1, mt, s, b) for mt, b in zip(mts, branches)]
     values, derivs = W.solve_waves(B1, mts, s, [c[0] for c in ics],
-                                   [c[1] for c in ics], GRID, tol=1e-10)
+                                   [c[1] for c in ics], GRID)
     assert values.shape == derivs.shape == (3, len(GRID))
     for k, (mt, (w0, dw0)) in enumerate(zip(mts, ics)):
         ref_v, ref_d = _w_form_reference(B1, mt, s, w0, dw0, GRID)
@@ -140,13 +141,14 @@ def _phi_form_reference(B1, mts, s, w0, dw0, grid, tol=1e-13):
 
 @pytest.mark.parametrize("B1", [0.0, 0.5, 8.0])
 @pytest.mark.parametrize("s", [25.0, 100.0, pytest.param(400.0, marks=pytest.mark.slow)])
-def test_collocation_kernel_within_1e9_of_dop853_oracle(s, B1):
-    # both branches, |mtilde| up to 1/2, grid out to beta = +-1.56
+def test_collocation_kernel_within_1e9_of_dop853_oracle(s, B1, monkeypatch):
+    # both branches, |mtilde| up to 1/2, grid out to beta = +-1.56, at tolerance 1e-10
+    monkeypatch.setattr(W, "_COLLOCATION_TOL", 1e-10)
     mts = np.array([-0.5, -0.2, 0.3, 0.5])
     grid = np.linspace(-1.56, 1.56, 41)
     dI, dII = W.branch_ic(B1, mts, s, "I")[1], W.branch_ic(B1, mts, s, "II")[1]
     w0, dw0 = np.ones(4, dtype=complex), np.where([True, False, True, False], dI, dII)
-    values, derivs = W.solve_waves(B1, mts, s, w0, dw0, grid, tol=1e-10)
+    values, derivs = W.solve_waves(B1, mts, s, w0, dw0, grid)
     ref_v, ref_d = _phi_form_reference(B1, mts, s, w0, dw0, grid)
     for got, ref in ((values, ref_v), (derivs, ref_d)):
         err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
@@ -191,7 +193,8 @@ def test_kernel_refines_panels_to_meet_tol(monkeypatch):
     monkeypatch.setattr(W, "_fundamental",
                         lambda *a: panels.append(len(a[-1]) - 1) or fundamental(*a))
     monkeypatch.setattr(W, "_PANEL_PHASE", 80.0)
-    values, _ = W.solve_waves(B1, mt, s, w0, dw0, grid, tol=1e-10)
+    monkeypatch.setattr(W, "_COLLOCATION_TOL", 1e-10)
+    values, _ = W.solve_waves(B1, mt, s, w0, dw0, grid)
     assert len(panels) > 1 and panels == sorted(panels)
     assert np.max(np.abs(values - ref_v)) <= 1e-9 * np.max(np.abs(ref_v))
 
@@ -200,8 +203,9 @@ def test_kernel_raises_when_tol_is_out_of_reach(monkeypatch):
     rounds = []
     collocate = W._collocate
     monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
+    monkeypatch.setattr(W, "_COLLOCATION_TOL", 1e-19)
     with pytest.raises(RuntimeError, match="tol"):
-        W.solve_waves(0.5, 0.3, 100.0, 1.0, 1j, GRID, tol=1e-19)
+        W.solve_waves(0.5, 0.3, 100.0, 1.0, 1j, GRID)
     assert len(rounds) <= 2  # the first solve and at most one refinement
 
 
@@ -417,18 +421,18 @@ def test_decompose_linearity(ar, ai, br, bi):
 
 def test_ascend_below_one_step_is_identity():
     s = 50.0
-    exact, closed, prod = W.ascend(10.0, s, 0.01, GRID)
-    base = W.solve_wave(0.0, 10.0 / s, s, "I", GRID)
+    exact, closed, prod, base = W.ascend(10.0, s, 0.01, GRID)
     assert prod == 1.0 + 0j
-    assert np.allclose(exact.values, base.values)
+    assert np.allclose(exact.values, W.solve_wave(0.0, 10.0 / s, s, "I", GRID).values)
+    assert np.max(np.abs(base.values - exact.values)) <= 1e-12  # the same data, one solve
 
 
 def test_ascend_waves_match_separate_solves():
-    # the exact and closed-form waves come from one two-wave solve; they must
-    # equal the separate single-wave solves of the same data
+    # the exact, closed-form and base waves come from one three-wave solve;
+    # they must equal the separate single-wave solves of the same data
     s, B, m = 100.0, 0.3, 15.0
     mt, n = m / s, int(np.floor(B * s))
-    exact, closed, prod = W.ascend(m, s, B, GRID)
+    exact, closed, prod, base = W.ascend(m, s, B, GRID)
     w0, dw0 = W.branch_ic(0.0, mt, s, "I")
     chain = W.CylWave(0.0, mt, s, "I", np.array([0.0]), np.array([w0]),
                       np.array([dw0]))
@@ -447,6 +451,10 @@ def test_ascend_waves_match_separate_solves():
     assert abs(prod - ref_prod) <= 1e-12 * abs(ref_prod)
     branch_I = W.solve_wave(n / s, mt, s, "I", GRID).values * ref_prod
     assert np.max(np.abs(closed - branch_I)) / scale <= 1e-8
+    ref_base = W.solve_wave(0.0, mt, s, "I", GRID)
+    assert (base.B1, base.branch) == (0.0, "I")
+    assert np.max(np.abs(base.values - ref_base.values)) <= 1e-8 * np.max(np.abs(ref_base.values))
+    assert np.max(np.abs(base.derivs - ref_base.derivs)) <= 1e-8 * np.max(np.abs(ref_base.derivs))
 
 
 @pytest.mark.parametrize("m, s, B", [(20.0, 100.0, -1.0), (20.0, 100.0, np.nan),
@@ -460,7 +468,7 @@ def test_ascend_rejects_bad_input(m, s, B):
 def test_ascend_exact_vs_closed_form():
     s, B = 200.0, 0.5
     m = 0.2 * s
-    exact, closed, prod = W.ascend(m, s, B, GRID)
+    exact, closed, prod, _ = W.ascend(m, s, B, GRID)
     sup = np.max(np.abs(exact.values - closed)) / np.max(np.abs(exact.values))
     assert sup < 10 / s
 
@@ -669,7 +677,7 @@ def test_whittaker_sweep_checks_tol(monkeypatch):
     rounds = []
     collocate = W._collocate
     monkeypatch.setattr(W, "_collocate", lambda *a: rounds.append(1) or collocate(*a))
-    monkeypatch.setattr(W, "_WHITTAKER_TOL", 1e-19)
+    monkeypatch.setattr(W, "_COLLOCATION_TOL", 1e-19)
     with pytest.raises(RuntimeError, match="tol"):
         W._whittaker_sweep(p, ys)
     assert len(rounds) <= 2  # the first solve and at most one refinement
