@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperlab.waves import (WhittakerParams, ascension_norm, whittaker_W,
-                            whittaker_peaks)
+from hyperlab.waves import (WhittakerParams, _sweep_peaks, _whittaker_sweep,
+                            ascension_norm)
 
 
 def main():
@@ -30,15 +30,17 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    ys = np.linspace(1.0, 3.0, 801)
+    # one sweep per degree on the peak scan; the CSV grid reads its dense output
+    ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
     rows = []
     for tau in range(args.tau_max + 1):
         p = WhittakerParams(tau=tau, s1=args.s1, a=args.a)
-        vals = np.abs(whittaker_W(p, ys)) / ascension_norm(tau, args.s1)
+        states, dense = _whittaker_sweep(p, scan)
+        norm = ascension_norm(tau, args.s1)
         np.savetxt(out / f"wave_tau{tau}.csv",
-                   np.column_stack([ys, vals]), delimiter=",",
+                   np.column_stack([ys, np.abs(dense(ys)[0]) / norm]), delimiter=",",
                    header="y,abs_w_scaled", comments="")
-        peaks = whittaker_peaks(p, (1.0, 3.0), normalized=True)
+        peaks = [(y, v / norm) for y, v in _sweep_peaks(p, scan, states, dense)]
         if not peaks:
             print(f"tau={tau}  no peak in [1, 3]")
             continue

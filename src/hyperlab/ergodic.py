@@ -21,7 +21,7 @@ from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
 from .groups import _COSH_R, FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
-_CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of ungated steps
+_CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of unreduced steps
 _COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
 
 
@@ -51,10 +51,10 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
 
     1. A float loop keeps only the restarts, the frames that are not
        fl(F S) of the frame before: the start, each step whose reduction
-       moved the frame, and each renormalization.  A frame past the
-       |F|^2 gate reads the unit Dirichlet forms before `reduce_frame`:
-       each is sinh of the signed distance to its side, and a step moves
-       F i by exactly delta = d(i, S i).  With g the smallest, the frame
+       moved the frame, and each renormalization.  Every frame reads the
+       unit Dirichlet forms before `reduce_frame`: each is sinh of the
+       signed distance to its side, and a step moves F i by exactly
+       delta = d(i, S i).  With g the smallest, the frame
        and the next k = floor((asinh g - margin) / delta) frames lie
        margin inside every side, where every float form is > 1e-9 and
        the reduction gives back its frame: those steps run as bare
@@ -66,8 +66,8 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
        forms u_j: every form is >= 1e-6 there, 1000 times the 1e-9 test,
        and the second term (|u_j|_1 >= 1) bounds the rounding while
        |F|^2 |S|^2 < 1e3 over the chunk (checked at its start, as |F|^2
-       grows at most e^{k delta} <= 2g + 1; past it every frame is
-       reduced as before): g and the forms are exact to 6u |f|_1 |F|^2
+       grows at most e^{k delta} <= 2g + 1; past it the frame goes to
+       `reduce_frame`): g and the forms are exact to 6u |f|_1 |F|^2
        (u = 2^-53), det F to 1e-10, and each of <= 1000 products moves
        F i at most 3.5u |F|^2 |S|^2 past delta, < 1e-9 in all.  delta is
        2 asinh(|(sa - sd, sb + sc)| / (2 sqrt(det S))) of the float S,
@@ -112,8 +112,7 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
 
 def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) -> tuple:
     """Pass 1 of `sample_orbit`: the restart steps and their frames, flat."""
-    reduce, threshold = group.reduce_frame, group.reduce_threshold
-    units = group.unit_dirichlet_forms
+    reduce, units = group.reduce_frame, group.unit_dirichlet_forms
     margin = (math.asinh(1e-6 / min(group.dirichlet_norms)) + 1e-11 * _CHUNK_CAP
               * max(abs(u) + abs(v) + abs(w) for u, v, w in units))
     lo = math.sinh(margin)
@@ -131,26 +130,25 @@ def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) ->
         while i < stop:
             a, b = a * sa + b * sc, a * sb + b * sd
             c, d = c * sa + d * sc, c * sb + d * sd
-            if a * a + b * b + c * c + d * d > threshold:
-                p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
-                g = math.inf  # the smallest unit form: sinh of the distance to the nearest side
-                for u, v, w in units:
-                    x = u * p + v * q + w * r
-                    if x < g:
-                        g = x
-                if g > lo and (p + r) * (2.0 * g + 1.0) < cap:  # False for a non-finite frame
-                    k = (math.asinh(g) - margin) * reach  # reduce would keep this frame and the next k
-                    k = stop - 1 - i if k >= stop - 1 - i else int(k)
-                    for _ in range(k):
-                        a, b = a * sa + b * sc, a * sb + b * sd
-                        c, d = c * sa + d * sc, c * sb + d * sd
-                    i += k
-                else:
-                    rf = reduce(a, b, c, d)
-                    if rf != (a, b, c, d):
-                        a, b, c, d = rf
-                        starts.append(i)
-                        frames.extend(rf)
+            p, q, r = a * a + b * b, a * c + b * d, c * c + d * d
+            g = math.inf  # the smallest unit form: sinh of the distance to the nearest side
+            for u, v, w in units:
+                x = u * p + v * q + w * r
+                if x < g:
+                    g = x
+            if g > lo and (p + r) * (2.0 * g + 1.0) < cap:  # False for a non-finite frame
+                k = (math.asinh(g) - margin) * reach  # reduce would keep this frame and the next k
+                k = stop - 1 - i if k >= stop - 1 - i else int(k)
+                for _ in range(k):
+                    a, b = a * sa + b * sc, a * sb + b * sd
+                    c, d = c * sa + d * sc, c * sb + d * sd
+                i += k
+            else:
+                rf = reduce(a, b, c, d)
+                if rf != (a, b, c, d):
+                    a, b, c, d = rf
+                    starts.append(i)
+                    frames.extend(rf)
             i += 1
         if stop - start == _BLOCK:  # a reduction restart on this step becomes an empty segment
             f = 1.0 / math.sqrt(a * d - b * c)

@@ -111,6 +111,13 @@ def _simpson(vals: np.ndarray, h: float):
     return np.sum(w * vals, axis=-1) * h / 3.0
 
 
+def _check_band(coeffs: WaveCoeffs, s: float) -> None:
+    """Every frequency must satisfy |m| <= s/2, the band of the forms and the ascension."""
+    if np.any(np.abs(coeffs.ms) > s / 2):
+        raise ValueError(f"need |m| <= s/2 = {s / 2} for every frequency, "
+                         f"got max |m| = {np.max(np.abs(coeffs.ms))}")
+
+
 def default_window(s: float) -> float:
     return s ** 0.125
 
@@ -133,9 +140,9 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
         raise ValueError(f"need an odd n_grid >= 3, got {n_grid}")
     if freq_window is None:
         freq_window = default_window(s)
+    _check_band(coeffs, s)
     grid = np.linspace(*obs.beta_support(), n_grid)
-    keep = np.abs(coeffs.ms) <= s / 2
-    ms, alpha = coeffs.ms[keep], coeffs.alpha[keep]
+    ms, alpha = coeffs.ms, coeffs.alpha
     mts = ms / s
     p1 = obs.phi1(mts)
     p5 = bump(mts * 0.999)
@@ -181,11 +188,9 @@ def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
 
 def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
     """Multiply each alpha_m by the product of transfer coefficients; every
-    frequency must satisfy |m| <= s/2, the range `quad_form` keeps."""
+    frequency must satisfy |m| <= s/2, as in `quad_form`."""
     check_field(B, s)
-    if np.any(np.abs(coeffs.ms) > s / 2):
-        raise ValueError(f"need |m| <= s/2 = {s / 2} for every frequency, "
-                         f"got max |m| = {np.max(np.abs(coeffs.ms))}")
+    _check_band(coeffs, s)
     n = int(math.floor(B * s))
     if n < 1:
         return coeffs
@@ -204,9 +209,10 @@ def measure_transport_check(s_list, B: float, obs: Observable,
     rows = []
     for s in s_list:
         u0 = geodesic_packet(s, eta0, K, l)
+        keep = np.abs(u0.ms) <= s / 2  # the band of the forms (K = 20 at s = 25 has more)
+        u0 = WaveCoeffs(l, u0.ms[keep], u0.alpha[keep])
         lhs = quad_form(u0, obs, 0.0, s, n_grid=n_grid)
-        keep = np.abs(u0.ms) <= s / 2  # the frequencies quad_form uses (K = 20 at s = 25 has more)
-        uB = ascend_coeffs(WaveCoeffs(l, u0.ms[keep], u0.alpha[keep]), s, B)
+        uB = ascend_coeffs(u0, s, B)
         rhs = quad_form(uB, obs, B, s, n_grid=n_grid)
         denom = abs(lhs) if lhs != 0 else 1.0
         rows.append({

@@ -64,6 +64,8 @@ class WhittakerParams:
     a: float
 
     def __post_init__(self):
+        if not (isinstance(self.tau, (int, np.integer)) and self.tau >= 0):
+            raise ValueError(f"degree tau must be an integer >= 0, got {self.tau!r}")
         if not (np.isfinite(self.s1) and np.isfinite(self.a)):
             raise ValueError("s1 and a must be finite")
         if not self.a > 0:
@@ -87,8 +89,7 @@ def branch_ic(B1, mtilde, s: float, branch: str):
 # 32 second-kind Chebyshev nodes cos(theta) on [-1, 1] (ascending), their
 # barycentric weights, differentiation matrix, the map (a discrete cosine
 # transform) from node values to Chebyshev coefficients and its last two rows,
-# and the integral of the interpolant from the first node to each node (its
-# last row is the Clenshaw-Curtis rule)
+# and the Clenshaw-Curtis weights (the integral of the interpolant over [-1, 1])
 _THETA = np.pi * np.arange(31, -1, -1) / 31
 _NODES = np.cos(_THETA)
 _BARY = np.where(np.arange(32) % 2, -1.0, 1.0) / np.r_[2.0, np.ones(30), 2.0]
@@ -97,8 +98,8 @@ _DIFF -= np.diag(_DIFF.sum(axis=1))
 _COEF = (np.cos(np.outer(np.arange(32), _THETA)) * np.abs(_BARY)
          / np.r_[31.0, np.full(30, 15.5), 31.0][:, None])
 _TAIL = _COEF[-2:]
-_CUMINT = np.polynomial.chebyshev.chebval(
-    _NODES, np.polynomial.chebyshev.chebint(_COEF, lbnd=-1)).T
+_CLENSHAW_CURTIS = np.polynomial.chebyshev.chebval(
+    1.0, np.polynomial.chebyshev.chebint(_COEF, lbnd=-1))
 _PANEL_PHASE = 10.0  # radians of the fastest wave per panel
 _WHITTAKER_STEP = 5.0  # e-folds or radians of W per panel; 10 misses the whitw oracle
 _RICCATI_RATIO = 1.3  # outer/inner edge of a Riccati panel
@@ -417,15 +418,16 @@ def _riccati(q, half):
 def _whittaker_sweep(p: WhittakerParams, ys):
     """One inward pass of W'' = q W from the asymptotic seed at y0 down to min ys.
     Returns (W, W') at ys, one row per point, and dense(y) -> (W, W') on the
-    panels that meet [min ys, max ys].
+    collocation panels that meet [min ys, max ys].
 
-    Riccati leg: `_riccati` for u = W'/W on geometric panels from y0 down to the
-    turning point; those above the first that misses _RICCATI_TOL are used, down
-    to y_h, with log W(y) = -a y + tau ln(2 a y) + ln S(x0) - int_y^y0 (u + a -
-    tau/y) dy, whose small integrand avoids the O(s1^2) cancellation of seed and
-    action.  Linear leg: from y_h (or the seed) down to min ys, `_collocate` on
-    panels of _WHITTAKER_STEP e-folds or radians (int (sqrt|q| + 1/y) dy), each
-    held to _COLLOCATION_TOL, chained with a log factor."""
+    Riccati leg: `_riccati` for u = W'/W on geometric panels from y0 towards the
+    turning point, wholly above max ys; those above the first that misses
+    _RICCATI_TOL are used, down to y_h (y0 if none), and log W(y_h) = -a y_h +
+    tau ln(2 a y_h) + ln S(x0) - int_{y_h}^{y0} (u + a - tau/y) dy by Clenshaw-Curtis,
+    whose small integrand avoids the O(s1^2) cancellation of seed and action.
+    Linear leg: from y_h down to min ys, `_collocate` on panels of _WHITTAKER_STEP
+    e-folds or radians (int (sqrt|q| + 1/y) dy), each held to _COLLOCATION_TOL,
+    chained with a log factor; dense interpolates their scaled W and W'."""
     # the series terms shrink from the first once x0 >> s1^2 + tau^2
     x0 = max(120.0, 4.0 * (p.s1 * p.s1 + p.tau * p.tau + 0.25) + 40.0)
     ys, y0 = np.asarray(ys, dtype=float), x0 / (2 * p.a)
@@ -435,49 +437,39 @@ def _whittaker_sweep(p: WhittakerParams, ys):
     sign, lnS, dlog0 = _asymptotic_seed(p, x0)
     y_t = (p.tau + np.sqrt(p.tau ** 2 + p.s1 ** 2 + 0.25)) / p.a
     e = y0 / _RICCATI_RATIO ** np.arange(np.ceil(np.log(y0 / y_t) / np.log(_RICCATI_RATIO)))
+    e = e[e > hi]  # so the linear leg covers [lo, hi]
     half, y = _nodes(e)
     u, res = _riccati(_q(p, y), half)
     n = int(np.argmax(np.r_[res, np.inf] > _RICCATI_TOL))  # panels used
-    y_h, u, y = e[n], u[:n], y[:n]
-    C = half[:n] * ((u + p.a - p.tau / y) @ _CUMINT.T)  # int_{panel top}^y, y descending
-    logW = (-p.a * y + p.tau * np.log(2 * p.a * y) + lnS
-            + np.r_[0.0, np.cumsum(C[:-1, -1])][:, None] + C)
-    kept = [(e[k], e[k + 1], logW[k], u[k], 0.0, True)
-            for k in range(n) if e[k] >= lo and e[k + 1] <= hi]
-    if n:
-        w, dw, logfac = sign, sign * u[-1, -1], logW[-1, -1]
-    else:
-        w, dw = (sign * np.array([1.0, 2 * p.a * dlog0])).tolist()
-        logfac = -0.5 * x0 + p.tau * np.log(x0) + lnS
+    y_h = e[n]
+    logfac = (-p.a * y_h + p.tau * np.log(2 * p.a * y_h) + lnS
+              + np.sum(half[:n, 0] * ((u[:n] + p.a - p.tau / y[:n]) @ _CLENSHAW_CURTIS)))
+    w, dw = sign, sign * np.r_[2 * p.a * dlog0, u[:, -1]][n]  # W'/W at y_h
 
     def solve(e):
         half, y = _nodes(e)
         return _collocate(_q(p, y)[None], half)
 
-    edges = [y_h]
-    if lo < y_h:
-        g = np.geomspace(lo, y_h, 4097)
-        steps = _cumtrapz(np.sqrt(np.abs(_q(p, g))) + 1 / g, g)
-        n_lin = 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))
-        edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
+    g = np.geomspace(lo, y_h, 4097)
+    steps = _cumtrapz(np.sqrt(np.abs(_q(p, g))) + 1 / g, g)
+    n_lin = 1 + int(np.ceil(steps[-1] / _WHITTAKER_STEP))
+    edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
+    kept = []
     for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
         e, (U,), (dU,) = _refined(solve, edges[i:i + 65])
         for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
             if e[k + 1] <= hi:
-                kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac, False))
+                kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac))
             w, dw = u0 * w + u1 * dw, d0 * w + d1 * dw
             mag = max(abs(w), abs(dw))
             w, dw, logfac = w / mag, dw / mag, logfac + np.log(mag)
-    top, bottom, F1, F2, lf, ric = map(np.array, zip(*kept[::-1]))  # upward
+    top, bottom, F1, F2, lf = map(np.array, zip(*kept[::-1]))  # upward
 
     def dense(y):
-        # interpolates log W and u on Riccati panels, scaled W and W' on linear ones
         y = np.atleast_1d(y)
         k = np.clip(np.searchsorted(bottom, y, side="right") - 1, 0, len(bottom) - 1)
         M = _bary(((2 * y - top[k] - bottom[k]) / (bottom[k] - top[k]))[:, None])
-        v, d, scale = (M * F1[k]).sum(axis=1), (M * F2[k]).sum(axis=1), np.exp(lf[k])
-        W = np.where(ric[k], sign * np.exp(v), v * scale)
-        return np.stack((W, np.where(ric[k], d * W, d * scale)))
+        return np.stack(((M * F1[k]).sum(axis=1), (M * F2[k]).sum(axis=1))) * np.exp(lf[k])
 
     return dense(ys).T, dense
 

@@ -416,10 +416,14 @@ def test_ascend_coeffs_rejects_a_frequency_past_half_s(m):
 
 
 def test_measure_transport_ascends_only_the_frequencies_the_form_keeps():
-    # at s = 25 the 20-frequency packet reaches m = 14 > s/2, which quad_form drops
+    # at s = 25 the 20-frequency packet reaches m = 14 > s/2, which quad_form rejects
     obs = qz.Observable(eta0=0.2, eps=0.2)
     u0 = qz.geodesic_packet(25.0, 0.2, 20, L)
     assert u0.ms.max() > 12.5
+    with pytest.raises(ValueError, match="s/2"):
+        qz.quad_form(u0, obs, 0.0, 25.0, n_grid=101)
+    keep = np.abs(u0.ms) <= 12.5
+    u0 = WaveCoeffs(L, u0.ms[keep], u0.alpha[keep])
     (row,) = qz.measure_transport_check([25.0], 0.5, obs, K=20, l=L, n_grid=101)
     assert complex(row["lhs_re"], row["lhs_im"]) == qz.quad_form(u0, obs, 0.0, 25.0, n_grid=101)
     assert math.isfinite(row["rel_diff"])

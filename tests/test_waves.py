@@ -494,6 +494,19 @@ def test_whittaker_reality_and_ode_residual():
     assert np.max(np.abs(sol.y[:, -1] - st[0])) < 1e-9 * np.max(np.abs(st[0]))
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -1, 2.5])
+def test_whittaker_params_reject_a_degree_that_is_not_a_nonnegative_integer(tau):
+    # nan died in the sweep's arange, inf warned first, and 2.5 ran
+    with pytest.raises(ValueError, match="tau"):
+        W.WhittakerParams(tau, 25.0, 0.5)
+
+
+def test_whittaker_params_accept_numpy_integer_degrees():
+    ys = np.array([1.5, 2.0])
+    assert np.array_equal(W.whittaker_W(W.WhittakerParams(np.int64(2), 50.0, 25.0), ys),
+                          W.whittaker_W(W.WhittakerParams(2, 50.0, 25.0), ys))
+
+
 def test_whittaker_rejects_bad_y():
     p = W.WhittakerParams(0, 25.0, 0.5)
     with pytest.raises(ValueError):
@@ -555,12 +568,20 @@ def test_whittaker_matches_mpmath_whitw_at_large_s1(s1):
     assert np.max(np.abs(W.whittaker_W(p, ys) - ref) / np.abs(ref)) <= 1e-11
 
 
-def test_whittaker_dense_output_inside_the_riccati_zone(monkeypatch):
-    # at (0, 25, 0.5) the Riccati panels reach down to y = 526: these points
-    # are served from log W and u = W'/W alone, with no linear panel
-    monkeypatch.setattr(W, "_collocate", None)
+def test_whittaker_forbidden_zone_points_are_served_by_collocation_panels(monkeypatch):
+    # at (0, 25, 0.5) the Riccati panels could reach down to y = 526; the leg stops
+    # above y = 1000 and the collocation panels carry W and W' through the points
     p, ys = W.WhittakerParams(0, 25.0, 0.5), np.array([600.0, 800.0, 1000.0])
+    edges, refined = [], W._refined
+
+    def recorded(solve, e):
+        out = refined(solve, e)
+        edges.append(out[0])
+        return out
+
+    monkeypatch.setattr(W, "_refined", recorded)
     (w, dw), (ref_w, ref_dw) = W._whittaker_sweep(p, ys)[0].T, _whitw(0, 25.0, 0.5, ys)
+    assert min(map(min, edges)) <= ys.min() and ys.max() < max(map(max, edges))
     assert np.max(np.abs(w - ref_w) / np.abs(ref_w)) <= 1e-11
     assert np.max(np.abs(dw - ref_dw) / np.abs(ref_dw)) <= 1e-11
 
