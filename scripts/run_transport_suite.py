@@ -6,7 +6,8 @@ against |w0(beta)| * exp(f3 + normalization shift) and print the max
 relative error (expected to decay faster than 1/s).
 
 Part 2: quadratic-form comparison across the magnetic map for a
-geodesic-concentrated packet (slow at large s; bound with --s-max).
+geodesic-concentrated packet (slow at large s; bound with --s-max); each
+row is one `measure_transport_check` call, timed (ms=) with its two forms.
 
 Part 3: the energy-shell check of acceptance criterion 8 on the K = 20
 packet at eta0: the off-shell/psi == 1 ratio, the time of the first symbol
@@ -58,11 +59,13 @@ def main():
 
     print("# packet quadratic forms across the magnetic map")
     obs = qz.Observable(eta0=args.eta0, eps=0.2)
-    rows = qz.measure_transport_check(s_list, args.B, obs, eta0=args.eta0,
-                                      K=20, l=2 * math.pi)
-    for r in rows:
+    for s in s_list:
+        t0 = time.perf_counter()
+        (r,) = qz.measure_transport_check([s], args.B, obs, eta0=args.eta0,
+                                          K=20, l=2 * math.pi)
+        ms = 1e3 * (time.perf_counter() - t0)
         print(f"s={r['s']:.0f}  lhs={r['lhs_re']:.6e}  "
-              f"rhs={r['rhs_re']:.6e}  rel_diff={r['rel_diff']:.3e}")
+              f"rhs={r['rhs_re']:.6e}  rel_diff={r['rel_diff']:.3e}  ms={ms:.1f}")
 
     print("# energy shell off/ref, ms for the first and each further symbol")
     for s in s_list:

@@ -129,11 +129,13 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
 
     The waves are taken at degree [Bs] and weighted by the transported
     symbol a1, with the beta' integral pulled back through Phi so that
-    both sides live on the same beta grid.  Each row frequency m in supp
-    phi1 has its `PhaseTable`, whose Phi gives the row's beta' points; at
-    B = 0 the table is the identity, so this is the plain form against a0.
-    Every wave is solved in one call on the union of the row grids, and
-    the windowed pairs are arrays of shape (pairs, n_grid).
+    both sides live on the same beta grid.  One `PhaseTable` holds the
+    column of row frequencies m/s, m in supp phi1: one call each gives
+    Phi, f3 and f4 as (rows, n_grid) arrays, Phi's rows being the row
+    grids in beta'.  At B = 0 the table is the identity (f3 = f4 = 0), so
+    this is the plain form against a0.  Every wave is solved in one call
+    on the union of the row grids, and the windowed pairs are arrays of
+    shape (pairs, n_grid).
     """
     check_field(B, s)
     if not (n_grid >= 3 and n_grid % 2 == 1):  # the Simpson rule needs an odd count
@@ -157,10 +159,10 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     # one transform of each distinct windowed difference
     ks, inv = np.unique(diff[I, J], return_inverse=True)
     ft = obs.sigma_ft(ks)[inv]
-    tables = [tr.PhaseTable(B=B1, mtilde=mt) for mt in mts[rows]]
-    pts = np.array([t.Phi(grid) for t in tables])
-    f3 = np.array([t.f3(grid, p) + tr.wave_norm_shift(B1, t.mtilde) for t, p in zip(tables, pts)])
-    f4 = np.array([t.f4(grid, p) for t, p in zip(tables, pts)])
+    table = tr.PhaseTable(B=B1, mtilde=mts[rows, None])
+    pts = np.broadcast_to(table.Phi(grid), (rows.size, n_grid))  # Phi is grid itself at B = 0
+    f3 = table.f3(grid, pts) + tr.wave_norm_shift(B1, table.mtilde)
+    f4 = table.f4(grid, pts)
     union, at = np.unique(pts, return_inverse=True)
     waves = _branch_I(B1, mts, s, union)
     at = at.reshape(pts.shape)[r]  # each pair's row grid in the union

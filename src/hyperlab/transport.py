@@ -3,10 +3,13 @@
 Travel-time phases P, the reparametrization Phi matching magnetic and
 free phases, its eta-derivative, the amplitude/shift corrections f3, f4,
 the induced boundary map G with density A, and the WKB waves whose phase
-is s*P.  Functions of an angle map scalars to scalars and arrays to arrays.
-P and the f4 numerator are closed forms (an asinh plus the logarithm `_J`),
-Phi is a masked Newton solve.  `PhaseTable(B, mtilde)` is the one interface to
-Phi, Phi_inv, their derivatives, f3 and f4.
+is s*P.  The phase functions broadcast over their angle and frequency
+arguments: scalars give floats, and an array mtilde (say a column of row
+frequencies) against an array beta gives the broadcast shape.  P and the
+f4 numerator are closed forms (an asinh plus the logarithm `_J`), Phi is a
+masked Newton solve over the broadcast shape.  `PhaseTable(B, mtilde)`
+is the one interface to Phi, Phi_inv, their derivatives, f3 and f4; at
+B = 0, f3 and f4 are exact zeros.
 """
 
 from __future__ import annotations
@@ -23,47 +26,48 @@ _PTOL = 1e-11
 _HALF_PI = np.pi / 2
 
 
-def _like(beta, values):
-    """values as a float when beta is a scalar, else as an array."""
-    return float(values) if np.ndim(beta) == 0 else values
+def _out(values):
+    """values as a float when 0-d, else as the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
-def _J(c: float, e: float, u):
+def _J(c, e, u):
     """int_0^u dv / ((v - i) sqrt(R(v))) for R(v) = v^2 + 2 c v + 1 + e, from the
     antiderivative -log[(2 R(i) + R'(i)(v - i) + 2 sqrt(R(i) R(v))) / (v - i)] / sqrt(R(i))
-    on the principal branch.  R(i) = e + 2ic stays exact as it tends to 0; at
-    R(i) = 0 (c = e = 0) every caller's prefactor vanishes, and J is returned as 0.
+    on the principal branch, broadcast over c, e and u.  R(i) = e + 2ic stays
+    exact as it tends to 0; where R(i) = 0 (c = e = 0) every caller's prefactor
+    vanishes, and J is 0 there (the formula runs on R(i) = 1 under the mask).
     """
     Ri = e + 2j * c
-    if Ri == 0:
-        return np.zeros(np.shape(u), dtype=complex)
+    zero = Ri == 0
+    Ri = np.where(zero, 1.0, Ri)
     r, dR = np.sqrt(Ri), 2.0 * (c + 1j)
 
     def F(v):
         return np.log((2.0 * Ri + dR * (v - 1j)
                        + 2.0 * r * np.sqrt(v * v + 2.0 * c * v + 1.0 + e)) / (v - 1j))
 
-    return (F(0.0) - F(u)) / r
+    return np.where(zero, 0.0, (F(0.0) - F(u)) / r)
 
 
-def phase_P(B1: float, mtilde: float, beta):
+def phase_P(B1: float, mtilde, beta):
     """Travel-time phase P(beta) = B1*beta + int_0^beta sqrt(Q), in closed form.
 
     With u = tan beta, sqrt(Q) dbeta = sqrt(R(u)) du / (1 + u^2), which splits
     into 1/sqrt(R) (an asinh) and two conjugate terms 1/((u -+ i) sqrt(R)).
     """
-    if not (math.isfinite(B1) and math.isfinite(mtilde) and abs(mtilde) < 1.0):
+    if not (np.isfinite(B1) and np.all(np.abs(mtilde) < 1.0)):
         raise ValueError(f"need finite B1 and |mtilde| < 1, got B1={B1}, mtilde={mtilde}")
     b = np.asarray(beta, dtype=float)
     if not np.all(np.abs(b) < _HALF_PI):
         raise ValueError("beta must lie in (-pi/2, pi/2)")
     u, c, e = np.tan(b), B1 * mtilde, B1 * B1 - mtilde * mtilde
     rD = np.sqrt((1.0 + B1 * B1) * (1.0 - mtilde * mtilde))
-    return _like(beta, B1 * b + np.arcsinh((u + c) / rD) - np.arcsinh(c / rD)
-                 + 2.0 * np.real((c - 0.5j * e) * _J(c, e, u)))
+    return _out(B1 * b + np.arcsinh((u + c) / rD) - np.arcsinh(c / rD)
+                + 2.0 * np.real((c - 0.5j * e) * _J(c, e, u)))
 
 
-def phase_P_deriv(B1: float, mtilde: float, beta):
+def phase_P_deriv(B1: float, mtilde, beta):
     """dP/dbeta = B1 + sqrt(Q(beta))."""
     return B1 + np.sqrt(Q(B1, mtilde, beta))
 
@@ -86,18 +90,27 @@ def b1(B2, mtilde: float):
     return -np.arctan2(mtilde, np.sqrt(B2 * B2 - mtilde * mtilde + 1.0))
 
 
-def b4(B: float, mtilde: float) -> float:
+def _check_offset_args(B, eta) -> None:
+    """Reject a non-finite or negative B and a non-finite eta or |eta| >= 1,
+    once on the whole arrays."""
+    if not (np.all(np.isfinite(B) & (np.asarray(B) >= 0)) and np.all(np.abs(eta) < 1.0)):
+        raise ValueError(f"need finite B >= 0 and |eta| < 1, got B={B}, eta={eta}")
+
+
+def b4(B, mtilde):
     """Accumulated phase offset int_0^B b1(B2, m) dB2, in closed form."""
+    _check_offset_args(B, mtilde)
     c = 1.0 - mtilde * mtilde
-    r = math.sqrt(B * B + c)
-    return (-B * math.atan(mtilde / r) - mtilde * math.asinh(B / math.sqrt(c))
-            + math.atanh(mtilde * B / r))
+    r = np.sqrt(B * B + c)
+    return _out(-B * np.arctan(mtilde / r) - mtilde * np.arcsinh(B / np.sqrt(c))
+                + np.arctanh(mtilde * B / r))
 
 
-def db4_deta(B: float, eta: float) -> float:
+def db4_deta(B, eta):
     """Closed form of the eta-derivative of b4."""
-    return (math.log(math.sqrt(1.0 - eta * eta))
-            - math.log(B + math.sqrt(B * B - eta * eta + 1.0)))
+    _check_offset_args(B, eta)
+    return _out(np.log(np.sqrt(1.0 - eta * eta))
+                - np.log(B + np.sqrt(B * B - eta * eta + 1.0)))
 
 
 def b3(B2, mtilde: float):
@@ -105,43 +118,45 @@ def b3(B2, mtilde: float):
     return -B2 / (2.0 * (B2 * B2 - mtilde * mtilde + 1.0))
 
 
-def b7(B: float, mtilde: float) -> float:
+def b7(B, mtilde):
     """Accumulated amplitude drift int_0^B b3 dB2 = -log(1 + B^2/(1 - m^2))/4."""
-    return -0.25 * math.log1p(B * B / (1.0 - mtilde * mtilde))
+    _check_offset_args(B, mtilde)
+    return _out(-0.25 * np.log1p(B * B / (1.0 - mtilde * mtilde)))
 
 
-def _solve_P(B1: float, mtilde: float, target, x0):
+def _solve_P(B1: float, mtilde, target, x0):
     """Solve P_{B1,m}(x) = target pointwise by safeguarded Newton.
 
-    Each point keeps its own bisection bracket and stops once its residual
-    is below _PTOL or its iterate stalls; a step evaluates P once on the
-    points still open.
+    mtilde, target and the start x0 broadcast to one shape.  Each point
+    keeps its own bisection bracket and is frozen once its residual is
+    below _PTOL or its iterate stalls; a step evaluates P once on the whole
+    shape, so mtilde keeps its own shape (a column of row frequencies
+    stays a column, and the terms of P that depend on it alone are
+    evaluated once per row, not once per point).
     """
     delta = 1e-12
-    target = np.ravel(target)
-    lo = np.full(target.size, -_HALF_PI + delta)
+    shape = np.broadcast_shapes(np.shape(mtilde), np.shape(target), np.shape(x0))
+    lo = np.full(shape, -_HALF_PI + delta)
     hi = -lo
-    x = np.clip(np.ravel(x0).astype(float), lo, hi)
-    idx = np.arange(x.size)
+    x = np.clip(x0, lo, hi)
+    open_ = np.ones(shape, dtype=bool)
     for _ in range(120):
-        xa = x[idx]
-        g = phase_P(B1, mtilde, xa) - target[idx]
-        open_ = np.abs(g) >= _PTOL
-        idx, xa, g = idx[open_], xa[open_], g[open_]
+        g = phase_P(B1, mtilde, x) - target
+        open_ &= np.abs(g) >= _PTOL
         up = g > 0
-        hi[idx[up]] = xa[up]
-        lo[idx[~up]] = xa[~up]
-        xn = xa - g / phase_P_deriv(B1, mtilde, xa)
-        outside = ~((lo[idx] < xn) & (xn < hi[idx]))
-        xn[outside] = 0.5 * (lo[idx[outside]] + hi[idx[outside]])
-        x[idx] = xn
-        idx = idx[xn != xa]
-        if idx.size == 0:
-            return _like(x0, x.reshape(np.shape(x0)))
+        hi = np.where(open_ & up, x, hi)
+        lo = np.where(open_ & ~up, x, lo)
+        xn = np.where(open_, x - g / phase_P_deriv(B1, mtilde, x), x)
+        outside = open_ & ~((lo < xn) & (xn < hi))
+        xn[outside] = 0.5 * (lo[outside] + hi[outside])
+        open_ &= xn != x
+        x = xn
+        if not open_.any():
+            return _out(x)
     raise RuntimeError("phase equation solve failed to converge")
 
 
-def _dPhi_dm_numerator(B: float, mtilde: float, beta, phi_val):
+def _dPhi_dm_numerator(B: float, mtilde, beta, phi_val):
     """int_0^beta dsqrtQ_0/dm - int_0^Phi dsqrtQ_B/dm - db4/dm, in closed form.
 
     In u = tan beta the integrands -m / ((1 + u^2) sqrt(Q_0)) and
@@ -149,30 +164,32 @@ def _dPhi_dm_numerator(B: float, mtilde: float, beta, phi_val):
     """
     J0 = _J(0.0, -mtilde * mtilde, np.tan(beta))
     JB = _J(B * mtilde, B * B - mtilde * mtilde, np.tan(phi_val))
-    return _like(beta, -mtilde * np.imag(J0) - np.real((B + 1j * mtilde) * JB)
-                 - db4_deta(B, mtilde))
+    return _out(-mtilde * np.imag(J0) - np.real((B + 1j * mtilde) * JB)
+                - db4_deta(B, mtilde))
 
 
 @dataclass(frozen=True)
 class PhaseTable:
-    """Phase layer of one (B >= 0, mtilde): offsets b4, b7 and the maps.
+    """Phase layer of a field B >= 0 and frequencies mtilde: offsets b4, b7
+    and the maps.
 
-    Each method takes a scalar or an array of angles and returns the same
-    shape.  `f3`, `f4` and the derivatives accept precomputed values
-    `phi = Phi(beta)`, so a grid needs one Phi solve for all of them.
-    At B = 0 the table is the identity, bit for bit: Phi and Phi_inv
-    return their argument, and f3 and f4 are exactly 0.
+    mtilde is a scalar or an array, say a column (rows, 1) of row
+    frequencies; each method takes a scalar or an array of angles and
+    returns their broadcast shape against mtilde, so one table serves
+    every row of a grid.  `f3`, `f4` and the derivatives accept
+    precomputed values `phi = Phi(beta)`, so a grid needs one Phi solve
+    for all of them.  At B = 0 the table is the identity, bit for bit:
+    Phi and Phi_inv return their argument, and f3 and f4 are exact zeros
+    of the broadcast shape, computed without `_J` or a logarithm.
     """
 
     B: float
-    mtilde: float
-    b4_val: float = field(init=False)
-    b7_val: float = field(init=False)
+    mtilde: float | np.ndarray
+    b4_val: float | np.ndarray = field(init=False)
+    b7_val: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not (abs(self.mtilde) < 1.0 and 0.0 <= self.B < math.inf):
-            raise ValueError("need finite B >= 0 and |mtilde| < 1")
-        object.__setattr__(self, "b4_val", b4(self.B, self.mtilde))
+        object.__setattr__(self, "b4_val", b4(self.B, self.mtilde))  # checks B and mtilde
         object.__setattr__(self, "b7_val", b7(self.B, self.mtilde))
 
     def Phi(self, beta):
@@ -192,6 +209,9 @@ class PhaseTable:
     def _phi(self, beta, phi):
         return self.Phi(beta) if phi is None else phi
 
+    def _zeros(self, beta):
+        return _out(np.zeros(np.broadcast_shapes(np.shape(beta), np.shape(self.mtilde))))
+
     def dPhi_dbeta(self, beta, phi=None):
         """Closed form sqrt(Q_0(beta)) / (B + sqrt(Q_B(Phi)))."""
         return (np.sqrt(Q(0.0, self.mtilde, beta))
@@ -204,6 +224,8 @@ class PhaseTable:
 
     def f3(self, beta, phi=None):
         """Log-amplitude correction b7 + (ln Q_0(beta) - ln Q_B(Phi)) / 4."""
+        if self.B == 0.0:
+            return self._zeros(beta)
         return self.b7_val + 0.25 * (
             np.log(Q(0.0, self.mtilde, beta))
             - np.log(Q(self.B, self.mtilde, self._phi(beta, phi))))
@@ -214,19 +236,22 @@ class PhaseTable:
         The denominator of dPhi/dm cancels, so this is the bare phase-integral
         numerator; it vanishes like O(pi/2 - beta) at the boundary.
         """
+        if self.B == 0.0:
+            return self._zeros(beta)
         return _dPhi_dm_numerator(self.B, self.mtilde, beta,
                                   self._phi(beta, phi))
 
 
-def wave_norm_shift(B: float, eta: float) -> float:
+def wave_norm_shift(B, eta):
     """Constant relating unit-value and WKB-amplitude wave normalizations.
 
     The solver waves are pinned to w(0) = 1 while the WKB amplitude is
     Q^{-1/4}, whose value at 0 depends on the field level; comparing the
     ascended wave against exp(f3) therefore requires the extra constant
-    (ln Q_B(0) - ln Q_0(0)) / 4.
+    (ln Q_B(0) - ln Q_0(0)) / 4, which broadcasts over B and eta.
     """
-    return 0.25 * (math.log(Q(B, eta, 0.0)) - math.log(Q(0.0, eta, 0.0)))
+    _check_offset_args(B, eta)
+    return _out(0.25 * (np.log(Q(B, eta, 0.0)) - np.log(Q(0.0, eta, 0.0))))
 
 
 def _check_point(B: float, point) -> PhaseTable:

@@ -258,6 +258,37 @@ def test_quad_form_solves_every_wave_in_one_call(monkeypatch, B):
     assert calls == [20]
 
 
+@pytest.mark.parametrize("B", [0.0, 0.5])
+def test_quad_form_builds_one_phase_table(monkeypatch, B):
+    # one table over the column of row frequencies, at any field: no loop over rows
+    init, tables = tr.PhaseTable.__post_init__, []
+    monkeypatch.setattr(tr.PhaseTable, "__post_init__",
+                        lambda self: tables.append(self) or init(self))
+    s = 200.0
+    u = qz.geodesic_packet(s, 0.2, 20, L)
+    assert qz.quad_form(u, qz.Observable(eta0=0.2, eps=0.2), B, s, n_grid=41) != 0
+    assert len(tables) == 1 and np.shape(tables[0].mtilde) == (20, 1)
+
+
+# B = 0 forms (lhs) of criterion 7 and of the transport-forms benchmark rows
+# (eta0 = 0.2, K = 20) as float.hex, real and imaginary part: at B = 0 the
+# phase layer is the identity, bit for bit, whatever shape its table has
+_ZERO_FIELD_LHS = {
+    (100.0, 801): ("0x1.9dc94c3dd6be3p-5", "0x1.662d92d1c0770p-69"),
+    (200.0, 801): ("0x1.0ad1970ad137bp-4", "0x1.8448f01ee5170p-67"),
+    (400.0, 801): ("0x1.afde5cc5b8385p-4", "0x1.0ee19af38b323p-67"),
+    (25.0, 41): ("0x1.8d231e04d7642p-7", "0x1.8ef4a11dd3bbap-66"),
+    (50.0, 41): ("0x1.a137a86208a3cp-6", "-0x1.1b651caa176e6p-64"),
+}
+
+
+@pytest.mark.parametrize("s, n_grid", list(_ZERO_FIELD_LHS))
+def test_zero_field_forms_are_pinned_bit_for_bit(s, n_grid):
+    obs = qz.Observable(eta0=0.2, eps=0.2)
+    (row,) = qz.measure_transport_check([s], 0.5, obs, K=20, l=L, n_grid=n_grid)
+    assert (row["lhs_re"].hex(), row["lhs_im"].hex()) == _ZERO_FIELD_LHS[s, n_grid]
+
+
 @pytest.mark.parametrize("n_grid", [1, 2, 40])
 def test_quad_form_rejects_bad_grid_before_solving(monkeypatch, n_grid):
     # the Simpson rule needs an odd sample count of at least 3

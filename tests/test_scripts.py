@@ -34,7 +34,8 @@ def test_run_equidistribution(tmp_path):
 def test_run_transport_suite(tmp_path):
     lines = run_script("run_transport_suite.py", "--s-max", "50", cwd=tmp_path)
     assert lines[0] == "# modulus transport |omega(Phi)| vs |w0| e^{f3}"
-    assert "# packet quadratic forms across the magnetic map" in lines
+    forms = lines.index("# packet quadratic forms across the magnetic map")
+    assert lines[forms + 1].startswith("s=50  lhs=") and float(lines[forms + 1].split("ms=")[1]) > 0
     assert lines[-1].startswith("s=50 ")
     shell = lines.index("# energy shell off/ref, ms for the first and each further symbol")
     assert lines[shell + 1].startswith("s=50  off/ref=")

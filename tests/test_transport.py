@@ -286,6 +286,56 @@ def test_phase_table_is_the_identity_at_zero_field_bit_for_bit(m):
     assert tr.wave_norm_shift(0.0, m) == 0.0
 
 
+@pytest.mark.parametrize("mtilde", [0.3, np.array([[-0.2], [0.0], [0.45]])])
+def test_zero_field_f3_f4_are_zeros_without_J(monkeypatch, mtilde):
+    # the identity table skips the logarithms: exact zeros of the broadcast shape
+    def fail(*args):
+        raise AssertionError("_J called at B = 0")
+
+    monkeypatch.setattr(tr, "_J", fail)
+    table = tr.PhaseTable(0.0, mtilde)
+    shape = np.broadcast_shapes(np.shape(mtilde), GRID.shape)
+    for vals in (table.f3(GRID), table.f4(GRID, GRID), table.dPhi_dm(GRID)):
+        assert vals.shape == shape and np.all(vals == 0.0)
+    assert np.all(table.f3(0.9) == 0.0) and np.all(table.f4(0.9) == 0.0)
+
+
+@pytest.mark.parametrize("B1", [0.0, 0.02, 0.5, 8.0])
+def test_array_table_matches_per_row_scalar_tables(B1):
+    # a column of rows as quad_form builds it: mtilde = 0 (where P_0 meets the
+    # R(i) = 0 case of _J), negative values and |mtilde| near 1/2
+    rows = np.array([-0.4999, -0.3, -0.01, 0.0, 0.05, 0.2, 0.4999])
+    grid = np.linspace(-1.4, 1.4, 29)
+    table = tr.PhaseTable(B1, rows[:, None])
+    ph = table.Phi(grid)
+
+    def maps(t, ph):
+        return {"Phi": ph, "Phi_inv": t.Phi_inv(grid), "dPhi_dbeta": t.dPhi_dbeta(grid, ph),
+                "dPhi_dm": t.dPhi_dm(grid, ph), "f3": t.f3(grid, ph), "f4": t.f4(grid, ph),
+                "shift": tr.wave_norm_shift(B1, t.mtilde) + 0 * grid}
+
+    shape = (rows.size, grid.size)  # Phi and Phi_inv return the grid itself at B = 0
+    arrays = {name: np.broadcast_to(vals, shape)
+              for name, vals in maps(table, np.broadcast_to(ph, shape)).items()}
+    for k, mt in enumerate(rows):
+        row = tr.PhaseTable(B1, mt)
+        assert table.b4_val[k, 0] == row.b4_val and table.b7_val[k, 0] == row.b7_val
+        for name, vals in maps(row, row.Phi(grid)).items():
+            assert np.max(np.abs(arrays[name][k] - vals)) <= 1e-15, name
+
+
+@pytest.mark.parametrize("fn", [tr.b4, tr.b7, tr.db4_deta, tr.wave_norm_shift])
+@pytest.mark.parametrize("B, eta", [
+    (math.nan, 0.2), (math.inf, 0.2), (-0.5, 0.2), (0.5, math.nan), (0.5, math.inf),
+    (0.5, 1.0), (0.5, -1.0), (0.5, 1.5), (0.5, np.array([0.2, 1.0])),
+    (np.array([0.5, math.nan]), 0.2),
+])
+def test_offsets_reject_non_finite_negative_or_out_of_window_input(fn, B, eta):
+    # these used to return nan or die in a math domain or zero division error
+    with pytest.raises(ValueError):
+        fn(B, eta)
+
+
 def test_f4_vanishes_linearly_at_boundary():
     ratios = []
     for k in range(4, 13):
