@@ -13,8 +13,7 @@ Usage: python3 scripts/run_equidistribution.py [--lengths 1e2,1e3,1e4]
 import argparse
 import time
 
-from hyperlab.ergodic import (equidistribution_series, octagon_area_means,
-                              sample_orbit, seeded_unit_vector)
+from hyperlab.ergodic import equidistribution_series, sample_orbit, seeded_unit_vector
 
 
 def main():
@@ -24,12 +23,10 @@ def main():
     args = ap.parse_args()
     lengths = [float(t) for t in args.lengths.split(",")]
     v0 = seeded_unit_vector(args.seed)
-    means = octagon_area_means()
 
     for kind, B in (("horocyclic", 0.0), ("hypercyclic", 0.5),
                     ("hypercyclic", 5.0), ("geodesic", 0.0)):
-        rows = equidistribution_series(kind, v0, lengths, B=B,
-                                       area_means=means)
+        rows = equidistribution_series(kind, v0, lengths, B=B)
         start = time.perf_counter()
         steps = len(sample_orbit(v0, kind, max(lengths), B=B).xs) - 1
         rate = steps / (time.perf_counter() - start)

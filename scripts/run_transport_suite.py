@@ -61,8 +61,7 @@ def main():
     obs = qz.Observable(eta0=args.eta0, eps=0.2)
     for s in s_list:
         t0 = time.perf_counter()
-        (r,) = qz.measure_transport_check([s], args.B, obs, eta0=args.eta0,
-                                          K=20, l=2 * math.pi)
+        (r,) = qz.measure_transport_check([s], args.B, obs, K=20, l=2 * math.pi)
         ms = 1e3 * (time.perf_counter() - t0)
         print(f"s={r['s']:.0f}  lhs={r['lhs_re']:.6e}  "
               f"rhs={r['rhs_re']:.6e}  rel_diff={r['rel_diff']:.3e}  ms={ms:.1f}")

@@ -55,7 +55,6 @@ class RunConfig:
     s1: float = 50.0
     a: float = 25.0
     lengths: list[float] = field(default_factory=lambda: [1e2, 1e3, 1e4])
-    surface: str = "octagon"
     flow_kind: str = "horocyclic"
     out: str = "."
     do_assert: bool = False
@@ -154,7 +153,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
                    closed.real, closed.imag,
                    base.values.real, base.values.imag))
     b1 = math.floor(cfg.B * s) / s
-    shift = wave_norm_shift(b1, cfg.eta0) if b1 > 0 else 0.0
+    shift = wave_norm_shift(b1, cfg.eta0)
     # the ascended wave is one branch-I wave times the c1 product
     mono = float(np.max(np.abs(exact.values - closed))
                  / np.max(np.abs(exact.values)))
@@ -178,8 +177,7 @@ def cmd_measure_transport(cfg: RunConfig) -> dict:
         raise ValueError("need one or more --s values")
     out = _out_dir(cfg)
     obs = Observable(eta0=cfg.eta0, eps=cfg.eps)
-    rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs,
-                                   eta0=cfg.eta0, l=cfg.l)
+    rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs, l=cfg.l)
     header = ["s", "b_field", "eta0", "eps", "lhs_re", "lhs_im",
               "rhs_re", "rhs_im", "rel_diff"]
     _write_csv(out / "measure_transport.csv", header,
@@ -247,8 +245,6 @@ def cmd_equidistribute(cfg: RunConfig) -> dict:
             "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
     if kind not in ("horocyclic", "hypercyclic", "geodesic"):
         raise ValueError(f"unknown flow kind {cfg.flow_kind!r}")
-    if cfg.surface != "octagon":
-        raise ValueError(f"unknown surface {cfg.surface!r}")
     v0 = seeded_unit_vector(7)
     rows = equidistribution_series(kind, v0, list(cfg.lengths), B=cfg.B)
     _write_csv(out / "equidistribution.csv", ["length", "discrepancy"], rows)
@@ -292,7 +288,6 @@ _VALUE_FLAGS = (
     ("--s1", float, "Whittaker spectral parameter (default 50)"),
     ("--a", float, "Whittaker frequency (default 25)"),
     ("--lengths", _float_list, "orbit lengths, comma-separated (default 1e2,1e3,1e4)"),
-    ("--surface", None, "quotient surface (default octagon)"),
     ("--out", None, "output directory (default .)"),
 )
 

@@ -224,20 +224,15 @@ def _area_means(group: FuchsianGroup) -> tuple:
 
 
 def equidistribution_series(kind: str, v0: TangentVec, lengths,
-                            B: float = 0.0, group: FuchsianGroup | None = None,
-                            area_means: dict | None = None,
-                            observables: list | None = None) -> list:
-    """(length, discrepancy) rows; discrepancy is the max over the family
-    of |Birkhoff average - area mean|, computed on prefixes of one orbit."""
+                            B: float = 0.0, group: FuchsianGroup | None = None) -> list:
+    """(length, discrepancy) rows; discrepancy is the max over
+    `observable_family` of |Birkhoff average - octagon area mean|, computed
+    on prefixes of one orbit."""
     lengths = sorted(float(L) for L in lengths)
     if not (lengths and all(0 <= L < math.inf for L in lengths)):
         raise ValueError("need one or more finite, nonnegative lengths")
-    if group is None:
-        group = octagon_group()
-    if observables is None:
-        observables = observable_family()
-    if area_means is None:
-        area_means = octagon_area_means(group)
+    group = group or octagon_group()
+    observables, area_means = observable_family(), octagon_area_means(group)
     for name, _ in observables:  # max(0.0, nan) is 0.0: a NaN mean would vanish
         if not math.isfinite(area_means.get(name, math.nan)):
             raise ValueError(f"need a finite area mean of {name}, "

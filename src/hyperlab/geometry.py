@@ -103,7 +103,7 @@ class CotangentPt:
 
 @dataclass(frozen=True)
 class CylPoint:
-    """Cylinder coordinates (beta, sigma), optionally with momenta (xi, eta).
+    """Cylinder coordinates (beta, sigma).
 
     beta in (-pi/2, pi/2) is the angular coordinate, sigma the log-radial
     one (reduced mod l when a neck length l is supplied); the half-plane
@@ -112,8 +112,6 @@ class CylPoint:
 
     beta: float
     sigma: float
-    xi: float | None = None
-    eta: float | None = None
     l: float | None = None
 
     def __post_init__(self):
@@ -183,16 +181,17 @@ def hamiltonian(p: CotangentPt, B: float) -> float:
     return 0.5 * ((y * p.xi1 - B) ** 2 + (y * p.xi2) ** 2)
 
 
-def flow_hamiltonian(p: CotangentPt, B: float, t, tol: float = 1e-10):
+def flow_hamiltonian(p: CotangentPt, B: float, t):
     """Integrate Hamilton's equations of H_B numerically for time t.
 
     xdot = dH/dxi1, ydot = dH/dxi2, xi1dot = 0, xi2dot = -dH/dy.
     Exists as a cross-check of the closed-form flows; adaptive RK
-    (DOP853) at relative tolerance tol.  An array t, sorted away from 0,
+    (DOP853) at rtol 1e-12, atol 1e-14, and an energy drift above
+    1e-9 max(1, H) is a RuntimeError.  An array t, sorted away from 0,
     takes one integration and gives a list with one point per time.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(B) and B >= 0):
+        raise ValueError(f"need finite B >= 0, got B={B}")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite, in a scalar or 1-D array")
@@ -204,18 +203,17 @@ def flow_hamiltonian(p: CotangentPt, B: float, t, tol: float = 1e-10):
             return [y * (y * xi1 - B), y * y * xi2, 0.0,
                     -(xi1 * (y * xi1 - B) + y * xi2 * xi2)]
 
-        # well below the contract tolerance: the energy check keeps a margin
-        # and dense output between steps stays near step accuracy
-        rtol = max(tol * 1e-2, 2.3e-14)
+        # well below the energy bound: the check keeps a margin and dense
+        # output between steps stays near step accuracy
         sol = solve_ivp(rhs, (0.0, ts[-1]), [p.base.x, p.base.y, p.xi1, p.xi2],
-                        method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+                        method="DOP853", rtol=1e-12, atol=1e-14,
                         t_eval=ts[moving])
         if not sol.success:
             raise RuntimeError(f"Hamiltonian integration failed: {sol.message}")
         h0 = hamiltonian(p, B)
         for i, (x, y, xi1, xi2) in zip(moving, sol.y.T):
             out[i] = CotangentPt(HPoint(x, y), xi1, xi2)
-            if abs(hamiltonian(out[i], B) - h0) > 10 * tol * max(1.0, h0):
+            if abs(hamiltonian(out[i], B) - h0) > 1e-9 * max(1.0, h0):
                 raise RuntimeError("energy drift exceeds tolerance")
     return out if np.ndim(t) else out[0]
 

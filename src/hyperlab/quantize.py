@@ -75,15 +75,6 @@ class Observable:
     def phi3(self, sigma):
         return bump((np.asarray(sigma) - self.sigma0) / self.eps)
 
-    def phi4(self, xi):
-        """Smooth step vanishing for xi <= 0, identically 1 for xi >= 1/4."""
-        return bump(np.maximum(0.5 - np.asarray(xi, dtype=float), 0.0))
-
-    def phi5(self, eta):
-        """Wider plateau, 1 on supp phi1, supported in (-1/2, 1/2)."""
-        scaled = bump((np.asarray(eta) - self.eta0) / (2 * self.eps))
-        return scaled * bump(np.asarray(eta) * 0.999)
-
     def beta_support(self) -> tuple[float, float]:
         return (self.beta0 - self.eps / 2, self.beta0 + self.eps / 2)
 
@@ -123,9 +114,10 @@ def default_window(s: float) -> float:
 
 
 def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
-              freq_window: float | None = None, n_grid: int = 801) -> complex:
-    """Windowed double sum over pairs (m, m') of the packet's frequencies of
-    alpha_m conj(alpha_m') phi1(m/s) FT[phi3](m-m') int phi2(b) w_m conj(w_m').
+              n_grid: int = 801) -> complex:
+    """Double sum over pairs (m, m') of the packet's frequencies, |m - m'| at
+    most `default_window(s)`, of alpha_m conj(alpha_m') phi1(m/s) FT[phi3](m-m')
+    int phi2(b) w_m conj(w_m').
 
     The waves are taken at degree [Bs] and weighted by the transported
     symbol a1, with the beta' integral pulled back through Phi so that
@@ -140,8 +132,6 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     check_field(B, s)
     if not (n_grid >= 3 and n_grid % 2 == 1):  # the Simpson rule needs an odd count
         raise ValueError(f"need an odd n_grid >= 3, got {n_grid}")
-    if freq_window is None:
-        freq_window = default_window(s)
     _check_band(coeffs, s)
     grid = np.linspace(*obs.beta_support(), n_grid)
     ms, alpha = coeffs.ms, coeffs.alpha
@@ -150,7 +140,7 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     p5 = bump(mts * 0.999)
     B1 = math.floor(B * s) / s
     diff = ms[:, None] - ms
-    window = (np.abs(diff) <= freq_window) & (p1 != 0)[:, None]
+    window = (np.abs(diff) <= default_window(s)) & (p1 != 0)[:, None]
     rows = np.flatnonzero(window.any(axis=1))
     if not rows.size:
         return 0j
@@ -177,9 +167,10 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
 
 def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
     """Equal-weight packet on the K lattice frequencies nearest eta0*s."""
-    if not (math.isfinite(s) and abs(eta0) < 0.5 and K >= 1 and 0 < l < math.inf):
-        raise ValueError(f"need finite s, |eta0| < 1/2, K >= 1 and finite l > 0, "
-                         f"got s={s}, eta0={eta0}, K={K}, l={l}")
+    check_field(0.0, s)
+    if not (abs(eta0) < 0.5 and K >= 1 and 0 < l < math.inf):
+        raise ValueError(f"need |eta0| < 1/2, K >= 1 and finite l > 0, "
+                         f"got eta0={eta0}, K={K}, l={l}")
     step = 2 * math.pi / l
     k0 = round(eta0 * s / step)
     cand = [step * (k0 + j) for j in range(-K - 1, K + 2)]
@@ -201,16 +192,12 @@ def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
                       coeffs.alpha * np.prod(c1(np.arange(n) / s, ms[:, None] / s, s), axis=1))
 
 
-def measure_transport_check(s_list, B: float, obs: Observable,
-                            eta0: float | None = None, K: int = 20,
-                            l: float = 2 * math.pi,
-                            n_grid: int = 801) -> list[dict]:
-    """Compare the packet form against a0 with the ascended form against a1."""
-    if eta0 is None:
-        eta0 = obs.eta0
+def measure_transport_check(s_list, B: float, obs: Observable, K: int = 20,
+                            l: float = 2 * math.pi, n_grid: int = 801) -> list[dict]:
+    """Compare the form of the packet at obs.eta0 against a0 with the ascended form against a1."""
     rows = []
     for s in s_list:
-        u0 = geodesic_packet(s, eta0, K, l)
+        u0 = geodesic_packet(s, obs.eta0, K, l)
         keep = np.abs(u0.ms) <= s / 2  # the band of the forms (K = 20 at s = 25 has more)
         u0 = WaveCoeffs(l, u0.ms[keep], u0.alpha[keep])
         lhs = quad_form(u0, obs, 0.0, s, n_grid=n_grid)
@@ -218,7 +205,7 @@ def measure_transport_check(s_list, B: float, obs: Observable,
         rhs = quad_form(uB, obs, B, s, n_grid=n_grid)
         denom = abs(lhs) if lhs != 0 else 1.0
         rows.append({
-            "s": s, "b_field": B, "eta0": eta0, "eps": obs.eps,
+            "s": s, "b_field": B, "eta0": obs.eta0, "eps": obs.eps,
             "lhs_re": lhs.real, "lhs_im": lhs.imag,
             "rhs_re": rhs.real, "rhs_im": rhs.imag,
             "rel_diff": abs(lhs - rhs) / denom,

@@ -488,6 +488,8 @@ def whittaker_deriv(p: WhittakerParams, ys):
 
 def ascension_norm(tau: int, s1: float) -> float:
     """Product of raising normalizations from degree 0 up to tau."""
+    if not tau >= 0:
+        raise ValueError(f"degree tau must be >= 0, got {tau!r}")
     return float(np.prod(np.sqrt(s1 * s1 + 0.25 + np.arange(tau) * np.arange(1, tau + 1))))
 
 

@@ -152,7 +152,7 @@ def test_criterion_7_measure_transport_trend():
     t0 = time.monotonic()
     obs = qz.Observable(eta0=0.2, eps=0.2)
     rows = qz.measure_transport_check([100.0, 200.0, 400.0], 0.5, obs,
-                                      eta0=0.2, K=20, l=L)
+                                      K=20, l=L)
     diffs = [r["rel_diff"] for r in rows]
     assert diffs[0] >= diffs[1] >= diffs[2]
     assert diffs[2] < 0.1
@@ -192,16 +192,12 @@ def test_criterion_8_energy_shell_concentration():
 @pytest.mark.slow
 def test_criterion_9_equidistribution_trends():
     v0 = seeded_unit_vector(7)
-    means = octagon_area_means()
-    rows = equidistribution_series("horocyclic", v0, [1e2, 1e3, 1e4],
-                                   area_means=means)
+    rows = equidistribution_series("horocyclic", v0, [1e2, 1e3, 1e4])
     discs = [d for _, d in rows]
     assert discs[0] >= discs[1] >= discs[2]
     assert discs[2] < 0.05
-    d5 = equidistribution_series("hypercyclic", v0, [1e3], B=5.0,
-                                 area_means=means)[0][1]
-    d05 = equidistribution_series("hypercyclic", v0, [1e3], B=0.5,
-                                  area_means=means)[0][1]
+    d5 = equidistribution_series("hypercyclic", v0, [1e3], B=5.0)[0][1]
+    d05 = equidistribution_series("hypercyclic", v0, [1e3], B=0.5)[0][1]
     assert d5 < d05
 
 

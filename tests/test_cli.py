@@ -25,7 +25,7 @@ def test_parser_accepts_all_flags():
     args = ap.parse_args([
         "measure-transport", "--s", "100,200", "--B", "0.5", "--eta0", "0.3",
         "--eps", "0.1", "--l", "6.28", "--tau-max", "3", "--s1", "25",
-        "--a", "12", "--lengths", "10,100", "--surface", "octagon",
+        "--a", "12", "--lengths", "10,100",
         "--out", "x", "--assert", "--json-summary"])
     cfg = config_from_args(args)
     assert cfg.s == [100.0, 200.0]
@@ -237,6 +237,14 @@ def test_bad_field_fails_with_strict_json(tmp_path, capsys, argv):
     assert code == 2
     diag = json.loads(out, parse_constant=lambda tok: pytest.fail(tok))
     assert diag["passed"] is False and "ValueError" in diag["error"]
+
+
+@pytest.mark.parametrize("B", ["nan", "inf", "-1"])
+def test_flows_reports_the_packages_field_check(tmp_path, capsys, B):
+    # nan used to fail inside scipy ("initial state `y0` must be finite")
+    code, out = run_cli(["flows", "--B", B, "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "need finite B >= 0" in json.loads(out)["error"]
 
 
 def test_json_output_rejects_non_finite(tmp_path):

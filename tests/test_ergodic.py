@@ -115,17 +115,22 @@ def test_area_means_symmetry_and_direction_zero(area_means):
         assert area_means[name] == 0.0
 
 
-def test_constant_family_zero_discrepancy(area_means):
-    fam = [("one", lambda x, y, th: np.ones_like(x))]
-    rows = equidistribution_series("horocyclic", V0, [10.0, 20.0],
-                                   area_means={"one": 1.0}, observables=fam)
+def _patch_family(monkeypatch, family, means):
+    """The series' family and area means, patched together: patching the family
+    alone would leave `_area_means` caching wrong means for later tests."""
+    monkeypatch.setattr(ergodic, "observable_family", lambda: family)
+    monkeypatch.setattr(ergodic, "octagon_area_means", lambda group: dict(means))
+
+
+def test_constant_family_zero_discrepancy(monkeypatch):
+    _patch_family(monkeypatch, [("one", lambda x, y, th: np.ones_like(x))], {"one": 1.0})
+    rows = equidistribution_series("horocyclic", V0, [10.0, 20.0])
     assert all(d == 0.0 for _, d in rows)
 
 
 @pytest.mark.slow
-def test_horocycle_equidistribution_trend(area_means):
-    rows = equidistribution_series("horocyclic", V0, [1e2, 1e3, 1e4],
-                                   area_means=area_means)
+def test_horocycle_equidistribution_trend():
+    rows = equidistribution_series("horocyclic", V0, [1e2, 1e3, 1e4])
     discs = [d for _, d in rows]
     assert discs[0] >= discs[1] >= discs[2]
     assert discs[2] < 0.05
@@ -138,18 +143,15 @@ def test_long_horocycle_bump_average_near_area_mean(area_means):
     assert abs(birkhoff_average(orbit, f) - area_means[name]) < 0.05
 
 
-def test_larger_b_hypercycles_equidistribute_faster(area_means):
-    d5 = equidistribution_series("hypercyclic", V0, [1e3], B=5.0,
-                                 area_means=area_means)[0][1]
-    d05 = equidistribution_series("hypercyclic", V0, [1e3], B=0.5,
-                                  area_means=area_means)[0][1]
+def test_larger_b_hypercycles_equidistribute_faster():
+    d5 = equidistribution_series("hypercyclic", V0, [1e3], B=5.0)[0][1]
+    d05 = equidistribution_series("hypercyclic", V0, [1e3], B=0.5)[0][1]
     assert d5 < d05
 
 
 @pytest.mark.slow
-def test_geodesic_mixing_trend(area_means):
-    rows = equidistribution_series("geodesic", V0, [1e2, 1e4],
-                                   area_means=area_means)
+def test_geodesic_mixing_trend():
+    rows = equidistribution_series("geodesic", V0, [1e2, 1e4])
     assert rows[1][1] < rows[0][1]
 
 
@@ -192,12 +194,12 @@ def test_sample_orbit_rejects_non_finite_or_negative_field(B):
         sample_orbit(V0, "hypercyclic", 10.0, B=B)
 
 
-def test_discrepancy_rejects_non_finite_average(area_means):
+def test_discrepancy_rejects_non_finite_average(area_means, monkeypatch):
     # a NaN Birkhoff average must not be dropped by the max over the family
     family = observable_family() + [("nan", lambda x, y, th: np.full_like(x, np.nan))]
+    _patch_family(monkeypatch, family, {**area_means, "nan": 0.0})
     with pytest.raises(ValueError, match="non-finite Birkhoff average"):
-        equidistribution_series("horocyclic", V0, [1.0], observables=family,
-                                area_means={**area_means, "nan": 0.0})
+        equidistribution_series("horocyclic", V0, [1.0])
 
 
 def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
@@ -429,9 +431,7 @@ def test_sample_orbit_rejects_bad_length_or_step(length, step):
 def test_discrepancy_rejects_bad_lengths(lengths):
     # -5 used to give a row from xs[:-499]; inf and nan died in int()
     with pytest.raises(ValueError, match="lengths"):
-        equidistribution_series("horocyclic", V0, lengths,
-                                area_means={"one": 1.0},
-                                observables=[("one", lambda x, y, th: np.ones_like(x))])
+        equidistribution_series("horocyclic", V0, lengths)
 
 
 def test_orbit_step_overflow_is_a_value_error():
@@ -466,7 +466,7 @@ def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
 @pytest.mark.parametrize("kind, B, lengths", [
     ("horocyclic", 0.0, [10.0, 100.0, 1000.0]), ("hypercyclic", 5.0, [100.0])])
 def test_one_observable_pass_matches_the_per_length_loop(area_means, kind, B, lengths):
-    rows = equidistribution_series(kind, V0, lengths, B=B, area_means=area_means)
+    rows = equidistribution_series(kind, V0, lengths, B=B)
     assert rows == _per_length_series(kind, V0, lengths, area_means, B=B)
 
 
@@ -503,7 +503,8 @@ def test_discrepancy_rejects_a_missing_or_non_finite_area_mean(area_means, monke
     means = {**area_means, "bump0": bad}
     if bad == "missing":
         del means["bump0"]
+    _patch_family(monkeypatch, observable_family(), means)
     monkeypatch.setattr(ergodic, "sample_orbit",
                         lambda *args, **kw: pytest.fail("orbit sampled before the check"))
     with pytest.raises(ValueError, match="finite area mean of bump0"):
-        equidistribution_series("horocyclic", V0, [10.0], area_means=means)
+        equidistribution_series("horocyclic", V0, [10.0])

@@ -78,7 +78,7 @@ def test_cylinder_generator_preserves_beta_shifts_sigma():
     from hyperlab.geometry import CylPoint, cyl_to_halfplane, halfplane_to_cyl
 
     G = gr.cylinder_group(0.7)
-    c = CylPoint(beta=0.4, sigma=0.2, xi=1.0, eta=0.0, l=0.7)
+    c = CylPoint(beta=0.4, sigma=0.2, l=0.7)
     z = cyl_to_halfplane(c)
     img = halfplane_to_cyl(mobius_apply(G.generators[0], z), l=0.7)
     assert img.beta == pytest.approx(c.beta, abs=1e-12)

@@ -64,13 +64,6 @@ def test_observable_profiles():
     # phi1 plateau around eta0, support of width eps
     assert obs.phi1(0.2) == 1.0
     assert obs.phi1(0.31) == 0.0
-    # phi4 step
-    assert obs.phi4(-0.5) == 0.0
-    assert obs.phi4(0.0) == 0.0
-    assert obs.phi4(0.3) == 1.0
-    # phi5 covers supp phi1, vanishes outside (-1/2, 1/2)
-    assert obs.phi5(0.25) == 1.0
-    assert obs.phi5(0.51) == 0.0
     # sigma transform at zero frequency is the integral of phi3
     assert obs.sigma_ft(0.0).real == pytest.approx(0.15, abs=1e-10)
     assert obs.sigma_ft(0.0).imag == 0.0
@@ -192,13 +185,20 @@ def test_quad_form_real_observable_hermitian():
     assert abs(val.imag) < 1e-8 * np.sum(np.abs(coeffs.alpha) ** 2)
 
 
-def test_quad_form_faraway_pairs_small():
+def _quad_form_in_window(monkeypatch, window, *args):
+    """quad_form with the frequency window fixed at window."""
+    with monkeypatch.context() as m:
+        m.setattr(qz, "default_window", lambda s: window)
+        return qz.quad_form(*args)
+
+
+def test_quad_form_faraway_pairs_small(monkeypatch):
     obs = qz.Observable(eta0=0.2, eps=0.2)
     diffs = []
     for s in (100.0, 200.0):
         u = qz.geodesic_packet(s, 0.2, 10, L)
         windowed = qz.quad_form(u, obs, 0.0, s)
-        full = qz.quad_form(u, obs, 0.0, s, freq_window=1e9)
+        full = _quad_form_in_window(monkeypatch, 1e9, u, obs, 0.0, s)
         diffs.append(abs(full - windowed) / abs(full))
     for d, s in zip(diffs, (100.0, 200.0)):
         assert d < 2.0 * s ** -0.125
@@ -206,9 +206,9 @@ def test_quad_form_faraway_pairs_small():
     s = 100.0
     u = qz.geodesic_packet(s, 0.2, 10, L)
     w1 = qz.quad_form(u, obs, 0.0, s)
-    w2 = qz.quad_form(u, obs, 0.0, s, freq_window=2 * s ** 0.125)
+    w2 = _quad_form_in_window(monkeypatch, 2 * s ** 0.125, u, obs, 0.0, s)
     assert abs(w2 - w1) <= abs(
-        qz.quad_form(u, obs, 0.0, s, freq_window=1e9) - w1) + 1e-12
+        _quad_form_in_window(monkeypatch, 1e9, u, obs, 0.0, s) - w1) + 1e-12
 
 
 def _quad_form_by_pairs(coeffs, obs, B, s, n_grid):
@@ -324,8 +324,10 @@ def test_packet_normalization_and_lattice():
 
 
 def test_packet_rejects_bad_input():
+    # s = 0 used to give frequencies near -1, 0 and 1, s = -100 a packet centred at -20
     for s, eta0, K, l in [(100.0, 0.7, 5, L), (100.0, 0.2, 0, L), (math.inf, 0.2, 5, L),
-                          (math.nan, 0.2, 5, L), (100.0, 0.2, 5, math.inf)]:
+                          (math.nan, 0.2, 5, L), (100.0, 0.2, 5, math.inf),
+                          (0.0, 0.2, 3, L), (-100.0, 0.2, 3, L)]:
         with pytest.raises(ValueError, match="need"):
             qz.geodesic_packet(s, eta0, K, l)
 

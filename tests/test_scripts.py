@@ -63,5 +63,5 @@ def test_run_whittaker_figure(tmp_path, args, printed):
     else:  # the shift per degree is compared with 1/a = 0.04, not 1/s1
         assert lines[-1].startswith("shift tau 0->1: 0.03")
         assert lines[-1].endswith("(1/a = 0.0400)")
-    assert (out / "wave_tau1.csv").read_text().startswith("y,abs_w_scaled\n")
-    assert (out / "peaks.csv").read_text().startswith("tau,abscissa,ordinate\n")
+    assert (out / "whittaker_tau1.csv").read_text().startswith("y,abs_w_scaled\n")
+    assert (out / "whittaker_peaks.json").read_text().startswith('{\n  "peaks": [')

@@ -501,6 +501,12 @@ def test_whittaker_params_reject_a_degree_that_is_not_a_nonnegative_integer(tau)
         W.WhittakerParams(tau, 25.0, 0.5)
 
 
+def test_ascension_norm_rejects_a_negative_degree():
+    # ascension_norm(-1, 50) used to return the empty product 1.0
+    with pytest.raises(ValueError, match="tau"):
+        W.ascension_norm(-1, 50.0)
+
+
 def test_whittaker_params_accept_numpy_integer_degrees():
     ys = np.array([1.5, 2.0])
     assert np.array_equal(W.whittaker_W(W.WhittakerParams(np.int64(2), 50.0, 25.0), ys),
