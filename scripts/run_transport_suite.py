@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from hyperlab import quantize as qz
+from hyperlab.base import reached_degree
 from hyperlab import transport as tr
 from hyperlab import waves as W
 
@@ -32,7 +33,7 @@ def modulus_errors(B, mtilde, s_list):
     grid = np.linspace(-1.0, 1.0, 81)
     errs = {}
     for s in s_list:
-        B1 = math.floor(B * s) / s
+        _, B1 = reached_degree(B, s)
         table = tr.PhaseTable(B=B1, mtilde=mtilde)
         pts = table.Phi(grid)
         # one solve: the ascended wave at Phi(beta), the base wave w0 at beta

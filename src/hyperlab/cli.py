@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import check_degree, check_field
+
 SCHEMA_VERSION = 1
 
 _WHITTAKER_PEAK_TABLE = [
@@ -86,15 +88,10 @@ def _write_json(path: Path, obj: dict) -> None:
                     + "\n", encoding="utf-8")
 
 
-def _check_tau_max(cfg: RunConfig) -> None:
-    if not cfg.tau_max >= 0:
-        raise ValueError(f"--tau-max must be >= 0, got {cfg.tau_max}")
-
-
 def cmd_whittaker(cfg: RunConfig) -> dict:
     from .waves import WhittakerParams, _sweep_peaks, _whittaker_sweep, ascension_norm
 
-    _check_tau_max(cfg)
+    check_degree(cfg.tau_max)
     out = _out_dir(cfg)
     # one sweep per degree on the peak scan; the CSV grid reads its dense output
     ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
@@ -152,7 +149,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
                zip(grid, exact.values.real, exact.values.imag,
                    closed.real, closed.imag,
                    base.values.real, base.values.imag))
-    b1 = math.floor(cfg.B * s) / s
+    b1 = exact.B1  # the reached field [Bs]/s
     shift = wave_norm_shift(b1, cfg.eta0)
     # the ascended wave is one branch-I wave times the c1 product
     mono = float(np.max(np.abs(exact.values - closed))
@@ -204,7 +201,8 @@ def cmd_flows(cfg: RunConfig) -> dict:
                            hyperbolic_distance, hypercyclic_flow, phi_B,
                            phi_B_inv, scale)
 
-    _check_tau_max(cfg)
+    check_degree(cfg.tau_max)
+    check_field(cfg.B)  # before the start vector is scaled to sqrt(B^2 + 1)
     out = _out_dir(cfg)
     B = cfg.B
     t_max = float(cfg.tau_max)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import bump
+from .base import bump, check_field
 from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
                        horocyclic_flow, hyperbolic_distance, hypercyclic_flow,
                        rotate, transport_T_B)
@@ -79,9 +79,9 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
        divides as the loop, and the angle keeps math.atan2 (np.arctan2
        differs in the last bit of about 7 % of the angles).
     """
-    if not (0 <= B < math.inf and 0 <= length < math.inf
-            and 0 < step < math.inf):
-        raise ValueError("need finite B >= 0, length >= 0 and step > 0")
+    check_field(B)
+    if not (0 <= length < math.inf and 0 < step < math.inf):
+        raise ValueError(f"need finite length >= 0 and step > 0, got {length}, {step}")
     group = group or octagon_group()
     step_matrix = tuple(map(float, flow_step(kind, B, step).ravel()))
     sa, sb, sc, sd = step_matrix
@@ -269,8 +269,6 @@ def tb_shift_check(v0: TangentVec, B: float, arc_length: float) -> float:
     same curve shifted by the constant flow-parameter offset
     -ln(1 + B^2)/2, which the comparison removes.
     """
-    if abs(v0.speed() - 1.0) > 1e-8:
-        raise ValueError("need a unit-speed initial vector")
     vB = transport_T_B(v0, B)
     t0 = -0.5 * math.log(1.0 + B * B)
     worst = 0.0

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .base import check_angle, check_field
+
 DET_TOL = 1e-9
 SPEED_TOL = 1e-8
 
@@ -69,8 +71,8 @@ class HPoint:
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"point must lie in the upper half-plane, got y={self.y}")
+        if not (math.isfinite(self.x) and 0 < self.y < math.inf):
+            raise ValueError(f"need finite x and 0 < y < inf, got x={self.x}, y={self.y}")
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -100,14 +102,18 @@ class CotangentPt:
     xi1: float
     xi2: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.xi1) and math.isfinite(self.xi2)):
+            raise ValueError(f"need finite xi1, xi2, got {self.xi1}, {self.xi2}")
+
 
 @dataclass(frozen=True)
 class CylPoint:
     """Cylinder coordinates (beta, sigma).
 
     beta in (-pi/2, pi/2) is the angular coordinate, sigma the log-radial
-    one (reduced mod l when a neck length l is supplied); the half-plane
-    point is z = i * exp(sigma - i*beta).
+    one (reduced mod l when a finite neck length l > 0 is supplied); the
+    half-plane point is z = i * exp(sigma - i*beta).
     """
 
     beta: float
@@ -115,8 +121,9 @@ class CylPoint:
     l: float | None = None
 
     def __post_init__(self):
-        if not abs(self.beta) < np.pi / 2:
-            raise ValueError(f"beta must lie in (-pi/2, pi/2), got {self.beta}")
+        check_angle(self.beta)
+        if not (math.isfinite(self.sigma) and (self.l is None or 0 < self.l < math.inf)):
+            raise ValueError(f"need finite sigma and l > 0, got sigma={self.sigma}, l={self.l}")
         if self.l is not None:
             object.__setattr__(self, "sigma", float(self.sigma % self.l))
 
@@ -154,9 +161,9 @@ def rotate(v: TangentVec, theta: float) -> TangentVec:
 
 
 def scale(v: TangentVec, c: float) -> TangentVec:
-    """Scale a vector by c >= 0, keeping basepoint and direction."""
-    if c < 0:
-        raise ValueError("scale factor must be nonnegative")
+    """Scale a vector by a finite c >= 0, keeping basepoint and direction."""
+    if not 0 <= c < math.inf:
+        raise ValueError(f"scale factor must be finite and nonnegative, got {c}")
     return TangentVec(v.base, c * v.vx, c * v.vy)
 
 
@@ -190,8 +197,7 @@ def flow_hamiltonian(p: CotangentPt, B: float, t):
     1e-9 max(1, H) is a RuntimeError.  An array t, sorted away from 0,
     takes one integration and gives a list with one point per time.
     """
-    if not (math.isfinite(B) and B >= 0):
-        raise ValueError(f"need finite B >= 0, got B={B}")
+    check_field(B)
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1 or not np.all(np.isfinite(ts)):
         raise ValueError("times must be finite, in a scalar or 1-D array")
@@ -278,12 +284,17 @@ def flow_step(kind: str, B: float, t: float) -> np.ndarray:
     return g
 
 
+def check_speed(v: TangentVec, B: float) -> float:
+    """The level sqrt(B^2 + 1) of the field-B flows, which |v| must meet to SPEED_TOL."""
+    level = math.sqrt(B * B + 1.0)
+    if abs(v.speed() - level) > SPEED_TOL:
+        raise ValueError(f"need speed sqrt(B^2 + 1) = {level}, got {v.speed()}")
+    return level
+
+
 def geodesic_flow(v: TangentVec, t: float) -> TangentVec:
-    """Move v along its geodesic for arclength |v| * t."""
-    speed = v.speed()
-    if speed <= 0:
-        raise ValueError("geodesic flow needs a nonzero vector")
-    return _flow_frame(v, flow_step("geodesic", 0.0, t), speed)
+    """Move v along its geodesic for arclength |v| * t; `frame_of` rejects v = 0."""
+    return _flow_frame(v, flow_step("geodesic", 0.0, t), v.speed())
 
 
 def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
@@ -292,18 +303,14 @@ def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
     Orbits have constant geodesic curvature B/sqrt(B^2+1) (clockwise for
     B > 0) and constant speed sqrt(B^2+1); B = 0 is the geodesic flow.
     """
-    if not (np.isfinite(B) and B >= 0):
-        raise ValueError("field intensity must be finite and nonnegative")
-    level = np.sqrt(B * B + 1)
-    if abs(v.speed() - level) > SPEED_TOL:
-        raise ValueError(f"vector speed {v.speed()} not at level sqrt(B^2+1)={level}")
+    check_field(B)
+    level = check_speed(v, B)
     return _flow_frame(v, flow_step("hypercyclic", B, t), level)
 
 
 def horocyclic_flow(v: TangentVec, t: float) -> TangentVec:
     """Unit-speed flow along clockwise curves of geodesic curvature 1."""
-    if abs(v.speed() - 1.0) > SPEED_TOL:
-        raise ValueError(f"horocyclic flow needs a unit vector, got speed {v.speed()}")
+    check_speed(v, 0.0)
     return _flow_frame(v, flow_step("horocyclic", 0.0, t), 1.0)
 
 
@@ -315,8 +322,8 @@ def transport_T_B(v: TangentVec, B: float) -> TangentVec:
     the intensity-B magnetic flow exactly: the image of a unit-speed
     geodesic is traced by `hypercyclic_flow` through the image vector.
     """
-    if abs(v.speed() - 1.0) > SPEED_TOL:
-        raise ValueError(f"transport needs a unit vector, got speed {v.speed()}")
+    check_field(B)
+    check_speed(v, 0.0)
     d = float(np.arcsinh(B))
     w = rotate(v, np.pi / 2)
     w = geodesic_flow(w, d)

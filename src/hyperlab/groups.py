@@ -128,8 +128,8 @@ def automorphy_factor(M: MobiusMap, z: HPoint, tau: int) -> AutomorphyFactor:
 def cylinder_group(l: float) -> FuchsianGroup:
     """Group generated by z -> e^l z; its Dirichlet domain about i is the strip
     e^{-l/2} <= |z| <= e^{l/2}."""
-    if not l > 0:
-        raise ValueError("neck length must be positive")
+    if not 0 < l < math.inf:
+        raise ValueError(f"neck length must be finite and positive, got {l}")
     h = math.exp(l / 2)
     g = mobius_from_matrix(np.array([[h, 0.0], [0.0, 1.0 / h]]))
     return FuchsianGroup(kind="cylinder", generators=(g,))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport as tr
-from .base import bump, check_field, gauss_quad  # perfbench traces quantize.gauss_quad
+from .base import (bump, check_angle, check_band, check_centre, check_field, check_scale,
+                   check_window, gauss_quad, in_band, reached_degree)  # perfbench wraps gauss_quad
 # solve_wave is re-exported: code that wraps quantize.solve_wave finds it here
 from .waves import branch_ic, c1, solve_wave, solve_waves  # noqa: F401
 
@@ -92,21 +93,12 @@ def _branch_I(B1: float, mts, s: float, grid) -> np.ndarray:
 
 
 def _simpson(vals: np.ndarray, h: float):
-    """Composite Simpson rule along the last axis."""
+    """Composite Simpson rule along the last axis, of odd length (`quad_form` checks it)."""
     n = vals.shape[-1]
-    if n % 2 == 0:
-        raise ValueError("need odd sample count")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return np.sum(w * vals, axis=-1) * h / 3.0
-
-
-def _check_band(coeffs: WaveCoeffs, s: float) -> None:
-    """Every frequency must satisfy |m| <= s/2, the band of the forms and the ascension."""
-    if np.any(np.abs(coeffs.ms) > s / 2):
-        raise ValueError(f"need |m| <= s/2 = {s / 2} for every frequency, "
-                         f"got max |m| = {np.max(np.abs(coeffs.ms))}")
 
 
 def default_window(s: float) -> float:
@@ -129,16 +121,15 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
     on the union of the row grids, and the windowed pairs are arrays of
     shape (pairs, n_grid).
     """
-    check_field(B, s)
+    _, B1 = reached_degree(B, s)
     if not (n_grid >= 3 and n_grid % 2 == 1):  # the Simpson rule needs an odd count
         raise ValueError(f"need an odd n_grid >= 3, got {n_grid}")
-    _check_band(coeffs, s)
     grid = np.linspace(*obs.beta_support(), n_grid)
     ms, alpha = coeffs.ms, coeffs.alpha
     mts = ms / s
+    check_band(mts)
     p1 = obs.phi1(mts)
     p5 = bump(mts * 0.999)
-    B1 = math.floor(B * s) / s
     diff = ms[:, None] - ms
     window = (np.abs(diff) <= default_window(s)) & (p1 != 0)[:, None]
     rows = np.flatnonzero(window.any(axis=1))
@@ -167,10 +158,10 @@ def quad_form(coeffs: WaveCoeffs, obs: Observable, B: float, s: float,
 
 def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
     """Equal-weight packet on the K lattice frequencies nearest eta0*s."""
-    check_field(0.0, s)
-    if not (abs(eta0) < 0.5 and K >= 1 and 0 < l < math.inf):
-        raise ValueError(f"need |eta0| < 1/2, K >= 1 and finite l > 0, "
-                         f"got eta0={eta0}, K={K}, l={l}")
+    check_scale(s)
+    check_centre(eta0)
+    if not (K >= 1 and 0 < l < math.inf):
+        raise ValueError(f"need K >= 1 and finite l > 0, got K={K}, l={l}")
     step = 2 * math.pi / l
     k0 = round(eta0 * s / step)
     cand = [step * (k0 + j) for j in range(-K - 1, K + 2)]
@@ -180,16 +171,15 @@ def geodesic_packet(s: float, eta0: float, K: int, l: float) -> WaveCoeffs:
 
 
 def ascend_coeffs(coeffs: WaveCoeffs, s: float, B: float) -> WaveCoeffs:
-    """Multiply each alpha_m by the product of transfer coefficients; every
-    frequency must satisfy |m| <= s/2, as in `quad_form`."""
-    check_field(B, s)
-    _check_band(coeffs, s)
-    n = int(math.floor(B * s))
+    """Multiply each alpha_m by the product of transfer coefficients of the
+    [Bs] raisings; every frequency must lie in the band, as in `quad_form`."""
+    n, _ = reached_degree(B, s)
+    mts = coeffs.ms / s
+    check_band(mts)
     if n < 1:
         return coeffs
-    ms = coeffs.ms
-    return WaveCoeffs(coeffs.l, ms,
-                      coeffs.alpha * np.prod(c1(np.arange(n) / s, ms[:, None] / s, s), axis=1))
+    return WaveCoeffs(coeffs.l, coeffs.ms,
+                      coeffs.alpha * np.prod(c1(np.arange(n) / s, mts[:, None], s), axis=1))
 
 
 def measure_transport_check(s_list, B: float, obs: Observable, K: int = 20,
@@ -198,7 +188,7 @@ def measure_transport_check(s_list, B: float, obs: Observable, K: int = 20,
     rows = []
     for s in s_list:
         u0 = geodesic_packet(s, obs.eta0, K, l)
-        keep = np.abs(u0.ms) <= s / 2  # the band of the forms (K = 20 at s = 25 has more)
+        keep = in_band(u0.ms / s)  # the band of the forms (K = 20 at s = 25 has more)
         u0 = WaveCoeffs(l, u0.ms[keep], u0.alpha[keep])
         lhs = quad_form(u0, obs, 0.0, s, n_grid=n_grid)
         uB = ascend_coeffs(u0, s, B)
@@ -262,7 +252,8 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
     packet cost one O(n) sum.  Symbols supported away from the energy
     shell should produce small values relative to psi == 1.
     """
-    check_field(B1, s)
+    check_field(B1)
+    check_scale(s)
     if h_param is None:
         h_param = 1.0 / s
     if not 0 < h_param < math.inf:
@@ -279,7 +270,7 @@ def energy_shell_test(coeffs: WaveCoeffs, s: float, B1: float,
 def packet_position_density(coeffs: WaveCoeffs, s: float,
                             betas: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """|u(beta, sigma)|^2 for u = sum alpha_m e^{im sigma} w_m(beta)."""
-    check_field(0.0, s)  # before ms / s divides by it
+    check_scale(s)  # before ms / s divides by it
     waves = coeffs.alpha[:, None] * _branch_I(0.0, coeffs.ms / s, s, betas)
     return np.abs(waves.T @ np.exp(1j * np.outer(coeffs.ms, sigmas))) ** 2
 
@@ -293,8 +284,9 @@ def limit_geodesic_sigma(eta0: float, sigma_ref: float,
     asinh(eta0 sin(beta) / sqrt(1 - eta0^2)); sigma_ref pins the value at
     beta = 0.
     """
+    check_window(eta0)
+    check_angle(betas)
+    if not math.isfinite(sigma_ref):
+        raise ValueError(f"need a finite sigma_ref, got {sigma_ref}")
     betas = np.asarray(betas, dtype=float)
-    if not (math.isfinite(eta0) and abs(eta0) < 1.0 and math.isfinite(sigma_ref)
-            and np.all(np.abs(betas) < np.pi / 2)):
-        raise ValueError("need finite |eta0| < 1, finite sigma_ref and |beta| < pi/2")
     return sigma_ref + np.arcsinh(eta0 * np.sin(betas) / math.sqrt(1.0 - eta0 * eta0))

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Q, branch_sign
+from .base import Q, branch_sign, check_angle, check_centre, check_field, check_window
 from .base import gauss_quad  # noqa: F401, traced by perfbench
 
 _PTOL = 1e-11
-_HALF_PI = np.pi / 2
 
 
 def _out(values):
@@ -56,11 +55,11 @@ def phase_P(B1: float, mtilde, beta):
     With u = tan beta, sqrt(Q) dbeta = sqrt(R(u)) du / (1 + u^2), which splits
     into 1/sqrt(R) (an asinh) and two conjugate terms 1/((u -+ i) sqrt(R)).
     """
-    if not (np.isfinite(B1) and np.all(np.abs(mtilde) < 1.0)):
-        raise ValueError(f"need finite B1 and |mtilde| < 1, got B1={B1}, mtilde={mtilde}")
+    if not np.isfinite(B1):
+        raise ValueError(f"need finite B1, got B1={B1}")
+    check_window(mtilde)
     b = np.asarray(beta, dtype=float)
-    if not np.all(np.abs(b) < _HALF_PI):
-        raise ValueError("beta must lie in (-pi/2, pi/2)")
+    check_angle(b)
     u, c, e = np.tan(b), B1 * mtilde, B1 * B1 - mtilde * mtilde
     rD = np.sqrt((1.0 + B1 * B1) * (1.0 - mtilde * mtilde))
     return _out(B1 * b + np.arcsinh((u + c) / rD) - np.arcsinh(c / rD)
@@ -90,16 +89,10 @@ def b1(B2, mtilde: float):
     return -np.arctan2(mtilde, np.sqrt(B2 * B2 - mtilde * mtilde + 1.0))
 
 
-def _check_offset_args(B, eta) -> None:
-    """Reject a non-finite or negative B and a non-finite eta or |eta| >= 1,
-    once on the whole arrays."""
-    if not (np.all(np.isfinite(B) & (np.asarray(B) >= 0)) and np.all(np.abs(eta) < 1.0)):
-        raise ValueError(f"need finite B >= 0 and |eta| < 1, got B={B}, eta={eta}")
-
-
 def b4(B, mtilde):
     """Accumulated phase offset int_0^B b1(B2, m) dB2, in closed form."""
-    _check_offset_args(B, mtilde)
+    check_field(B)
+    check_window(mtilde)
     c = 1.0 - mtilde * mtilde
     r = np.sqrt(B * B + c)
     return _out(-B * np.arctan(mtilde / r) - mtilde * np.arcsinh(B / np.sqrt(c))
@@ -108,7 +101,8 @@ def b4(B, mtilde):
 
 def db4_deta(B, eta):
     """Closed form of the eta-derivative of b4."""
-    _check_offset_args(B, eta)
+    check_field(B)
+    check_window(eta)
     return _out(np.log(np.sqrt(1.0 - eta * eta))
                 - np.log(B + np.sqrt(B * B - eta * eta + 1.0)))
 
@@ -120,7 +114,8 @@ def b3(B2, mtilde: float):
 
 def b7(B, mtilde):
     """Accumulated amplitude drift int_0^B b3 dB2 = -log(1 + B^2/(1 - m^2))/4."""
-    _check_offset_args(B, mtilde)
+    check_field(B)
+    check_window(mtilde)
     return _out(-0.25 * np.log1p(B * B / (1.0 - mtilde * mtilde)))
 
 
@@ -136,7 +131,7 @@ def _solve_P(B1: float, mtilde, target, x0):
     """
     delta = 1e-12
     shape = np.broadcast_shapes(np.shape(mtilde), np.shape(target), np.shape(x0))
-    lo = np.full(shape, -_HALF_PI + delta)
+    lo = np.full(shape, -np.pi / 2 + delta)
     hi = -lo
     x = np.clip(x0, lo, hi)
     open_ = np.ones(shape, dtype=bool)
@@ -250,17 +245,21 @@ def wave_norm_shift(B, eta):
     ascended wave against exp(f3) therefore requires the extra constant
     (ln Q_B(0) - ln Q_0(0)) / 4, which broadcasts over B and eta.
     """
-    _check_offset_args(B, eta)
+    check_field(B)
+    check_window(eta)
     return _out(0.25 * (np.log(Q(B, eta, 0.0)) - np.log(Q(0.0, eta, 0.0))))
 
 
 def _check_point(B: float, point) -> PhaseTable:
-    """Table for a phase-space point (beta, sigma, eta) inside the window."""
+    """Table for a point (beta, sigma, eta) with finite sigma, a packet centre eta and
+    B |eta| < sqrt(1 - eta^2): then Q_B - B^2, of minimum 1 - eta^2 - B^2 eta^2 over
+    beta, is positive, so the rate B - sqrt(Q_B) of the branch-II phase never vanishes."""
     beta, sigma, eta = point
-    if not (all(math.isfinite(v) for v in (B, beta, sigma, eta)) and B >= 0):
-        raise ValueError("need finite B >= 0 and a finite (beta, sigma, eta)")
-    if abs(eta) >= 0.5 or B * abs(eta) >= math.sqrt(1.0 - eta * eta):
-        raise ValueError("eta outside the admissible window")
+    check_field(B)
+    check_angle(beta)
+    check_centre(eta)
+    if not (math.isfinite(sigma) and B * abs(eta) < math.sqrt(1.0 - eta * eta)):
+        raise ValueError("need a finite sigma and B |eta| < sqrt(1 - eta^2)")
     return PhaseTable(B, eta)
 
 

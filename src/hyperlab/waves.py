@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401, traced by perfbench
 
-from .base import Q, Q_prime, branch_sign, check_field
+from .base import (Q, Q_prime, branch_sign, check_angle, check_band, check_degree,
+                   check_field, check_scale, reached_degree)
 from .base import gauss_quad  # noqa: F401, traced by perfbench
 
 
@@ -64,8 +65,7 @@ class WhittakerParams:
     a: float
 
     def __post_init__(self):
-        if not (isinstance(self.tau, (int, np.integer)) and self.tau >= 0):
-            raise ValueError(f"degree tau must be an integer >= 0, got {self.tau!r}")
+        check_degree(self.tau)
         if not (np.isfinite(self.s1) and np.isfinite(self.a)):
             raise ValueError("s1 and a must be finite")
         if not self.a > 0:
@@ -202,11 +202,12 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
         np.asarray(B1, float), np.asarray(mtilde, float), np.asarray(w0, complex),
         np.asarray(dw0, complex)))
     grid = np.asarray(grid, dtype=float)
-    check_field(B1, s)
-    if not np.all((np.abs(mtilde) <= 0.5) & np.isfinite(w0) & np.isfinite(dw0)):
-        raise ValueError("need finite |mtilde| <= 1/2 and finite initial data")
-    if not np.all(np.abs(grid) < np.pi / 2):
-        raise ValueError("grid must lie inside (-pi/2, pi/2)")
+    check_field(B1)
+    check_scale(s)
+    check_band(mtilde)
+    check_angle(grid)
+    if not np.all(np.isfinite(w0) & np.isfinite(dw0)):
+        raise ValueError("need finite initial data")
     K, tau = len(B1), B1 * s
     values = np.empty((K, len(grid)), dtype=complex)
     dvals = np.empty((K, len(grid)), dtype=complex) if derivs else None
@@ -350,11 +351,9 @@ def ascend(m: float, s: float, B: float, grid):
     solve; the base wave's potential lies below the others', so it does
     not move the panel edges.
     """
-    check_field(B, s)
-    n = int(np.floor(B * s))
+    n, B1 = reached_degree(B, s)
     mtilde = m / s
-    if not abs(mtilde) <= 0.5:
-        raise ValueError("need finite |m/s| <= 1/2")
+    check_band(mtilde)
     base_ic = branch_ic(0.0, mtilde, s, "I")
     w0, dw0 = base_ic
     for tau in range(n):
@@ -365,11 +364,11 @@ def ascend(m: float, s: float, B: float, grid):
         dr0 = tau * dw0 - (m * w0 + dw0) + 1j * (m * dw0 + ddw0)
         w0, dw0 = r0 / norm, dr0 / norm
     prod = complex(np.prod(c1(np.arange(n) / s, mtilde, s)))
-    _, dI = branch_ic(n / s, mtilde, s, "I")
-    values, derivs = solve_waves([n / s, n / s, 0.0], mtilde, s, [w0, 1.0, base_ic[0]],
+    _, dI = branch_ic(B1, mtilde, s, "I")
+    values, derivs = solve_waves([B1, B1, 0.0], mtilde, s, [w0, 1.0, base_ic[0]],
                                  [dw0, dI, base_ic[1]], grid)
     grid = np.asarray(grid, dtype=float)
-    exact = CylWave(n / s, mtilde, s, "-" if n else "I", grid, values[0], derivs[0])
+    exact = CylWave(B1, mtilde, s, "-" if n else "I", grid, values[0], derivs[0])
     base = CylWave(0.0, mtilde, s, "I", grid, values[2], derivs[2])
     return exact, values[1] * prod, prod, base
 
@@ -488,8 +487,7 @@ def whittaker_deriv(p: WhittakerParams, ys):
 
 def ascension_norm(tau: int, s1: float) -> float:
     """Product of raising normalizations from degree 0 up to tau."""
-    if not tau >= 0:
-        raise ValueError(f"degree tau must be >= 0, got {tau!r}")
+    check_degree(tau)
     return float(np.prod(np.sqrt(s1 * s1 + 0.25 + np.arange(tau) * np.arange(1, tau + 1))))
 
 

@@ -27,8 +27,7 @@ import pytest
 import hyperlab.waves as W
 from hyperlab import quantize as qz
 from hyperlab import transport as tr
-from hyperlab.ergodic import (equidistribution_series, octagon_area_means,
-                              seeded_unit_vector, tb_shift_check)
+from hyperlab.ergodic import equidistribution_series, seeded_unit_vector, tb_shift_check
 from hyperlab.geometry import (HPoint, TangentVec, flow_hamiltonian,
                                hyperbolic_distance, hypercyclic_flow, phi_B,
                                phi_B_inv, scale, transport_T_B)

@@ -183,6 +183,13 @@ def test_tb_shift_rejects_non_unit():
         tb_shift_check(bad, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("B", [-1.0, math.nan])
+def test_tb_shift_rejects_a_negative_or_non_finite_field(B):
+    # -1 failed with hypercyclic_flow's own message, nan with "t=nan"
+    with pytest.raises(ValueError, match="need finite B >= 0"):
+        tb_shift_check(V0, B, 1.0)
+
+
 def test_unknown_flow_kind():
     with pytest.raises(ValueError):
         sample_orbit(V0, "elliptic", 1.0)
@@ -383,12 +390,14 @@ def test_ungated_chunks_keep_the_restarts_with_few_reductions(monkeypatch):
     assert len(want[0]) == 742  # 100 renormalizations and 641 side crossings
 
 
-@pytest.mark.parametrize("x", [math.nan, 1e200])
-def test_sample_orbit_rejects_a_start_it_cannot_reduce(x):
-    # a NaN base point gave an all-NaN orbit; at x = 1e200 |F|^2 overflowed,
-    # reduce_frame gave up and no sample lay in the domain
+@pytest.mark.parametrize("v", [TangentVec(HPoint(0.0, 1.0), math.nan, 1.0),
+                               TangentVec(HPoint(1e200, 1.0), 0.0, 1.0)], ids=["nan", "1e+200"])
+def test_sample_orbit_rejects_a_start_it_cannot_reduce(v):
+    # a NaN frame gave an all-NaN orbit (HPoint rejects a NaN x itself, so the NaN
+    # is in the direction); at x = 1e200 |F|^2 overflowed, reduce_frame gave up
+    # and no sample lay in the domain
     with pytest.raises(ValueError, match="start frame"):
-        sample_orbit(TangentVec(HPoint(x, 1.0), 0.0, 1.0), "horocyclic", 1.0)
+        sample_orbit(v, "horocyclic", 1.0)
 
 
 def test_unit_dirichlet_forms_read_sinh_of_the_distance_to_each_side():

@@ -336,6 +336,13 @@ def test_transport_rejects_non_unit():
         G.transport_T_B(vec_at(0, 1, 0.0, 2.0), 1.0)
 
 
+@pytest.mark.parametrize("B", [-1.0, np.nan, np.inf])
+def test_transport_rejects_a_negative_or_non_finite_field(B):
+    # -1 returned a vector; nan died on "flow time must be finite, got t=nan"
+    with pytest.raises(ValueError, match="need finite B >= 0"):
+        G.transport_T_B(vec_at(0, 1, 0.3, 1.0), B)
+
+
 def _signed_curvature(zs, h):
     """Finite-difference signed geodesic curvature at the middle of three samples."""
     zm, z0, zp = zs
@@ -372,6 +379,24 @@ def test_cyl_basic_points():
 def test_cyl_beta_range_enforced():
     with pytest.raises(ValueError):
         G.CylPoint(np.pi / 2, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: G.HPoint(np.nan, 1.0), lambda: G.HPoint(0.0, np.inf), lambda: G.HPoint(np.inf, 1.0),
+    lambda: G.CotangentPt(G.HPoint(0.2, 1.5), np.nan, 0.0),
+    lambda: G.CotangentPt(G.HPoint(0.2, 1.5), 0.3, np.inf),
+    lambda: G.CylPoint(0.1, 0.2, l=0.0), lambda: G.CylPoint(0.1, 0.2, l=-1.0),
+    lambda: G.CylPoint(0.1, 0.2, l=np.inf), lambda: G.CylPoint(0.1, np.nan),
+    lambda: G.scale(vec_at(0, 1, 0.3, 1.0), np.nan),
+    lambda: G.scale(vec_at(0, 1, 0.3, 1.0), np.inf)],
+    ids=["HPoint-x-nan", "HPoint-y-inf", "HPoint-x-inf", "CotangentPt-xi1-nan",
+         "CotangentPt-xi2-inf", "CylPoint-l-0", "CylPoint-l-negative", "CylPoint-l-inf",
+         "CylPoint-sigma-nan", "scale-nan", "scale-inf"])
+def test_constructors_reject_non_finite_input(make):
+    # each was accepted (a NaN point, a NaN vector, flow_hamiltonian failing inside
+    # scipy on a NaN momentum), or, at l = 0, raised ZeroDivisionError
+    with pytest.raises(ValueError):
+        make()
 
 
 @given(st.floats(min_value=-1.5, max_value=1.5, **finite),

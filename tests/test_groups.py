@@ -115,6 +115,13 @@ def test_cylinder_has_one_fundamental_domain():
     assert abs(complex((a * c + b * d) / den, 1.0 / den)) == pytest.approx(0.5099, abs=1e-4)
 
 
+@pytest.mark.parametrize("l", [math.inf, math.nan, 0.0, -1.0])
+def test_cylinder_group_rejects_a_neck_length_that_is_not_finite_and_positive(l):
+    # inf gave NaN generators after a RuntimeWarning
+    with pytest.raises(ValueError):
+        gr.cylinder_group(l)
+
+
 # --- octagon group ---
 
 

@@ -63,3 +63,60 @@ def test_scipy_comes_in_only_through_scipy_integrate():
             elif isinstance(node, ast.Import):
                 found.update(a.name for a in node.names if a.name.startswith("scipy"))
     assert found == {"scipy.integrate"}
+
+
+def _name(node):
+    """The name a Name, an Attribute or a Call refers to, else None."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _const(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _bound_statements(tree):
+    """Lines that state a field, scale, angle, band, window or packet-centre bound,
+    or a speed level, or compute the reached degree [Bs] as a floor of a product."""
+    raising = {id(c) for node in ast.walk(tree) if isinstance(node, ast.If)
+               and any(isinstance(s, ast.Raise) for s in node.body)
+               for c in ast.walk(node.test)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node) == "floor" and any(
+                isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(node)):
+            found.append((node.lineno, "floor of a product"))
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        names = {_name(n) for side in sides for n in ast.walk(side)}
+        absolute = [n for n in sides if isinstance(n, ast.Call) and _name(n) in ("abs", "fabs")]
+        bounds = {_const(n) for n in sides} | {
+            _const(n.right) for n in sides if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)}
+        if names & {"pi", "_HALF_PI"}:
+            found.append((node.lineno, "angle"))
+        elif absolute and bounds & {0.5, 1, 2}:  # |x| against 1/2, 1 or s/2
+            found.append((node.lineno, "band, window or centre"))
+        elif any("speed" in ast.dump(n) for n in absolute):
+            found.append((node.lineno, "speed level"))
+        elif id(node) in raising and {_name(n) for n in sides} & {"B", "B1", "s"} and 0 in bounds:
+            found.append((node.lineno, "field or scale"))
+    return found
+
+
+def test_the_admissible_window_is_stated_only_in_base():
+    # one spelling per input domain: every other module calls the base checks (the
+    # speed level reads a tangent vector, so geometry's check_speed holds it)
+    package = Path(hyperlab.__file__).parent
+    scripts = Path(__file__).parents[1] / "scripts"
+    found = []
+    for path in [*package.glob("*.py"), *scripts.glob("*.py")]:
+        if path.stem == "base":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {n.lineno for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   and f.name == "check_speed" and path.stem == "geometry"
+                   for n in ast.walk(f) if hasattr(n, "lineno")}
+        found += [(path.name, line, what) for line, what in _bound_statements(tree)
+                  if line not in allowed]
+    assert found == []

@@ -502,9 +502,11 @@ def test_whittaker_params_reject_a_degree_that_is_not_a_nonnegative_integer(tau)
 
 
 def test_ascension_norm_rejects_a_negative_degree():
-    # ascension_norm(-1, 50) used to return the empty product 1.0
-    with pytest.raises(ValueError, match="tau"):
-        W.ascension_norm(-1, 50.0)
+    # ascension_norm(-1, 50) used to return the empty product 1.0, and 2.5 the
+    # degree-3 product (np.arange(2.5) has three entries); WhittakerParams rejects both
+    for tau in (-1, 2.5, math.nan):
+        with pytest.raises(ValueError, match="tau"):
+            W.ascension_norm(tau, 50.0)
 
 
 def test_whittaker_params_accept_numpy_integer_degrees():
