@@ -11,6 +11,7 @@ its bound (entrywise on arrays); the bounds and their reasons:
   so the phase integral of sqrt(Q) is real for every finite B1;
 - packet centre |eta0| < 1/2 (`check_centre`): the centre lies inside the band;
 - degree tau, an integer >= 0 (`check_degree`): it counts raisings;
+- orbit length L >= 0, finite (`check_length`): a flow time, sampled at L/step steps;
 - reached degree n = [Bs], field B1 = n/s (`reached_degree`): one raising per hbar = 1/s
   of adiabatic time B.  `geometry.check_speed` holds the speed level |v| = sqrt(B^2 + 1).
 
@@ -88,6 +89,11 @@ def check_centre(eta0) -> None:
 def check_degree(tau) -> None:
     if not (isinstance(tau, (int, np.integer)) and tau >= 0):
         raise ValueError(f"degree tau must be an integer >= 0, got {tau!r}")
+
+
+def check_length(L) -> None:
+    if not np.all(np.isfinite(L) & (np.asarray(L) >= 0)):
+        raise ValueError(f"need finite lengths >= 0, got length={L}")
 
 
 def reached_degree(B, s) -> tuple[int, float]:

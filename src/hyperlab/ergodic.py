@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import bump, check_field
+from .base import bump, check_field, check_length
 from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
                        horocyclic_flow, hyperbolic_distance, hypercyclic_flow,
                        rotate, transport_T_B)
@@ -74,14 +74,25 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
        with det S lowered by its rounding and a 1e-9 relative slack.
     2. Between two restarts the frames are F <- fl(F S), so all segments
        (at most 1000 steps each) are replayed in lockstep on arrays,
-       longest first, and each sample is formed straight into the output.
-       numpy applies to each element the same IEEE multiplies, adds and
-       divides as the loop, and the angle keeps math.atan2 (np.arctan2
-       differs in the last bit of about 7 % of the angles).
+       longest first, with the same IEEE multiplies, adds and divides as
+       the loop.  Each step stores x and the frame's c and d into the three
+       output rows; after the replay one np.arctan2 over the whole rows
+       gives theta = pi/2 - 2 atan2(c, d), and y = 1/(c c + d d) is formed
+       in place, so no Python call runs per sample (np.arctan2 gives the
+       same bits whatever the chunking of its input).
+
+    `step` is flow time, not arc length: a hypercycle moves at speed
+    sqrt(1 + B^2), so its arc step is step sqrt(1 + B^2) (0.05 at B = 5 and
+    the default step); to sample at arc step h, pass step = h / sqrt(1 + B^2).
+    The output is allocated before pass 1, so a step count that cannot be
+    held is a ValueError at once.  So is a frame that pass 1 finds lost to
+    rounding, as at B = 1e12 and step 1e-2: a non-finite |F|^2, c = d = 0,
+    or a determinant <= 0 at a renormalization.
     """
     check_field(B)
-    if not (0 <= length < math.inf and 0 < step < math.inf):
-        raise ValueError(f"need finite length >= 0 and step > 0, got {length}, {step}")
+    check_length(length)
+    if not 0 < step < math.inf:
+        raise ValueError(f"need finite step > 0, got step={step}")
     group = group or octagon_group()
     step_matrix = tuple(map(float, flow_step(kind, B, step).ravel()))
     sa, sb, sc, sd = step_matrix
@@ -89,24 +100,34 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     if not math.isfinite(a * a + b * b + c * c + d * d):
         raise ValueError(f"cannot reduce the start frame {(a, b, c, d)}: "
                          "need a finite base point whose |F|^2 does not overflow")
-    n = int(round(length / step))
+    try:
+        n = int(round(length / step))
+        out = np.empty((3, n + 1))  # x, c, d per step; then x, y, theta
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"cannot hold n = {length / step:.6g} steps "
+                         f"(length {length}, step {step})") from None
     starts, frames = _restarts(group, step_matrix, group.reduce_frame(a, b, c, d), n)
     starts = np.array(starts)  # pass 2: the segments in lockstep
     lens = np.diff(starts, append=n + 1)
     order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
     starts, lens = starts[order], lens[order]
     a, b, c, d = np.array(frames).reshape(-1, 4)[order].T.copy()
-    out = np.empty((3, n + 1))  # xs, ys, thetas
     for t, m in enumerate(np.searchsorted(-lens, -np.arange(lens[0])).tolist()):
         a, b, c, d = a[:m], b[:m], c[:m], d[:m]  # the m segments longer than t
         at = starts[:m] + t
-        den = c * c + d * d
-        out[0, at] = (a * c + b * d) / den
-        out[1, at] = 1.0 / den
-        out[2, at] = math.pi / 2 - 2.0 * np.fromiter(
-            map(math.atan2, memoryview(c), memoryview(d)), float, m)
+        out[0, at] = (a * c + b * d) / (c * c + d * d)
+        out[1, at] = c
+        out[2, at] = d
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
+    c, d = out[1:]
+    theta = np.arctan2(c, d)  # the one temporary row
+    c *= c
+    d *= d
+    c += d
+    np.divide(1.0, c, out=c)  # y = 1 / (c c + d d)
+    theta *= 2.0
+    np.subtract(math.pi / 2, theta, out=d)
     return OrbitSample(kind, B, step, length, *out)
 
 
@@ -144,6 +165,9 @@ def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) ->
                     c, d = c * sa + d * sc, c * sb + d * sd
                 i += k
             else:
+                if not (math.isfinite(p + r) and r > 0):  # the sample is q / r, 1 / r
+                    raise ValueError(f"the frame of step {i}, {(a, b, c, d)}, has a non-finite "
+                                     "|F|^2 or c = d = 0: the field or step is too large")
                 rf = reduce(a, b, c, d)
                 if rf != (a, b, c, d):
                     a, b, c, d = rf
@@ -151,7 +175,11 @@ def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) ->
                     frames.extend(rf)
             i += 1
         if stop - start == _BLOCK:  # a reduction restart on this step becomes an empty segment
-            f = 1.0 / math.sqrt(a * d - b * c)
+            det = a * d - b * c
+            if not det > 0:
+                raise ValueError(f"the frame of step {stop - 1}, {(a, b, c, d)}, has "
+                                 f"determinant {det}: the field or step is too large")
+            f = 1.0 / math.sqrt(det)
             a, b, c, d = a * f, b * f, c * f, d * f
             starts.append(stop - 1)
             frames.extend((a, b, c, d))
@@ -229,8 +257,9 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
     `observable_family` of |Birkhoff average - octagon area mean|, computed
     on prefixes of one orbit."""
     lengths = sorted(float(L) for L in lengths)
-    if not (lengths and all(0 <= L < math.inf for L in lengths)):
-        raise ValueError("need one or more finite, nonnegative lengths")
+    if not lengths:
+        raise ValueError("need one or more lengths")
+    check_length(lengths)
     group = group or octagon_group()
     observables, area_means = observable_family(), octagon_area_means(group)
     for name, _ in observables:  # max(0.0, nan) is 0.0: a NaN mean would vanish
@@ -269,6 +298,7 @@ def tb_shift_check(v0: TangentVec, B: float, arc_length: float) -> float:
     same curve shifted by the constant flow-parameter offset
     -ln(1 + B^2)/2, which the comparison removes.
     """
+    check_length(arc_length)
     vB = transport_T_B(v0, B)
     t0 = -0.5 * math.log(1.0 + B * B)
     worst = 0.0

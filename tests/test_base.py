@@ -46,6 +46,9 @@ CHECKS = {
     base.check_degree: ([0, 3, np.int64(2)],
                         [-1, 2.5, 2.0, NAN, INF, "2"],
                         "tau"),
+    base.check_length: ([0.0, -0.0, 1e-300, 1e4, 1e300, np.array([0.0, 10.0])],
+                        [-1.0, -1e-300, NAN, INF, -INF, np.array([10.0, NAN])],
+                        "need finite lengths >= 0"),
 }
 
 
@@ -121,6 +124,13 @@ ENTRY_POINTS = [
     ("CylPoint-angle", lambda: G.CylPoint(2.0, 0.0), ("__post_init__", "check_angle")),
     ("sample_orbit-field", lambda: E.sample_orbit(UNIT, "horocyclic", 1.0, B=-1.0),
      ("sample_orbit", "check_field")),
+    ("sample_orbit-length", lambda: E.sample_orbit(UNIT, "horocyclic", NAN),
+     ("sample_orbit", "check_length")),
+    ("equidistribution_series-length",
+     lambda: E.equidistribution_series("horocyclic", UNIT, [10.0, -1.0]),
+     ("equidistribution_series", "check_length")),
+    ("tb_shift_check-length", lambda: E.tb_shift_check(UNIT, 0.5, INF),
+     ("tb_shift_check", "check_length")),
     ("tb_shift_check-field", lambda: E.tb_shift_check(UNIT, -1.0, 1.0),
      ("tb_shift_check", "transport_T_B", "check_field")),
     ("tb_shift_check-speed", lambda: E.tb_shift_check(DOUBLE, 0.5, 1.0),

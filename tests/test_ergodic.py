@@ -1,6 +1,7 @@
 """Tests for orbit sampling, Birkhoff averages, and equidistribution."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -209,9 +210,10 @@ def test_discrepancy_rejects_non_finite_average(area_means, monkeypatch):
         equidistribution_series("horocyclic", V0, [1.0])
 
 
-def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
+def _sequential_frames(v0, kind, length, B=0.0, step=1e-2):
     """Frozen per-step loop the orbit sampler must reproduce bit for bit:
-    numpy-scalar frame, ungated 8-move sweep, per-step recording."""
+    numpy-scalar frame, ungated 8-move sweep, per-step recording of x, y and
+    the frame's c and d."""
     group = octagon_group()
     threshold = 2.0 * (1.0 + math.sqrt(2.0)) + 1e-9
     moves = [g.matrix() for g in group.generators] + \
@@ -222,13 +224,13 @@ def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
     F = frame_of(v0)
     a, b, c, d = F[0, 0], F[0, 1], F[1, 0], F[1, 1]
     n = int(round(length / step))
-    xs, ys, ths = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    xs, ys, cs, ds = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
 
     def record(i):
         den = c * c + d * d
         xs[i] = (a * c + b * d) / den
         ys[i] = 1.0 / den
-        ths[i] = math.pi / 2 - 2.0 * math.atan2(c, d)
+        cs[i], ds[i] = c, d
 
     def reduce_frame(a, b, c, d):
         cur = a * a + b * b + c * c + d * d
@@ -259,7 +261,14 @@ def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
             f = 1.0 / math.sqrt(a * d - b * c)
             a, b, c, d = a * f, b * f, c * f, d * f
         record(i)
-    return xs, ys, ths
+    return xs, ys, cs, ds
+
+
+def _sequential_orbit(v0, kind, length, B=0.0, step=1e-2):
+    """The frozen loop's xs, ys and thetas: np.arctan2 over the recorded c and d,
+    which gives each element the same bits however the array is chunked."""
+    xs, ys, cs, ds = _sequential_frames(v0, kind, length, B=B, step=step)
+    return xs, ys, math.pi / 2 - 2.0 * np.arctan2(cs, ds)
 
 
 def _on_side_start(inside=0.0):
@@ -284,6 +293,20 @@ def test_orbit_is_bit_identical_to_sequential_loop(kind, B):
     assert np.array_equal(orbit.xs, xs)
     assert np.array_equal(orbit.ys, ys)
     assert np.array_equal(orbit.thetas, ths)
+
+
+@pytest.mark.parametrize("kind, B", [("geodesic", 0.0), ("horocyclic", 0.0),
+                                     ("hypercyclic", 0.5), ("hypercyclic", 5.0)])
+def test_angle_is_within_4_ulps_of_math_atan2_on_the_oracle_frames(kind, B):
+    # both sides take np.arctan2, so check the angle against math.atan2 itself;
+    # an ulp is one of the larger term, pi/2 or 2 atan2(c, d)
+    v0 = _on_side_start()
+    orbit = sample_orbit(v0, kind, 25.37, B=B)
+    _, _, cs, ds = _sequential_frames(v0, kind, 25.37, B=B)
+    two_atan = 2.0 * np.array([math.atan2(c, d) for c, d in zip(cs, ds)])
+    want = math.pi / 2 - two_atan
+    ulp = np.spacing(np.maximum(np.abs(two_atan), math.pi / 2))
+    assert np.all(np.abs(orbit.thetas - want) <= 4 * ulp)
 
 
 def _assert_matches_oracle(v0, kind, length, B=0.0, step=1e-2):
@@ -425,6 +448,26 @@ def test_sample_orbit_memory_peak_is_at_most_twice_its_output():
         tracemalloc.stop()
     assert len(orbit.xs) == 100_001
     assert peak <= 2 * 3 * 100_001 * 8
+
+
+@pytest.mark.parametrize("B, length, text", [
+    (1e12, 1.0, "non-finite |F|^2 or c = d = 0"),  # 15 of 101 samples were NaN
+    (1e15, 1.0, "non-finite |F|^2 or c = d = 0"),  # 70 of 101
+    (1e10, 10.0, "has determinant")])  # math.sqrt of a negative determinant
+def test_a_frame_lost_to_rounding_is_a_value_error(B, length, text):
+    # the float step matrix of a huge field loses the frame within a few steps
+    with pytest.raises(ValueError, match=re.escape(text)):
+        sample_orbit(V0, "hypercyclic", length, B=B)
+
+
+def test_a_step_count_that_cannot_be_held_fails_before_pass_1(monkeypatch):
+    # pass 1 used to run over the 1e300 steps before the output was allocated
+    monkeypatch.setattr(ergodic, "_restarts",
+                        lambda *args: pytest.fail("pass 1 ran before the allocation"))
+    with pytest.raises(ValueError, match=re.escape("n = 1e+300 steps")):
+        sample_orbit(V0, "geodesic", 1.0, step=1e-300)
+    with pytest.raises(ValueError, match=re.escape("n = inf steps")):
+        sample_orbit(V0, "geodesic", 1e300, step=1e-300)
 
 
 @pytest.mark.parametrize("length, step", [

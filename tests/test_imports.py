@@ -76,7 +76,7 @@ def _const(node):
 
 
 def _bound_statements(tree):
-    """Lines that state a field, scale, angle, band, window or packet-centre bound,
+    """Lines that state a field, scale, length, angle, band, window or packet-centre bound,
     or a speed level, or compute the reached degree [Bs] as a floor of a product."""
     raising = {id(c) for node in ast.walk(tree) if isinstance(node, ast.If)
                and any(isinstance(s, ast.Raise) for s in node.body)
@@ -99,8 +99,9 @@ def _bound_statements(tree):
             found.append((node.lineno, "band, window or centre"))
         elif any("speed" in ast.dump(n) for n in absolute):
             found.append((node.lineno, "speed level"))
-        elif id(node) in raising and {_name(n) for n in sides} & {"B", "B1", "s"} and 0 in bounds:
-            found.append((node.lineno, "field or scale"))
+        elif id(node) in raising and {_name(n) for n in sides} & {
+                "B", "B1", "s", "L", "length", "arc_length"} and 0 in bounds:
+            found.append((node.lineno, "field, scale or length"))
     return found
 
 
