@@ -1,5 +1,6 @@
 """Tests for orbit sampling, Birkhoff averages, and equidistribution."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlab import ergodic
 from hyperlab.base import bump
-from hyperlab.ergodic import (OrbitSample, birkhoff_average,
-                              equidistribution_series, observable_family,
+from hyperlab.ergodic import (BUMPS, OBSERVABLES, OrbitSample, birkhoff_average,
+                              equidistribution_series, observables,
                               octagon_area_means, sample_orbit,
                               seeded_unit_vector, tb_shift_check)
 from hyperlab.geometry import (HPoint, TangentVec, flow_step, frame_of,
@@ -100,12 +101,12 @@ def test_birkhoff_deck_transformation_invariance(area_means):
     G = octagon_group()
     gamma = G.generators[2]
     v_moved = mobius_apply_vec(gamma, V0)
-    fam = observable_family()
     o1 = sample_orbit(V0, "horocyclic", 50.0)
     o2 = sample_orbit(v_moved, "horocyclic", 50.0)
-    for name, f in fam:
-        a1 = birkhoff_average(o1, f)
-        a2 = birkhoff_average(o2, f)
+    pairs = zip(observables(o1.xs, o1.ys, o1.thetas), observables(o2.xs, o2.ys, o2.thetas))
+    for (name, v1), (_, v2) in pairs:
+        a1 = float(np.mean(v1))
+        a2 = float(np.mean(v2))
         assert abs(a1 - a2) < 1e-10
 
 
@@ -117,14 +118,17 @@ def test_area_means_symmetry_and_direction_zero(area_means):
 
 
 def _patch_family(monkeypatch, family, means):
-    """The series' family and area means, patched together: patching the family
+    """The series' evaluator, its names and the area means, patched together:
+    `family` maps (x, y, theta) to (name, values) pairs; patching the evaluator
     alone would leave `_area_means` caching wrong means for later tests."""
-    monkeypatch.setattr(ergodic, "observable_family", lambda: family)
+    names = tuple(name for name, _ in family(*[np.ones(1)] * 3))
+    monkeypatch.setattr(ergodic, "OBSERVABLES", names)
+    monkeypatch.setattr(ergodic, "observables", family)
     monkeypatch.setattr(ergodic, "octagon_area_means", lambda group: dict(means))
 
 
 def test_constant_family_zero_discrepancy(monkeypatch):
-    _patch_family(monkeypatch, [("one", lambda x, y, th: np.ones_like(x))], {"one": 1.0})
+    _patch_family(monkeypatch, lambda x, y, th: [("one", np.ones_like(x))], {"one": 1.0})
     rows = equidistribution_series("horocyclic", V0, [10.0, 20.0])
     assert all(d == 0.0 for _, d in rows)
 
@@ -140,8 +144,8 @@ def test_horocycle_equidistribution_trend():
 @pytest.mark.slow
 def test_long_horocycle_bump_average_near_area_mean(area_means):
     orbit = sample_orbit(V0, "horocyclic", 1e4)
-    name, f = observable_family()[0]
-    assert abs(birkhoff_average(orbit, f) - area_means[name]) < 0.05
+    name, vals = next(observables(orbit.xs, orbit.ys, orbit.thetas))
+    assert abs(float(np.mean(vals)) - area_means[name]) < 0.05
 
 
 def test_larger_b_hypercycles_equidistribute_faster():
@@ -204,7 +208,10 @@ def test_sample_orbit_rejects_non_finite_or_negative_field(B):
 
 def test_discrepancy_rejects_non_finite_average(area_means, monkeypatch):
     # a NaN Birkhoff average must not be dropped by the max over the family
-    family = observable_family() + [("nan", lambda x, y, th: np.full_like(x, np.nan))]
+    def family(x, y, th):
+        yield from observables(x, y, th)
+        yield "nan", np.full_like(x, np.nan)
+
     _patch_family(monkeypatch, family, {**area_means, "nan": 0.0})
     with pytest.raises(ValueError, match="non-finite Birkhoff average"):
         equidistribution_series("horocyclic", V0, [1.0])
@@ -450,10 +457,26 @@ def test_sample_orbit_memory_peak_is_at_most_twice_its_output():
     assert peak <= 2 * 3 * 100_001 * 8
 
 
+def test_equidistribution_series_memory_peak_is_at_most_twice_its_orbit():
+    # the orbit, one bump buffer and the near-set, then the two harmonic buffers
+    group = octagon_group()
+    equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
+    tracemalloc.start()
+    try:
+        rows = equidistribution_series("horocyclic", V0, [1e2, 1e3], group=group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2
+    assert peak <= 2 * 3 * 100_001 * 8
+
+
 @pytest.mark.parametrize("B, length, text", [
     (1e12, 1.0, "non-finite |F|^2 or c = d = 0"),  # 15 of 101 samples were NaN
     (1e15, 1.0, "non-finite |F|^2 or c = d = 0"),  # 70 of 101
-    (1e10, 10.0, "has determinant")])  # math.sqrt of a negative determinant
+    (1e10, 10.0, "has determinant"),  # math.sqrt of a negative determinant
+    (1e9, 10.0, "has determinant"),  # 1001 finite samples, det F = 1.47 at step 1000
+    (1e10, 1.0, "has determinant")])  # 101 finite samples, det F = 9.5e-4 on the last frame
 def test_a_frame_lost_to_rounding_is_a_value_error(B, length, text):
     # the float step matrix of a huge field loses the frame within a few steps
     with pytest.raises(ValueError, match=re.escape(text)):
@@ -508,8 +531,8 @@ def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
     for L in sorted(lengths):
         n = int(round(L / step)) + 1
         disc = 0.0
-        for name, f in observable_family():
-            avg = float(np.mean(f(orbit.xs[:n], orbit.ys[:n], orbit.thetas[:n])))
+        for name, vals in observables(orbit.xs[:n], orbit.ys[:n], orbit.thetas[:n]):
+            avg = float(np.mean(vals))
             disc = max(disc, abs(avg - area_means[name]))
         rows.append((L, disc))
     return rows
@@ -527,26 +550,61 @@ def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
     first = octagon_area_means(group)
     first["bump0"] = math.nan
     quadratures = []
-    monkeypatch.setattr(ergodic, "observable_family",
-                        lambda: quadratures.append(1) or observable_family())
+    monkeypatch.setattr(ergodic, "observables",
+                        lambda *args: quadratures.append(1) or observables(*args))
     again = octagon_area_means(octagon_group())  # an equal group shares the entry
     assert again is not first and math.isfinite(again["bump0"])
     assert again == octagon_area_means(group)
     assert quadratures == []
 
 
+def _at(r, phi):
+    # the half-plane point at hyperbolic distance r from i in disk direction phi
+    w = math.tanh(r / 2) * np.exp(1j * phi)
+    z = 1j * (1 + w) / (1 - w)
+    return z.real, z.imag
+
+
 def test_position_bumps_match_the_unmasked_formula(horo_orbit):
-    x, y = horo_orbit.xs, horo_orbit.ys
-    for k, (name, f) in enumerate(observable_family()[:8]):
+    # every centre lies r0 = 2 atanh 0.3 from i; on the ray from i through centre k,
+    # r0 + 0.5 is both the near-set bound and the far edge of the bump's d = 0.5
+    # window, and r0 - 0.5 is the near edge; pi/8 off the ray, r0 + 0.5 meets the
+    # near-set bound alone
+    r0 = 2 * math.atanh(0.3)
+    edges = [_at(r0 + sign * 0.5 + eps, k * math.pi / 4 + off)
+             for k in range(8) for sign, off in [(1, 0.0), (-1, 0.0), (1, math.pi / 8)]
+             for eps in (-1e-12, 1e-12)]
+    cosh_i = [(x * x + y * y + 1) / (2 * y) for x, y in edges]
+    assert max(cosh_i[0::6] + cosh_i[4::6]) < ergodic._COSH_NEAR
+    assert min(cosh_i[1::6] + cosh_i[5::6]) >= ergodic._COSH_NEAR
+    centres = [_at(r0, k * math.pi / 4) for k in range(8)]
+    ex, ey = np.array(edges + centres).T
+    x, y = np.concatenate([horo_orbit.xs, ex]), np.concatenate([horo_orbit.ys, ey])
+    n = len(horo_orbit.xs)
+    bumps = itertools.islice(observables(x, y, np.zeros_like(x)), len(BUMPS))
+    for k, (name, vals) in enumerate(bumps):
+        assert name == BUMPS[k] == OBSERVABLES[k] == f"bump{k}"
         w = 0.3 * np.exp(1j * (k * math.pi / 4))
         ck = 1j * (1 + w) / (1 - w)
         coshd = 1.0 + ((x - ck.real) ** 2 + (y - ck.imag) ** 2) / (2.0 * y * ck.imag)
-        vals = f(x, y, 0.0)
         assert vals.tobytes() == bump(np.arccosh(coshd) / 0.8).tobytes()
-        assert np.count_nonzero(vals) > 0
-        center = f(ck.real, ck.imag, 0.0)  # scalars still give a float
-        assert type(center) is float and center == 1.0
-        assert f(ck.real, 5.0 * ck.imag, 0.0) == 0.0
+        assert np.count_nonzero(vals[:n]) > 0
+        assert vals[n + len(edges) + k] == 1.0  # the centre
+        assert np.count_nonzero(vals[n:n + len(edges)]) == 0
+    assert k == 7
+
+
+def test_direction_harmonics_match_cos_and_sin_of_theta(horo_orbit):
+    # cos and sin are numpy's own; the double angles come from them, within 4 eps
+    x, y, th = horo_orbit.xs, horo_orbit.ys, horo_orbit.thetas
+    want = {"cos_th": np.cos(th), "sin_th": np.sin(th),
+            "cos_2th": np.cos(2 * th), "sin_2th": np.sin(2 * th)}
+    got = {name: vals.copy() for name, vals in observables(x, y, th) if name not in BUMPS}
+    assert tuple(got) == OBSERVABLES[len(BUMPS):]
+    assert got["cos_th"].tobytes() == want["cos_th"].tobytes()
+    assert got["sin_th"].tobytes() == want["sin_th"].tobytes()
+    for name in ("cos_2th", "sin_2th"):
+        assert np.max(np.abs(got[name] - want[name])) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, "missing"])
@@ -555,7 +613,7 @@ def test_discrepancy_rejects_a_missing_or_non_finite_area_mean(area_means, monke
     means = {**area_means, "bump0": bad}
     if bad == "missing":
         del means["bump0"]
-    _patch_family(monkeypatch, observable_family(), means)
+    _patch_family(monkeypatch, observables, means)
     monkeypatch.setattr(ergodic, "sample_orbit",
                         lambda *args, **kw: pytest.fail("orbit sampled before the check"))
     with pytest.raises(ValueError, match="finite area mean of bump0"):
