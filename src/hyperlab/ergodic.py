@@ -1,7 +1,7 @@
 """Orbit sampling and equidistribution diagnostics on quotient surfaces.
 
 Long geodesic / magnetic / horocyclic orbits reduced to a fundamental
-domain, Birkhoff averages of the fixed observable family (`observables`,
+domain, Birkhoff averages of the fixed observable family (`_observables`,
 one evaluator of all 12), discrepancy series, and the equidistant-curve
 consistency check for the magnetic transport map.
 """
@@ -68,8 +68,8 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
        |F|^2 |S|^2 < 1e3 over the chunk (checked at its start, as |F|^2
        grows at most e^{k delta} <= 2g + 1; past it the frame goes to
        `reduce_frame`): g and the forms are exact to 6u |f|_1 |F|^2
-       (u = 2^-53), det F to 1e-10 (checked at every renormalization and
-       on the last frame; the drift stays below 1e-12 over B <= 20,
+       (u = 2^-53), det F to 1e-10 (checked on the reduced start, at every
+       renormalization and on the last frame; the drift stays below 1e-12 over B <= 20,
        step <= 0.2, and reads 4e-12 at B = 1e3 and 2.7e-10 at B = 1e4,
        step 1e-2, where the check raises), and each of <= 1000 products moves
        F i at most 3.5u |F|^2 |S|^2 past delta, < 1e-9 in all.  delta is
@@ -88,8 +88,11 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     `step` is flow time, not arc length: a hypercycle moves at speed
     sqrt(1 + B^2), so its arc step is step sqrt(1 + B^2) (0.05 at B = 5 and
     the default step); to sample at arc step h, pass step = h / sqrt(1 + B^2).
-    The output is allocated before pass 1, so a step count that cannot be
-    held is a ValueError at once.  So is a frame that pass 1 finds lost to
+    The start frame is reduced and the output allocated before pass 1, so
+    a start whose reduced frame is more than 1e-10 from unit determinant
+    (about u |F|^2 of its unreduced frame, e.g. 1.3e-10 at x = 1.345,
+    y = 1.3e-6, direction 3.92) and a step count that cannot be held are
+    each a ValueError at once.  So is a frame that pass 1 finds lost to
     rounding, as at B = 1e9 and step 1e-2: a non-finite |F|^2, c = d = 0,
     or |det F - 1| > 1e-10 at a renormalization or on the last frame.
     """
@@ -104,13 +107,18 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     if not math.isfinite(a * a + b * b + c * c + d * d):
         raise ValueError(f"cannot reduce the start frame {(a, b, c, d)}: "
                          "need a finite base point whose |F|^2 does not overflow")
+    frame = group.reduce_frame(a, b, c, d)
+    det = frame[0] * frame[3] - frame[1] * frame[2]
+    if not abs(det - 1.0) <= 1e-10:
+        raise ValueError(f"the start frame {(a, b, c, d)} reduces to determinant {det}: "
+                         "need a base point whose reduction keeps |det F - 1| <= 1e-10")
     try:
         n = int(round(length / step))
         out = np.empty((3, n + 1))  # x, c, d per step; then x, y, theta
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(f"cannot hold n = {length / step:.6g} steps "
                          f"(length {length}, step {step})") from None
-    starts, frames = _restarts(group, step_matrix, group.reduce_frame(a, b, c, d), n)
+    starts, frames = _restarts(group, step_matrix, frame, n)
     starts = np.array(starts)  # pass 2: the segments in lockstep
     lens = np.diff(starts, append=n + 1)
     order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
@@ -212,10 +220,13 @@ BUMPS = tuple(f"bump{k}" for k in range(8))
 OBSERVABLES = BUMPS + ("cos_th", "sin_th", "cos_2th", "sin_2th")
 _CENTRES = tuple(_bump_centre(k) for k in range(8))
 _COSH_NEAR = math.cosh(2.0 * math.atanh(0.3) + 0.5)  # each centre is 2 atanh 0.3 from i
-_NEAR_BLOCK = 1 << 15  # near-set indices per bump evaluation
+# near-set indices per bump evaluation: the whole near-set at once raised the
+# seed-7 horocycle series' traced peak at length 1e4 from 41.6 to 49.4 MB and
+# its max RSS by 8.5 MiB
+_NEAR_BLOCK = 1 << 15
 
 
-def observables(xs, ys, thetas):
+def _observables(xs, ys, thetas):
     """Yield (name, values) for each name of OBSERVABLES on 1-D sample arrays.
 
     The 8 position bumps are bump(d(z, c_k) / 0.8) around the centres c_k at
@@ -223,7 +234,7 @@ def observables(xs, ys, thetas):
     sin theta, cos 2 theta and sin 2 theta, from one cos and one sin with
     sin 2 theta = 2 sin cos and cos 2 theta = 1 - 2 sin^2.  The values arrays
     are two buffers the generator reuses: each holds until the next
-    observable is drawn.
+    observable is drawn, so `list` or `dict` of the generator aliases them.
     """
     for name, out in _bumps(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
         yield name, out
@@ -311,7 +322,7 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
                             B: float = 0.0, group: FuchsianGroup | None = None) -> list:
     """(length, discrepancy) rows; discrepancy is the max over `OBSERVABLES`
     of |Birkhoff average - octagon area mean|, computed on prefixes of one
-    orbit: one pass of `observables` over the longest orbit, and each
+    orbit: one pass of `_observables` over the longest orbit, and each
     length's prefix mean of each observable.  Every area mean is checked
     finite before the orbit is sampled."""
     lengths = sorted(float(L) for L in lengths)
@@ -326,7 +337,7 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
                              f"got {area_means.get(name)}")
     orbit = sample_orbit(v0, kind, lengths[-1], B=B, group=group)
     discs = [0.0] * len(lengths)
-    for name, vals in observables(orbit.xs, orbit.ys, orbit.thetas):  # prefix means
+    for name, vals in _observables(orbit.xs, orbit.ys, orbit.thetas):  # prefix means
         for i, L in enumerate(lengths):
             avg = float(np.mean(vals[:int(round(L / orbit.step)) + 1]))
             if not math.isfinite(avg):

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from hyperlab import ergodic
 from hyperlab.base import bump
-from hyperlab.ergodic import (BUMPS, OBSERVABLES, OrbitSample, birkhoff_average,
-                              equidistribution_series, observables,
+from hyperlab.ergodic import (BUMPS, OBSERVABLES, OrbitSample, _observables,
+                              birkhoff_average, equidistribution_series,
                               octagon_area_means, sample_orbit,
                               seeded_unit_vector, tb_shift_check)
 from hyperlab.geometry import (HPoint, TangentVec, flow_step, frame_of,
@@ -103,7 +103,7 @@ def test_birkhoff_deck_transformation_invariance(area_means):
     v_moved = mobius_apply_vec(gamma, V0)
     o1 = sample_orbit(V0, "horocyclic", 50.0)
     o2 = sample_orbit(v_moved, "horocyclic", 50.0)
-    pairs = zip(observables(o1.xs, o1.ys, o1.thetas), observables(o2.xs, o2.ys, o2.thetas))
+    pairs = zip(_observables(o1.xs, o1.ys, o1.thetas), _observables(o2.xs, o2.ys, o2.thetas))
     for (name, v1), (_, v2) in pairs:
         a1 = float(np.mean(v1))
         a2 = float(np.mean(v2))
@@ -123,7 +123,7 @@ def _patch_family(monkeypatch, family, means):
     alone would leave `_area_means` caching wrong means for later tests."""
     names = tuple(name for name, _ in family(*[np.ones(1)] * 3))
     monkeypatch.setattr(ergodic, "OBSERVABLES", names)
-    monkeypatch.setattr(ergodic, "observables", family)
+    monkeypatch.setattr(ergodic, "_observables", family)
     monkeypatch.setattr(ergodic, "octagon_area_means", lambda group: dict(means))
 
 
@@ -144,7 +144,7 @@ def test_horocycle_equidistribution_trend():
 @pytest.mark.slow
 def test_long_horocycle_bump_average_near_area_mean(area_means):
     orbit = sample_orbit(V0, "horocyclic", 1e4)
-    name, vals = next(observables(orbit.xs, orbit.ys, orbit.thetas))
+    name, vals = next(_observables(orbit.xs, orbit.ys, orbit.thetas))
     assert abs(float(np.mean(vals)) - area_means[name]) < 0.05
 
 
@@ -209,7 +209,7 @@ def test_sample_orbit_rejects_non_finite_or_negative_field(B):
 def test_discrepancy_rejects_non_finite_average(area_means, monkeypatch):
     # a NaN Birkhoff average must not be dropped by the max over the family
     def family(x, y, th):
-        yield from observables(x, y, th)
+        yield from _observables(x, y, th)
         yield "nan", np.full_like(x, np.nan)
 
     _patch_family(monkeypatch, family, {**area_means, "nan": 0.0})
@@ -483,6 +483,23 @@ def test_a_frame_lost_to_rounding_is_a_value_error(B, length, text):
         sample_orbit(V0, "hypercyclic", length, B=B)
 
 
+def test_a_far_start_is_sampled_unless_its_reduction_loses_the_determinant():
+    # x = 1e4 reduces to det F - 1 = 8.9e-16 and gives the per-step loop's bits
+    far = TangentVec(HPoint(1e4, 1.0), 0.0, 1.0)
+    orbit = sample_orbit(far, "horocyclic", 25.37)
+    xs, ys, ths = _sequential_orbit(far, "horocyclic", 25.37)
+    assert np.array_equal(orbit.xs, xs)
+    assert np.array_equal(orbit.ys, ys)
+    assert np.array_equal(orbit.thetas, ths)
+    # near the boundary the reduction leaves det F - 1 = 1.3e-10, outside the
+    # premise of pass 1: the start is blamed, not the field or step
+    y, th = 1.3e-6, 3.92
+    lost = TangentVec(HPoint(1.345, y), y * math.cos(th), y * math.sin(th))
+    for length in (0.0, 1.0, 20.0):
+        with pytest.raises(ValueError, match="the start frame .* reduces to determinant"):
+            sample_orbit(lost, "geodesic", length)
+
+
 def test_a_step_count_that_cannot_be_held_fails_before_pass_1(monkeypatch):
     # pass 1 used to run over the 1e300 steps before the output was allocated
     monkeypatch.setattr(ergodic, "_restarts",
@@ -531,7 +548,7 @@ def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
     for L in sorted(lengths):
         n = int(round(L / step)) + 1
         disc = 0.0
-        for name, vals in observables(orbit.xs[:n], orbit.ys[:n], orbit.thetas[:n]):
+        for name, vals in _observables(orbit.xs[:n], orbit.ys[:n], orbit.thetas[:n]):
             avg = float(np.mean(vals))
             disc = max(disc, abs(avg - area_means[name]))
         rows.append((L, disc))
@@ -550,8 +567,9 @@ def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
     first = octagon_area_means(group)
     first["bump0"] = math.nan
     quadratures = []
-    monkeypatch.setattr(ergodic, "observables",
-                        lambda *args: quadratures.append(1) or observables(*args))
+    real_bumps = ergodic._bumps  # the quadrature's one evaluator call
+    monkeypatch.setattr(ergodic, "_bumps",
+                        lambda *args: quadratures.append(1) or real_bumps(*args))
     again = octagon_area_means(octagon_group())  # an equal group shares the entry
     assert again is not first and math.isfinite(again["bump0"])
     assert again == octagon_area_means(group)
@@ -581,7 +599,7 @@ def test_position_bumps_match_the_unmasked_formula(horo_orbit):
     ex, ey = np.array(edges + centres).T
     x, y = np.concatenate([horo_orbit.xs, ex]), np.concatenate([horo_orbit.ys, ey])
     n = len(horo_orbit.xs)
-    bumps = itertools.islice(observables(x, y, np.zeros_like(x)), len(BUMPS))
+    bumps = itertools.islice(_observables(x, y, np.zeros_like(x)), len(BUMPS))
     for k, (name, vals) in enumerate(bumps):
         assert name == BUMPS[k] == OBSERVABLES[k] == f"bump{k}"
         w = 0.3 * np.exp(1j * (k * math.pi / 4))
@@ -599,7 +617,7 @@ def test_direction_harmonics_match_cos_and_sin_of_theta(horo_orbit):
     x, y, th = horo_orbit.xs, horo_orbit.ys, horo_orbit.thetas
     want = {"cos_th": np.cos(th), "sin_th": np.sin(th),
             "cos_2th": np.cos(2 * th), "sin_2th": np.sin(2 * th)}
-    got = {name: vals.copy() for name, vals in observables(x, y, th) if name not in BUMPS}
+    got = {name: vals.copy() for name, vals in _observables(x, y, th) if name not in BUMPS}
     assert tuple(got) == OBSERVABLES[len(BUMPS):]
     assert got["cos_th"].tobytes() == want["cos_th"].tobytes()
     assert got["sin_th"].tobytes() == want["sin_th"].tobytes()
@@ -613,7 +631,7 @@ def test_discrepancy_rejects_a_missing_or_non_finite_area_mean(area_means, monke
     means = {**area_means, "bump0": bad}
     if bad == "missing":
         del means["bump0"]
-    _patch_family(monkeypatch, observables, means)
+    _patch_family(monkeypatch, _observables, means)
     monkeypatch.setattr(ergodic, "sample_orbit",
                         lambda *args, **kw: pytest.fail("orbit sampled before the check"))
     with pytest.raises(ValueError, match="finite area mean of bump0"):
