@@ -6,14 +6,19 @@ flows from a seeded initial vector and prints the discrepancy of the
 standard 12-observable family at increasing orbit lengths.  Beside each
 row it prints the two stages of the series apart: obs_ms, the series time
 minus the time of one extra orbit of the longest length (area means,
-warmed first, and the observable pass), and the steps/s of `sample_orbit`
-on that extra orbit.
+warmed first, and the observable pass), peak_mb, the tracemalloc peak in
+MiB of one more series call, taken after the timed calls, and the steps/s
+of `sample_orbit` on the extra orbit.  Under tracemalloc the float loop of
+orbit pass 1 runs about 60 times slower, so nearly all of the run time
+(2–2.5 min at the default lengths on a 2-core Xeon VM) is the traced
+calls.
 
 Usage: python3 scripts/run_equidistribution.py [--lengths 1e2,1e3,1e4]
 """
 
 import argparse
 import time
+import tracemalloc
 
 from hyperlab.ergodic import (equidistribution_series, octagon_area_means, sample_orbit,
                               seeded_unit_vector)
@@ -36,10 +41,17 @@ def main():
         start = time.perf_counter()
         steps = len(sample_orbit(v0, kind, max(lengths), B=B).xs) - 1
         orbit_s = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            equidistribution_series(kind, v0, lengths, B=B)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
         tag = f"{kind}" + (f" B={B}" if kind == "hypercyclic" else "")
         for length, disc in rows:
             print(f"{tag:20s} length={length:10.0f}  discrepancy={disc:.5f}"
-                  f"  obs_ms={(series_s - orbit_s) * 1e3:.1f}  steps/s={steps / orbit_s:.3g}")
+                  f"  obs_ms={(series_s - orbit_s) * 1e3:.1f}  peak_mb={peak_mb:.1f}"
+                  f"  steps/s={steps / orbit_s:.3g}")
 
 
 if __name__ == "__main__":

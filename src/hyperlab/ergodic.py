@@ -23,6 +23,11 @@ from .groups import _COSH_R, FuchsianGroup, octagon_group
 _BLOCK = 1000  # steps between determinant renormalizations
 _CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of unreduced steps
 _COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
+# samples per block of the row passes (x, y and theta in `sample_orbit`, the
+# bump windows in `_bumps`): one block of whole rows raised the seed-7
+# horocycle's traced peaks at length 1e4 from 25.0 to 31.6 MiB (the orbit)
+# and from 33.0 to 51.2 MiB (its series)
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,11 +84,12 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
        (at most 1000 steps each) are replayed in lockstep on arrays,
        longest first, with the same IEEE multiplies, adds and divides as
        the loop.  Each step puts a c + b d and the frame's c and d into the
-       three output rows (`ndarray.put`); after the replay one np.arctan2
-       over the whole rows gives theta = pi/2 - 2 atan2(c, d), and
-       x = (a c + b d) / (c c + d d) and y = 1/(c c + d d) are formed in
-       place from one c c + d d row, so no Python call runs per sample
-       (np.arctan2 gives the same bits whatever the chunking of its input).
+       three output rows (`ndarray.put`); after the replay, one block of
+       samples at a time, np.arctan2 gives theta = pi/2 - 2 atan2(c, d)
+       and x = (a c + b d) / (c c + d d) and y = 1/(c c + d d) are formed
+       in place from one c c + d d block, so no Python call runs per sample
+       and the one temporary is a block (np.arctan2 gives the same bits
+       whatever the chunking of its input).
 
     `step` is flow time, not arc length: a hypercycle moves at speed
     sqrt(1 + B^2), so its arc step is step sqrt(1 + B^2) (0.05 at B = 5 and
@@ -133,14 +139,16 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
         dr.put(at, d)
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
-    theta = np.arctan2(cr, dr)  # the one temporary row
-    cr *= cr
-    dr *= dr
-    cr += dr  # c c + d d
-    xr /= cr
-    np.divide(1.0, cr, out=cr)  # y = 1 / (c c + d d)
-    theta *= 2.0
-    np.subtract(math.pi / 2, theta, out=dr)
+    for j in range(0, n + 1, _ROW_BLOCK):  # x, y, theta a block at a time
+        xb, cb, db = out[:, j:j + _ROW_BLOCK]
+        theta = np.arctan2(cb, db)  # the one temporary block
+        cb *= cb
+        db *= db
+        cb += db  # c c + d d
+        xb /= cb
+        np.divide(1.0, cb, out=cb)  # y = 1 / (c c + d d)
+        theta *= 2.0
+        np.subtract(math.pi / 2, theta, out=db)
     return OrbitSample(kind, B, step, length, *out)
 
 
@@ -205,11 +213,6 @@ def _unit_det(i: int, a: float, b: float, c: float, d: float) -> float:
     return det
 
 
-def birkhoff_average(orbit: OrbitSample, f) -> float:
-    """Step-weighted orbit mean of f(x, y, theta)."""
-    return float(np.mean(f(orbit.xs, orbit.ys, orbit.thetas)))
-
-
 def _bump_centre(k: int) -> tuple:
     w = 0.3 * np.exp(1j * (k * math.pi / 4))
     ck = 1j * (1 + w) / (1 - w)  # disk -> half-plane
@@ -220,27 +223,27 @@ BUMPS = tuple(f"bump{k}" for k in range(8))
 OBSERVABLES = BUMPS + ("cos_th", "sin_th", "cos_2th", "sin_2th")
 _CENTRES = tuple(_bump_centre(k) for k in range(8))
 _COSH_NEAR = math.cosh(2.0 * math.atanh(0.3) + 0.5)  # each centre is 2 atanh 0.3 from i
-# near-set indices per bump evaluation: the whole near-set at once raised the
-# seed-7 horocycle series' traced peak at length 1e4 from 41.6 to 49.4 MB and
-# its max RSS by 8.5 MiB
-_NEAR_BLOCK = 1 << 15
 
 
 def _observables(xs, ys, thetas):
-    """Yield (name, values) for each name of OBSERVABLES on 1-D sample arrays.
+    """Yield (name, values) for each name of OBSERVABLES on 1-D sample arrays,
+    consuming xs and ys.
 
     The 8 position bumps are bump(d(z, c_k) / 0.8) around the centres c_k at
-    disk radius 0.3 in the directions k pi/4 (`_bumps`), then come cos theta,
-    sin theta, cos 2 theta and sin 2 theta, from one cos and one sin with
-    sin 2 theta = 2 sin cos and cos 2 theta = 1 - 2 sin^2.  The values arrays
-    are two buffers the generator reuses: each holds until the next
-    observable is drawn, so `list` or `dict` of the generator aliases them.
+    disk radius 0.3 in the directions k pi/4 (`_bumps`, one reused row).
+    That row is dropped after the 8th bump, and then come cos theta and
+    sin theta, written into xs and ys, and cos 2 theta = 1 - 2 sin^2 in ys
+    and sin 2 theta = 2 sin cos in xs.  Each values array holds until the
+    next observable is drawn, so `list` or `dict` of the generator aliases
+    them; a caller that needs its positions afterwards passes copies.
     """
-    for name, out in _bumps(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)):
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    for name, out in _bumps(xs, ys):
         yield name, out
-    cos = np.cos(thetas, out=out)  # the bumps' buffer
+    del out  # the harmonics need no row of their own
+    cos = np.cos(thetas, out=xs)
     yield "cos_th", cos
-    sin = np.sin(thetas, out=np.empty_like(out))
+    sin = np.sin(thetas, out=ys)
     yield "sin_th", sin
     cos *= sin
     cos *= 2.0  # sin 2 theta
@@ -252,34 +255,42 @@ def _observables(xs, ys, thetas):
 
 
 def _bumps(x: np.ndarray, y: np.ndarray):
-    """Yield (name, values) per position bump, all in one buffer that is
-    zeroed again after each.
+    """Yield (name, values) per position bump, all in one row that is zeroed
+    again after each.
 
-    Each bump is evaluated only on the near-set, the samples with
-    cosh d(z, i) < cosh(2 atanh 0.3 + 0.5), which holds every d(z, c_k) < 0.5
-    window (bump(d / 0.8) is 0 from d = 0.4 on), in blocks of near-set
-    indices; there it takes the bits of the unmasked formula.
+    Each bump is evaluated only inside its window d(z, c_k) < 0.5
+    (bump(d / 0.8) is 0 from d = 0.4 on), with the bits of the unmasked
+    formula.  One pass over blocks of samples first finds every window's
+    samples as int32 offsets per block, testing the 8 windows only on the
+    near-set cosh d(z, i) < cosh(2 atanh 0.3 + 0.5) that holds them all;
+    then each bump gathers x and y at its own offsets.  No other
+    full-length row is made.
     """
-    rho = x * x
-    rho += y * y
-    rho += 1.0
-    rho /= y  # 2 cosh d(z, i)
-    near = np.flatnonzero(rho < 2.0 * _COSH_NEAR)
-    del rho
-    xn, yn = x[near], y[near]
+    blocks = [slice(j, j + _ROW_BLOCK) for j in range(0, x.size, _ROW_BLOCK)]
+    hits = [[] for _ in BUMPS]  # per bump, per block: the offsets inside its window
+    for block in blocks:
+        xb, yb = x[block], y[block]
+        rho = xb * xb
+        rho += yb * yb
+        rho += 1.0
+        rho /= yb  # 2 cosh d(z, i)
+        near = np.flatnonzero(rho < 2.0 * _COSH_NEAR)
+        xn, yn = xb.take(near), yb.take(near)
+        for (cx, cy), ats in zip(_CENTRES, hits):
+            ats.append(near[_cosh_dist(xn, yn, cx, cy) < _COSH_HALF].astype(np.int32))
     out = np.zeros(x.shape)
-    for name, (cx, cy) in zip(BUMPS, _CENTRES):
-        hits = []
-        for j in range(0, near.size, _NEAR_BLOCK):
-            xb, yb = xn[j:j + _NEAR_BLOCK], yn[j:j + _NEAR_BLOCK]
-            coshd = 1.0 + ((xb - cx) ** 2 + (yb - cy) ** 2) / (2.0 * yb * cy)
-            hit = coshd < _COSH_HALF
-            at = near[j:j + _NEAR_BLOCK][hit]
-            out.put(at, bump(np.arccosh(coshd[hit]) / 0.8))
-            hits.append(at)
+    for name, (cx, cy), ats in zip(BUMPS, _CENTRES, hits):
+        for block, at in zip(blocks, ats):
+            coshd = _cosh_dist(x[block].take(at), y[block].take(at), cx, cy)
+            out[block].put(at, bump(np.arccosh(coshd) / 0.8))
         yield name, out
-        for at in hits:
-            out.put(at, 0.0)
+        for block, at in zip(blocks, ats):
+            out[block].put(at, 0.0)
+
+
+def _cosh_dist(x, y, cx, cy):
+    """cosh d(z, c) = 1 + |z - c|^2 / (2 y cy), elementwise."""
+    return 1.0 + ((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * y * cy)
 
 
 def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
@@ -307,7 +318,7 @@ def _area_means(group: FuchsianGroup) -> tuple:
     # half-plane points at hyperbolic radius r, direction theta from i
     w = np.tanh(rr / 2) * np.exp(1j * tt)
     z = 1j * (1 + w) / (1 - w)
-    x, y = z.real, z.imag
+    x, y = z.real.copy(), z.imag.copy()  # contiguous, for the gathers of `_bumps`
     p, q, r = (x * x + y * y) / y, x / y, 1.0 / y
     inside = np.all([fp * p + fq * q + fr * r >= -2e-12
                      for fp, fq, fr in group.dirichlet_forms], axis=0)
@@ -323,8 +334,9 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
     """(length, discrepancy) rows; discrepancy is the max over `OBSERVABLES`
     of |Birkhoff average - octagon area mean|, computed on prefixes of one
     orbit: one pass of `_observables` over the longest orbit, and each
-    length's prefix mean of each observable.  Every area mean is checked
-    finite before the orbit is sampled."""
+    length's prefix mean of each observable.  The series owns its orbit,
+    whose xs and ys the evaluator consumes, so it keeps the orbit plus one
+    row.  Every area mean is checked finite before the orbit is sampled."""
     lengths = sorted(float(L) for L in lengths)
     if not lengths:
         raise ValueError("need one or more lengths")

@@ -32,6 +32,7 @@ def test_run_equidistribution(tmp_path):
     assert all(float(ln.split("steps/s=")[1]) > 0 for ln in lines)
     # the series time minus the orbit time: finite, and negative only by timing noise
     assert all(math.isfinite(float(ln.split("obs_ms=")[1].split()[0])) for ln in lines)
+    assert all(float(ln.split("peak_mb=")[1].split()[0]) > 0 for ln in lines)
 
 
 def test_run_transport_suite(tmp_path):
