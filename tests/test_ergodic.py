@@ -123,12 +123,19 @@ def _patch_family(monkeypatch, family, means):
     monkeypatch.setattr(ergodic, "octagon_area_means", lambda group: dict(means))
 
 
-def test_constant_family_zero_discrepancy(monkeypatch):
-    # a constant family's Birkhoff average is its constant at every prefix length
+def test_birkhoff_constant_observables(monkeypatch):
+    # against an area mean of 0 each discrepancy reads |Birkhoff average|: a
+    # constant family's average is its constant at every prefix length
     for const, family in [(1.0, np.ones_like), (0.0, np.zeros_like)]:
-        _patch_family(monkeypatch, lambda x, y, th: [("c", family(x))], {"c": const})
+        _patch_family(monkeypatch, lambda x, y, th: [("c", family(x))], {"c": 0.0})
         rows = equidistribution_series("horocyclic", V0, [10.0, 20.0, 100.0])
-        assert [d for _, d in rows] == [0.0, 0.0, 0.0]
+        assert [d for _, d in rows] == [const, const, const]
+
+
+def test_constant_family_zero_discrepancy(monkeypatch):
+    _patch_family(monkeypatch, lambda x, y, th: [("one", np.ones_like(x))], {"one": 1.0})
+    rows = equidistribution_series("horocyclic", V0, [10.0, 20.0])
+    assert all(d == 0.0 for _, d in rows)
 
 
 @pytest.mark.slow
