@@ -8,9 +8,10 @@ measure-transport  packet quadratic forms before/after the magnetic map
 flows              numeric Hamiltonian flow vs closed-form orbits
 equidistribute     Birkhoff discrepancy series on the octagon surface
 
-All data files are deterministic: floats are rendered with 17 significant
-digits and row order is fixed, so identical configs yield byte-identical
-CSVs.  JSON outputs are UTF-8 with snake_case keys and carry a
+One parser takes the subcommand, every flag and, for `equidistribute` only,
+the flow kind.  Data files are deterministic: a CSV is a float table written
+by one "%.17g" format string in a fixed row order, so identical configs yield
+byte-identical CSVs.  JSON outputs are UTF-8 with snake_case keys and carry a
 ``schema_version`` field.  With ``--assert`` a subcommand exits nonzero
 and prints a JSON diagnostic if its built-in tolerance checks fail.
 """
@@ -64,16 +65,12 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], table) -> None:
+    """A float table (rows, len(header)) as CSV, each value with 17 significant digits."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    path.write_text(",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist()),
+                    encoding="utf-8")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -101,7 +98,7 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
         states, dense = _whittaker_sweep(p, scan)
         norm = ascension_norm(tau, cfg.s1)
         _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
-                   zip(ys, np.abs(dense(ys)[0]) / norm))
+                   np.column_stack((ys, np.abs(dense(ys)[0]) / norm)))
         all_peaks = _sweep_peaks(p, scan, states, dense)
         if all_peaks:
             y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
@@ -112,8 +109,7 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
     if cfg.do_assert and (cfg.s1, cfg.a) != (50.0, 25.0):
         failures.append({"reason": f"no reference peak table for s1={cfg.s1}, a={cfg.a}"})
     elif cfg.do_assert:
-        tol_y = cfg.tolerances["peak_abscissa_abs"]
-        tol_v = cfg.tolerances["peak_ordinate_rel"]
+        tol_y, tol_v = cfg.tolerances["peak_abscissa_abs"], cfg.tolerances["peak_ordinate_rel"]
         for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE:
             if tau > cfg.tau_max:
                 continue
@@ -139,16 +135,14 @@ def cmd_ascend(cfg: RunConfig) -> dict:
     if len(cfg.s) != 1:
         raise ValueError(f"ascend takes exactly one --s value, got {cfg.s}")
     out = _out_dir(cfg)
-    s = cfg.s[0]
-    m = cfg.eta0 * s
-    grid = np.linspace(-1.0, 1.0, 401)
-    exact, closed, prod, base = ascend(m, s, cfg.B, grid)
+    s, grid = cfg.s[0], np.linspace(-1.0, 1.0, 401)
+    exact, closed, prod, base = ascend(cfg.eta0 * s, s, cfg.B, grid)
     _write_csv(out / "ascend_wave.csv",
                ["beta", "re_omega", "im_omega", "re_closed", "im_closed",
                 "re_w0", "im_w0"],
-               zip(grid, exact.values.real, exact.values.imag,
-                   closed.real, closed.imag,
-                   base.values.real, base.values.imag))
+               np.column_stack((grid, exact.values.real, exact.values.imag,
+                                closed.real, closed.imag,
+                                base.values.real, base.values.imag)))
     b1 = exact.B1  # the reached field [Bs]/s
     shift = wave_norm_shift(b1, cfg.eta0)
     # the ascended wave is one branch-I wave times the c1 product
@@ -175,8 +169,7 @@ def cmd_measure_transport(cfg: RunConfig) -> dict:
     out = _out_dir(cfg)
     obs = Observable(eta0=cfg.eta0, eps=cfg.eps)
     rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs, l=cfg.l)
-    header = ["s", "b_field", "eta0", "eps", "lhs_re", "lhs_im",
-              "rhs_re", "rhs_im", "rel_diff"]
+    header = ["s", "b_field", "eta0", "eps", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_diff"]
     _write_csv(out / "measure_transport.csv", header,
                [[r[k] for k in header] for r in rows])
     diffs = [r["rel_diff"] for r in rows]
@@ -204,18 +197,13 @@ def cmd_flows(cfg: RunConfig) -> dict:
     check_degree(cfg.tau_max)
     check_field(cfg.B)  # before the start vector is scaled to sqrt(B^2 + 1)
     out = _out_dir(cfg)
-    B = cfg.B
-    t_max = float(cfg.tau_max)
-    level = math.sqrt(B * B + 1.0)
-    v0 = scale(TangentVec(HPoint(0.3, 1.2), 0.6 * 1.2, 0.8 * 1.2), level)
-    p0 = phi_B_inv(v0, B)
+    B, t_max = cfg.B, float(cfg.tau_max)
+    v0 = scale(TangentVec(HPoint(0.3, 1.2), 0.6 * 1.2, 0.8 * 1.2), math.sqrt(B * B + 1.0))
     ts = np.linspace(0.0, t_max, max(2, int(20 * t_max) + 1)) if t_max > 0 \
         else np.array([0.0])
-    rows = []
-    worst = 0.0
-    for t, q in zip(ts, flow_hamiltonian(p0, B, ts)):
-        closed = hypercyclic_flow(v0, B, float(t))
-        numeric = phi_B(q, B)
+    rows, worst = [], 0.0
+    for t, q in zip(ts, flow_hamiltonian(phi_B_inv(v0, B), B, ts)):
+        closed, numeric = hypercyclic_flow(v0, B, float(t)), phi_B(q, B)
         dev = hyperbolic_distance(closed.base, numeric.base)
         worst = max(worst, dev)
         rows.append([t, closed.base.x, closed.base.y, closed.vx, closed.vy,
@@ -243,8 +231,7 @@ def cmd_equidistribute(cfg: RunConfig) -> dict:
             "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
     if kind not in ("horocyclic", "hypercyclic", "geodesic"):
         raise ValueError(f"unknown flow kind {cfg.flow_kind!r}")
-    v0 = seeded_unit_vector(7)
-    rows = equidistribution_series(kind, v0, list(cfg.lengths), B=cfg.B)
+    rows = equidistribution_series(kind, seeded_unit_vector(7), list(cfg.lengths), B=cfg.B)
     _write_csv(out / "equidistribution.csv", ["length", "discrepancy"], rows)
     discs = [d for _, d in rows]
     non_increasing = all(a >= b for a, b in zip(discs, discs[1:]))
@@ -290,26 +277,30 @@ _VALUE_FLAGS = (
 )
 
 
+class _FlowKind(argparse.Action):
+    """The optional flow kind positional: only `equidistribute` takes one."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value is not None and namespace.subcommand != "equidistribute":
+            parser.error(f"unrecognized arguments: {value}")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hyperlab",
-        description="Numerical experiments for magnetic dynamics on "
-                    "hyperbolic surfaces.")
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        if name == "equidistribute":
-            p.add_argument("flow_kind", nargs="?", default="horocyclic",
-                           help="geodesic | hypercyclic | horocyclic "
-                                "(default horocyclic)")
-        p.add_argument("--config", default=None,
-                       help="optional JSON config file; flags take precedence")
-        for flag, typ, text in _VALUE_FLAGS:
-            p.add_argument(flag, type=typ, default=None, help=text)
-        p.add_argument("--assert", dest="do_assert", action="store_true",
-                       help="exit nonzero if built-in tolerance checks fail")
-        p.add_argument("--json-summary", action="store_true",
-                       help="print the machine-readable verdict to stdout")
+    ap = argparse.ArgumentParser(prog="hyperlab", description="Numerical experiments for "
+                                 "magnetic dynamics on hyperbolic surfaces.")
+    ap.add_argument("subcommand", choices=_COMMANDS)
+    ap.add_argument("flow_kind", nargs="?", action=_FlowKind,
+                    help="equidistribute only: geodesic | hypercyclic | horocyclic "
+                         "(default horocyclic)")
+    ap.add_argument("--config", default=None,
+                    help="optional JSON config file; flags take precedence")
+    for flag, typ, text in _VALUE_FLAGS:
+        ap.add_argument(flag, type=typ, default=None, help=text)
+    ap.add_argument("--assert", dest="do_assert", action="store_true",
+                    help="exit nonzero if built-in tolerance checks fail")
+    ap.add_argument("--json-summary", action="store_true",
+                    help="print the machine-readable verdict to stdout")
     return ap
 
 
@@ -351,15 +342,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    if getattr(args, "flow_kind", None):
-        cfg.flow_kind = args.flow_kind
-    cfg.do_assert = args.do_assert
-    cfg.json_summary = args.json_summary
+    cfg.flow_kind = args.flow_kind or cfg.flow_kind
+    cfg.do_assert, cfg.json_summary = args.do_assert, args.json_summary
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_intermixed_args(argv)
     try:
         cfg = config_from_args(args)
         summary = {"schema_version": SCHEMA_VERSION,

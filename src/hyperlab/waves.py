@@ -177,11 +177,17 @@ def _refined(solve, edges):
 
 
 def _bary(t):
-    """Barycentric interpolation (n, 32) from the nodes to t (n, 1) in [-1, 1]."""
-    d = t - _NODES
-    hit = d == 0
-    M = _BARY / np.where(hit, 1.0, d)
-    return np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
+    """Barycentric interpolation (n, 32) from the nodes to t (n, 1) in [-1, 1]; only a
+    row whose weight sum is not finite (t on a node) is masked, to its exact one-hot row."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = _BARY / (t - _NODES)
+        total = M.sum(axis=1, keepdims=True)
+        M /= total
+    bad = np.flatnonzero(~np.isfinite(total[:, 0]))
+    if len(bad):
+        hit = t[bad] == _NODES
+        M[bad] = np.where(hit.any(axis=1, keepdims=True), hit, M[bad])
+    return M
 
 
 def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
@@ -194,7 +200,8 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
     Batched linear solves give two fundamental solutions per panel and wave;
     chaining their 2x2 transfer matrices from beta = 0 fixes phi, which is
-    interpolated on each point's panel.  `_refined` holds every panel to
+    interpolated on each point's panel (`_bary`) and multiplied by the carrier
+    e^{i tau beta} only when some tau != 0.  `_refined` holds every panel to
     _COLLOCATION_TOL.
     With derivs=False the derivatives are not formed (None is returned).
     """
@@ -224,7 +231,7 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
     edges = _panel_edges(Bm, mm, s, x.max())
     edges, U, dU = _refined(lambda e: _fundamental(qa, qb, s, e), edges)
-    order = np.argsort(x, kind="stable")
+    order, spin = np.argsort(x, kind="stable"), tau.any()
     bounds = np.searchsorted(x[order], edges, side="right")
     for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         # phi and phi' at the nodes, (32, 2K); the next panel starts where this one ends
@@ -236,12 +243,16 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
         for lo in range(bounds[p], bounds[p + 1], 256):
             idx = order[lo:min(lo + 256, bounds[p + 1])]
             M = _bary((2 * x[idx, None] - a - b) / (b - a))
-            neg, carrier = grid[idx] < 0, np.exp(np.multiply.outer(1j * tau, grid[idx]))
-            v = (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
-            values[:, idx] = v = carrier * np.where(neg, v[1], v[0])
+            neg, v = grid[idx] < 0, (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
+            v = np.where(neg, v[1], v[0])
+            if spin:  # w = e^{i tau beta} phi; the carrier is 1 when every tau is 0
+                carrier = np.exp(np.multiply.outer(1j * tau, grid[idx]))
+                v = carrier * v
+            values[:, idx] = v
             if derivs:  # w' = e^{i tau beta} (phi' + i tau phi), phi' mirrored for beta < 0
                 d = (M @ dphi.view(float)).view(complex).T.reshape(2, K, -1)
-                dvals[:, idx] = carrier * np.where(neg, -d[1], d[0]) + 1j * tau[:, None] * v
+                d = np.where(neg, -d[1], d[0])
+                dvals[:, idx] = carrier * d + 1j * tau[:, None] * v if spin else d
     return values, dvals
 
 

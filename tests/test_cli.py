@@ -4,13 +4,14 @@ import argparse
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperlab.cli import (_VALUE_FLAGS, RunConfig, _write_json, build_parser,
+from hyperlab import cli, waves
+from hyperlab.cli import (_VALUE_FLAGS, RunConfig, _write_csv, _write_json, build_parser,
                           config_from_args, main)
-from hyperlab import waves
 from hyperlab.waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
 
 
@@ -32,6 +33,69 @@ def test_parser_accepts_all_flags():
     assert cfg.B == 0.5 and cfg.eta0 == 0.3 and cfg.eps == 0.1
     assert cfg.tau_max == 3 and cfg.lengths == [10.0, 100.0]
     assert cfg.do_assert and cfg.json_summary
+
+
+def _per_value_csv(header, rows):
+    """The CSV text of one format(float(v), ".17g") call per value."""
+    lines = [",".join(header)] + [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, -0.0, 5e-324], [1e308, 0.3, -7], [2**53 + 1, -1e-300, math.pi]],
+    [[math.inf, -math.inf, math.nan]], []])
+def test_csv_is_the_per_value_format_byte_for_byte(tmp_path, rows):
+    header = ["a", "b", "c"]
+    _write_csv(tmp_path / "t.csv", header, np.array(rows, dtype=float).reshape(-1, 3))
+    assert (tmp_path / "t.csv").read_bytes() == _per_value_csv(header, rows).encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ascend", "foo"], ["ascend", "--s", "100", "foo"], ["whittaker", "foo"],
+    ["measure-transport", "foo", "--B", "0.5"], ["flows", "--B", "1", "foo"],
+    ["equidistribute", "geodesic", "foo"]])
+def test_a_stray_positional_exits_2(capsys, argv):
+    # only equidistribute takes a positional, the flow kind, and only one
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: foo" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ascend", "--help"])
+    assert exc.value.code == 0 and "--json-summary" in capsys.readouterr().out
+
+
+_README_LINES = {  # each command line of the README and the RunConfig fields it sets
+    "hyperlab whittaker --s1 50 --a 25 --tau-max 2 --out out/ --assert":
+        dict(s1=50.0, a=25.0, tau_max=2, out="out/", do_assert=True),
+    "hyperlab ascend --s 100 --B 0.5 --eta0 0.2 --out out/":
+        dict(s=[100.0], B=0.5, eta0=0.2, out="out/"),
+    "hyperlab measure-transport --s 100,200,400 --B 0.5 --out out/ --json-summary":
+        dict(s=[100.0, 200.0, 400.0], B=0.5, out="out/", json_summary=True),
+    "hyperlab flows --B 1 --tau-max 5 --out out/": dict(B=1.0, tau_max=5, out="out/"),
+    "hyperlab equidistribute horocyclic --lengths 1e2,1e3,1e4 --out out/":
+        dict(flow_kind="horocyclic", lengths=[1e2, 1e3, 1e4], out="out/"),
+}
+
+
+def test_readme_command_lines_are_the_pinned_ones():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [ln for ln in readme.splitlines() if ln.startswith("hyperlab ")] == list(_README_LINES)
+
+
+@pytest.mark.parametrize("line, fields", [
+    *_README_LINES.items(),
+    # the flow kind may also follow the flags
+    ("hyperlab equidistribute --lengths 10 geodesic", dict(flow_kind="geodesic", lengths=[10.0]))])
+def test_command_lines_give_their_configs(monkeypatch, line, fields):
+    argv, seen = line.split()[1:], []
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg: seen.append(cfg) or {"passed": True})
+    assert main(argv) == 0
+    assert seen == [RunConfig(subcommand=argv[0], **fields)]
 
 
 def test_value_flags_are_the_config_fields():

@@ -448,31 +448,25 @@ def test_unit_dirichlet_forms_read_sinh_of_the_distance_to_each_side():
                                                                  rel=1e-12)
 
 
-def test_sample_orbit_memory_peak_is_at_most_twice_its_output():
+def test_sample_orbit_memory_peak_is_at_most_twice_its_output(monkeypatch):
     # a whole-orbit frame array would add 4 * (n + 1) * 8 bytes to the 3 * (n + 1) * 8
     group = octagon_group()
     sample_orbit(V0, "horocyclic", 1.0, group=group)  # fill the group's cached forms
-    tracemalloc.start()
-    try:
-        orbit = sample_orbit(V0, "horocyclic", 1e3, group=group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(orbit.xs) == 100_001
+    orbits = []
+    peak = _traced_peak(monkeypatch, lambda: orbits.append(
+        sample_orbit(V0, "horocyclic", 1e3, group=group)))
+    assert [len(orbit.xs) for orbit in orbits] == [100_001, 100_001]
     assert peak <= 2 * 3 * 100_001 * 8
 
 
-def test_equidistribution_series_memory_peak_is_at_most_twice_its_orbit():
+def test_equidistribution_series_memory_peak_is_at_most_twice_its_orbit(monkeypatch):
     # the orbit, one bump row and the window offsets; the harmonics go into xs and ys
     group = octagon_group()
     equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
-    tracemalloc.start()
-    try:
-        rows = equidistribution_series("horocyclic", V0, [1e2, 1e3], group=group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(rows) == 2
+    series = []
+    peak = _traced_peak(monkeypatch, lambda: series.append(
+        equidistribution_series("horocyclic", V0, [1e2, 1e3], group=group)))
+    assert len(series) == 2 and series[0] == series[1] and len(series[1]) == 2
     assert peak <= 2 * 3 * 100_001 * 8
 
 

@@ -241,6 +241,78 @@ def test_kernel_without_derivatives_gives_the_same_values():
     assert np.array_equal(only, values)
 
 
+def _masked_bary(t):
+    """Barycentric rows with the exact-node mask formed on every row."""
+    d = t - W._NODES
+    hit = d == 0
+    M = W._BARY / np.where(hit, 1.0, d)
+    return np.where(hit.any(axis=1, keepdims=True), hit, M / M.sum(axis=1, keepdims=True))
+
+
+def test_bary_is_one_hot_on_the_nodes_and_the_masked_formula_elsewhere():
+    # the nodes, +-1, one ulp either side of each node, random points and NaN, in one call
+    nodes = W._NODES
+    t = np.r_[np.random.default_rng(11).uniform(-1.0, 1.0, 400), -1.0, 1.0, nodes,
+              np.clip(np.nextafter(nodes, 2.0), -1.0, 1.0),
+              np.clip(np.nextafter(nodes, -2.0), -1.0, 1.0), np.nan][:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero may escape
+        M = W._bary(t)
+    assert np.array_equal(W._bary(nodes[:, None]), np.eye(32))
+    assert np.array_equal(M, _masked_bary(t), equal_nan=True)
+    assert np.isnan(M[-1]).all()
+
+
+def _chunk_loop_solve_waves(B1, mtilde, s, w0, dw0, grid, derivs=True):
+    """`solve_waves` with the masked rows and a carrier formed on every chunk."""
+    B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
+        np.asarray(B1, float), np.asarray(mtilde, float), np.asarray(w0, complex),
+        np.asarray(dw0, complex)))
+    K, tau, x = len(B1), B1 * s, np.abs(grid)
+    values = np.empty((K, len(grid)), dtype=complex)
+    dvals = np.empty((K, len(grid)), dtype=complex) if derivs else None
+    values[:, grid == 0] = w0[:, None]
+    if derivs:
+        dvals[:, grid == 0] = dw0[:, None]
+    Bm, mm, dphi0 = np.r_[B1, B1], np.r_[mtilde, -mtilde], dw0 - 1j * tau * w0
+    state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
+    qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
+    edges, U, dU = W._refined(lambda e: W._fundamental(qa, qb, s, e),
+                              W._panel_edges(Bm, mm, s, x.max()))
+    order = np.argsort(x, kind="stable")
+    bounds = np.searchsorted(x[order], edges, side="right")
+    for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        phi, dphi = (np.einsum("wnj,wj->nw", F[:, p], state, order="C") for F in (U, dU))
+        state = np.stack((phi[-1], dphi[-1]), axis=-1)
+        for lo in range(bounds[p], bounds[p + 1], 256):
+            idx = order[lo:min(lo + 256, bounds[p + 1])]
+            M = _masked_bary((2 * x[idx, None] - a - b) / (b - a))
+            neg, carrier = grid[idx] < 0, np.exp(np.multiply.outer(1j * tau, grid[idx]))
+            v = (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
+            values[:, idx] = v = carrier * np.where(neg, v[1], v[0])
+            if derivs:
+                d = (M @ dphi.view(float)).view(complex).T.reshape(2, K, -1)
+                dvals[:, idx] = carrier * np.where(neg, -d[1], d[0]) + 1j * tau[:, None] * v
+    return values, dvals, edges
+
+
+@pytest.mark.parametrize("B1", [0.0, [0.0, 0.4, 0.0]])
+@pytest.mark.parametrize("derivs", [True, False])
+def test_kernel_equals_the_masked_chunk_loop_bit_for_bit(B1, derivs):
+    # tau = 0 skips the carrier; beta = 0, both signs, every panel edge and midpoint
+    mts, s = np.array([0.1, -0.3, 0.45]), 60.0
+    w0, dw0 = np.array([1.0, 0.5 - 1j, 2j]), np.array([3j, -1.0 + 0.5j, 0.25])
+    grid = np.r_[np.linspace(-1.2, 1.2, 301), 0.0]
+    edges = _chunk_loop_solve_waves(B1, mts, s, w0, dw0, grid)[2]
+    inner = np.r_[edges[1:-1], 0.5 * (edges[1:] + edges[:-1])]
+    grid = np.r_[grid, inner, -inner]
+    *ref, ref_edges = _chunk_loop_solve_waves(B1, mts, s, w0, dw0, grid, derivs)
+    got = W.solve_waves(B1, mts, s, w0, dw0, grid, derivs)
+    assert np.array_equal(ref_edges, edges)
+    assert np.array_equal(got[0], ref[0])
+    assert (got[1] is ref[1] is None) if not derivs else np.array_equal(got[1], ref[1])
+
+
 def test_ode_residual_small():
     B1, mt, s = 0.3, 0.2, 100.0
     w = W.solve_wave(B1, mt, s, "I", GRID)
