@@ -21,12 +21,13 @@ from .geometry import (HPoint, TangentVec, flow_step, frame_of, geodesic_flow,
 from .groups import _COSH_R, FuchsianGroup, octagon_group
 
 _BLOCK = 1000  # steps between determinant renormalizations
+_STEP = 1e-2  # flow time per sample: `sample_orbit`'s default and the series' step
 _CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of unreduced steps
 _COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
 # samples per block of the row passes (x, y and theta in `sample_orbit`, the
-# bump windows in `_bumps`): one block of whole rows raised the seed-7
-# horocycle's traced peaks at length 1e4 from 25.0 to 31.6 MiB (the orbit)
-# and from 33.0 to 51.2 MiB (its series)
+# bump windows in `_bumps`, the streamed blocks of `equidistribution_series`):
+# one block of whole rows raised the seed-7 horocycle's traced peak at length
+# 1e4 from 25.0 to 31.6 MiB (the orbit)
 _ROW_BLOCK = 1 << 16
 
 
@@ -44,7 +45,7 @@ class OrbitSample:
 
 
 def sample_orbit(v0: TangentVec, kind: str, length: float,
-                 B: float = 0.0, step: float = 1e-2,
+                 B: float = 0.0, step: float = _STEP,
                  group: FuchsianGroup | None = None) -> OrbitSample:
     """Flow v0 for the given length, reducing after every step.
 
@@ -83,13 +84,11 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     2. Between two restarts the frames are F <- fl(F S), so all segments
        (at most 1000 steps each) are replayed in lockstep on arrays,
        longest first, with the same IEEE multiplies, adds and divides as
-       the loop.  Each step puts a c + b d and the frame's c and d into the
+       the loop (`_replay`).  Each step gives the live segments' sample
+       indices with a c + b d and the frames' c and d, which go into the
        three output rows (`ndarray.put`); after the replay, one block of
-       samples at a time, np.arctan2 gives theta = pi/2 - 2 atan2(c, d)
-       and x = (a c + b d) / (c c + d d) and y = 1/(c c + d d) are formed
-       in place from one c c + d d block, so no Python call runs per sample
-       and the one temporary is a block (np.arctan2 gives the same bits
-       whatever the chunking of its input).
+       samples at a time, `_to_positions` forms x, y and theta in place, so
+       no Python call runs per sample and the one temporary is a block.
 
     `step` is flow time, not arc length: a hypercycle moves at speed
     sqrt(1 + B^2), so its arc step is step sqrt(1 + B^2) (0.05 at B = 5 and
@@ -104,11 +103,30 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     """
     check_field(B)
     check_length(length)
+    group, step_matrix, frame, n = _start(v0, kind, length, B, step, group)
+    try:
+        out = np.empty((3, n + 1))  # x, c, d per step; then x, y, theta
+    except (ValueError, MemoryError):
+        raise _too_many_steps(length, step) from None
+    xr, cr, dr = out  # row 0 holds a c + b d until the divide after the replay
+    segments = _segments(*_restarts(group, step_matrix, frame, n), n)
+    for at, q, c, d in _replay(step_matrix, *segments):
+        xr.put(at, q)
+        cr.put(at, c)
+        dr.put(at, d)
+    for j in range(0, n + 1, _ROW_BLOCK):  # x, y, theta a block at a time
+        _to_positions(*out[:, j:j + _ROW_BLOCK])
+    return OrbitSample(kind, B, step, length, *out)
+
+
+def _start(v0: TangentVec, kind: str, length: float, B: float, step: float,
+           group: FuchsianGroup | None) -> tuple:
+    """The checks before pass 1 past the field and length: (group, step matrix,
+    reduced start frame, n)."""
     if not 0 < step < math.inf:
         raise ValueError(f"need finite step > 0, got step={step}")
     group = group or octagon_group()
     step_matrix = tuple(map(float, flow_step(kind, B, step).ravel()))
-    sa, sb, sc, sd = step_matrix
     a, b, c, d = map(float, frame_of(v0).ravel())
     if not math.isfinite(a * a + b * b + c * c + d * d):
         raise ValueError(f"cannot reduce the start frame {(a, b, c, d)}: "
@@ -118,38 +136,51 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     if not abs(det - 1.0) <= 1e-10:
         raise ValueError(f"the start frame {(a, b, c, d)} reduces to determinant {det}: "
                          "need a base point whose reduction keeps |det F - 1| <= 1e-10")
-    try:
-        n = int(round(length / step))
-        out = np.empty((3, n + 1))  # x, c, d per step; then x, y, theta
-    except (OverflowError, ValueError, MemoryError):
-        raise ValueError(f"cannot hold n = {length / step:.6g} steps "
-                         f"(length {length}, step {step})") from None
-    starts, frames = _restarts(group, step_matrix, frame, n)
-    starts = np.array(starts)  # pass 2: the segments in lockstep
+    if not length / step < np.iinfo(np.intp).max:  # the sample indices are intp
+        raise _too_many_steps(length, step)
+    return group, step_matrix, frame, int(round(length / step))
+
+
+def _too_many_steps(length: float, step: float) -> ValueError:
+    return ValueError(f"cannot hold n = {length / step:.6g} steps "
+                      f"(length {length}, step {step})")
+
+
+def _segments(starts: list, frames: list, n: int) -> tuple:
+    """The segments of pass 2 between the restarts of pass 1, longest first:
+    their first sample indices, lengths and start frames (rows a, b, c, d)."""
+    starts = np.array(starts)
     lens = np.diff(starts, append=n + 1)
     order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
-    starts, lens = starts[order], lens[order]
-    a, b, c, d = np.array(frames).reshape(-1, 4)[order].T.copy()
-    xr, cr, dr = out  # row 0 holds a c + b d until the divide after the replay
+    return starts[order], lens[order], np.array(frames).reshape(-1, 4)[order].T.copy()
+
+
+def _replay(step_matrix: tuple, starts: np.ndarray, lens: np.ndarray, frames: np.ndarray):
+    """Pass 2 of `sample_orbit`: yield (sample indices, a c + b d, c, d) per
+    lockstep step of the segments (`_segments`)."""
+    sa, sb, sc, sd = step_matrix
+    a, b, c, d = frames
     for t, m in enumerate(np.searchsorted(-lens, -np.arange(lens[0])).tolist()):
         a, b, c, d = a[:m], b[:m], c[:m], d[:m]  # the m segments longer than t
-        at = starts[:m] + t
-        xr.put(at, a * c + b * d)
-        cr.put(at, c)
-        dr.put(at, d)
+        yield starts[:m] + t, a * c + b * d, c, d
         a, b = a * sa + b * sc, a * sb + b * sd
         c, d = c * sa + d * sc, c * sb + d * sd
-    for j in range(0, n + 1, _ROW_BLOCK):  # x, y, theta a block at a time
-        xb, cb, db = out[:, j:j + _ROW_BLOCK]
-        theta = np.arctan2(cb, db)  # the one temporary block
-        cb *= cb
-        db *= db
-        cb += db  # c c + d d
-        xb /= cb
-        np.divide(1.0, cb, out=cb)  # y = 1 / (c c + d d)
-        theta *= 2.0
-        np.subtract(math.pi / 2, theta, out=db)
-    return OrbitSample(kind, B, step, length, *out)
+
+
+def _to_positions(q: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
+    """(a c + b d, c, d) rows of samples -> (x, y, theta) in the same rows.
+
+    theta = pi/2 - 2 atan2(c, d) by np.arctan2 (the same bits whatever the
+    chunking of its input), x = (a c + b d) / (c c + d d) and
+    y = 1 / (c c + d d) from one c c + d d row; theta is the one temporary."""
+    theta = np.arctan2(c, d)
+    c *= c
+    d *= d
+    c += d  # c c + d d
+    q /= c
+    np.divide(1.0, c, out=c)  # y = 1 / (c c + d d)
+    theta *= 2.0
+    np.subtract(math.pi / 2, theta, out=d)
 
 
 def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) -> tuple:
@@ -312,50 +343,114 @@ def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
 @functools.lru_cache(maxsize=4)
 def _area_means(group: FuchsianGroup) -> tuple:
     nr, nth, R = 220, 440, math.acosh(_COSH_R) + 1e-9
-    rs = (np.arange(nr) + 0.5) * R / nr
+    band = 20  # radial rows per band: a traced peak of 1.4 MiB, 11.4 MiB for the whole grid
     ths = (np.arange(nth) + 0.5) * 2 * math.pi / nth
-    rr, tt = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
-    # half-plane points at hyperbolic radius r, direction theta from i
-    w = np.tanh(rr / 2) * np.exp(1j * tt)
-    z = 1j * (1 + w) / (1 - w)
-    x, y = z.real.copy(), z.imag.copy()  # contiguous, for the gathers of `_bumps`
-    p, q, r = (x * x + y * y) / y, x / y, 1.0 / y
-    inside = np.all([fp * p + fq * q + fr * r >= -2e-12
-                     for fp, fq, fr in group.dirichlet_forms], axis=0)
-    weight = np.sinh(rr) * (R / nr) * (2 * math.pi / nth) * inside
-    area = float(np.sum(weight))
-    means = {name: float(np.sum(vals * weight)) / area  # the harmonics average to 0
-             for name, vals in _bumps(x, y)}
-    return tuple((name, means.get(name, 0.0)) for name in OBSERVABLES)
+    area, sums = 0.0, dict.fromkeys(BUMPS, 0.0)
+    for i in range(0, nr, band):
+        rs = (np.arange(i, min(i + band, nr)) + 0.5) * R / nr
+        rr, tt = (g.ravel() for g in np.meshgrid(rs, ths, indexing="ij"))
+        # half-plane points at hyperbolic radius r, direction theta from i
+        w = np.tanh(rr / 2) * np.exp(1j * tt)
+        z = 1j * (1 + w) / (1 - w)
+        x, y = z.real.copy(), z.imag.copy()  # contiguous, for the gathers of `_bumps`
+        p, q, r = (x * x + y * y) / y, x / y, 1.0 / y
+        inside = np.all([fp * p + fq * q + fr * r >= -2e-12
+                         for fp, fq, fr in group.dirichlet_forms], axis=0)
+        weight = np.sinh(rr) * (R / nr) * (2 * math.pi / nth) * inside
+        area += float(np.sum(weight))
+        for name, vals in _bumps(x, y):
+            sums[name] += float(np.sum(vals * weight))
+    # the harmonics average to 0
+    return tuple((name, sums.get(name, 0.0) / area) for name in OBSERVABLES)
 
 
 def equidistribution_series(kind: str, v0: TangentVec, lengths,
                             B: float = 0.0, group: FuchsianGroup | None = None) -> list:
     """(length, discrepancy) rows; discrepancy is the max over `OBSERVABLES`
     of |Birkhoff average - octagon area mean|, computed on prefixes of one
-    orbit: one pass of `_observables` over the longest orbit, and each
-    length's prefix mean of each observable.  The series owns its orbit,
-    whose xs and ys the evaluator consumes, so it keeps the orbit plus one
-    row.  Every area mean is checked finite before the orbit is sampled."""
+    orbit at `sample_orbit`'s default step.
+
+    No orbit is held: after `sample_orbit`'s checks and pass 1, each block
+    of pass 2 (`_replay_blocks`) goes to (x, y, theta) and through
+    `_observables`, and each observable's block sum is added to every
+    length: all of it to the longest, its leading samples below each
+    shorter prefix to that one.  Every sample has `sample_orbit`'s and the
+    evaluator's bits; only the order of the sums differs from a mean over
+    the orbit.  The area means are checked finite before pass 1."""
     lengths = sorted(float(L) for L in lengths)
     if not lengths:
         raise ValueError("need one or more lengths")
     check_length(lengths)
+    check_field(B)
     group = group or octagon_group()
     area_means = octagon_area_means(group)
     for name in OBSERVABLES:  # max(0.0, nan) is 0.0: a NaN mean would vanish
         if not math.isfinite(area_means.get(name, math.nan)):
             raise ValueError(f"need a finite area mean of {name}, "
                              f"got {area_means.get(name)}")
-    orbit = sample_orbit(v0, kind, lengths[-1], B=B, group=group)
+    group, step_matrix, frame, n = _start(v0, kind, lengths[-1], B, _STEP, group)
+    segments = _segments(*_restarts(group, step_matrix, frame, n), n)
+    counts = [int(round(L / _STEP)) + 1 for L in lengths]
+    sums = {}  # per observable, the Birkhoff sum of each length
+    for xs, ys, thetas, firsts, runs in _replay_blocks(step_matrix, *segments):
+        cuts = [int(np.clip(N - firsts, 0, runs).sum()) for N in counts[:-1]]
+        _to_positions(xs, ys, thetas)  # from a c + b d, c and d
+        for name, vals in _observables(xs, ys, thetas):
+            acc = sums.setdefault(name, [0.0] * len(counts))
+            for i, cut in enumerate(cuts):
+                acc[i] += float(np.sum(vals[:cut]))
+            acc[-1] += float(np.sum(vals))
     discs = [0.0] * len(lengths)
-    for name, vals in _observables(orbit.xs, orbit.ys, orbit.thetas):  # prefix means
+    for name, acc in sums.items():
         for i, L in enumerate(lengths):
-            avg = float(np.mean(vals[:int(round(L / orbit.step)) + 1]))
+            avg = acc[i] / counts[i]
             if not math.isfinite(avg):
                 raise ValueError(f"non-finite Birkhoff average of {name} at length {L}")
             discs[i] = max(discs[i], abs(avg - area_means[name]))
     return list(zip(lengths, discs))
+
+
+def _replay_blocks(step_matrix: tuple, starts: np.ndarray, lens: np.ndarray,
+                   frames: np.ndarray):
+    """Pass 2 of `sample_orbit` a block at a time: yield each block's rows
+    (a c + b d, c, d), reused and valid until the next block is drawn, with
+    the first sample index and the length of each of its runs.
+
+    A block is the next `_ROW_BLOCK` // m replay steps (one at least) of the
+    m segments live at its first step, gathered in orbit order: segment by
+    segment, each a run of consecutive samples, so the samples below any
+    index lead the block.  In replay order np.sin, np.cos and the bumps'
+    masks ran 2x and 5x slower (65,536 samples of the seed-7 horocycle,
+    2-core Xeon VM)."""
+    cap = max(_ROW_BLOCK, len(lens))
+    store, out = np.empty(3 * cap), np.empty((3, cap))
+    by_start = np.argsort(starts)
+    t0 = span = 0
+    for t, (_, q, c, d) in enumerate(_replay(step_matrix, starts, lens, frames)):
+        if t == t0 + span:
+            if t:
+                yield _gather(block, t0, span, starts, lens, by_start, out)
+            t0, span = t, cap // q.size
+            block = store[:3 * span * q.size].reshape(3, span, q.size)
+        qb, cb, db = block[:, t - t0, :q.size]
+        qb[...], cb[...], db[...] = q, c, d
+    yield _gather(block, t0, t + 1 - t0, starts, lens, by_start, out)
+
+
+def _gather(block, t0, steps, starts, lens, by_start, out) -> tuple:
+    """The first `steps` steps of a block into `out` in orbit order."""
+    m = block.shape[2]
+    live = by_start[by_start < m]  # the block's segments by start
+    runs = np.minimum(lens[live] - t0, steps)
+    ends = np.cumsum(runs)
+    at = np.arange(ends[-1])
+    at -= np.repeat(ends - runs, runs)  # steps into each run
+    at *= m
+    at += np.repeat(live, runs)
+    rows = out[:, :at.size]
+    for row, dest in zip(block.reshape(3, -1), rows):
+        row.take(at, out=dest, mode="clip")  # in range: "clip" skips a buffered copy
+    return (*rows, starts[live] + t0, runs)
 
 
 def seeded_unit_vector(seed: int) -> TangentVec:

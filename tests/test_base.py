@@ -129,6 +129,9 @@ ENTRY_POINTS = [
     ("equidistribution_series-length",
      lambda: E.equidistribution_series("horocyclic", UNIT, [10.0, -1.0]),
      ("equidistribution_series", "check_length")),
+    ("equidistribution_series-field",
+     lambda: E.equidistribution_series("horocyclic", UNIT, [10.0], B=-1.0),
+     ("equidistribution_series", "check_field")),
     ("tb_shift_check-length", lambda: E.tb_shift_check(UNIT, 0.5, INF),
      ("tb_shift_check", "check_length")),
     ("tb_shift_check-field", lambda: E.tb_shift_check(UNIT, -1.0, 1.0),

@@ -501,15 +501,25 @@ def test_sample_orbit_memory_peak_at_length_1e4_is_its_output_and_one_block(monk
     assert peak <= 1.1 * 3 * 1_000_001 * 8
 
 
-def test_equidistribution_series_memory_peak_at_length_1e4_is_its_orbit_and_one_row(
+def test_equidistribution_series_memory_peak_grows_by_at_most_half_from_1e3_to_1e4(
         monkeypatch):
-    # one bump row, then the harmonics in xs and ys: 1.73 with a full-length
-    # 2 cosh d(z, i) row, the gathered near-set and a second harmonic row
+    # the series streams its blocks: 4.5 and 6.0 MiB (the restart lists grow);
+    # holding its orbit it read 4.0 and 33.0 MiB
     group = octagon_group()
     equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
-    peak = _traced_peak(monkeypatch, lambda: equidistribution_series(
-        "horocyclic", V0, [1e2, 1e3, 1e4], group=group))
-    assert peak <= 1.6 * 3 * 1_000_001 * 8
+    peaks = []
+    for length in (1e3, 1e4):
+        with monkeypatch.context() as patch:  # each length replays its own pass 1
+            peaks.append(_traced_peak(patch, lambda: equidistribution_series(
+                "horocyclic", V0, [1e2, length], group=group)))
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_a_cold_area_quadrature_peaks_at_2_mib(monkeypatch):
+    # one band of radial rows at a time: 1.4 MiB; the whole grid read 11.4 MiB
+    group = octagon_group()
+    peak = _traced_peak(monkeypatch, lambda: ergodic._area_means.__wrapped__(group))
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("B, length, text", [
@@ -549,6 +559,17 @@ def test_a_step_count_that_cannot_be_held_fails_before_pass_1(monkeypatch):
         sample_orbit(V0, "geodesic", 1.0, step=1e-300)
     with pytest.raises(ValueError, match=re.escape("n = inf steps")):
         sample_orbit(V0, "geodesic", 1e300, step=1e-300)
+    # the series holds no orbit, so its bound is the intp sample index, checked
+    # with nothing allocated: n = 1e19 passes int() but not intp
+    octagon_area_means()  # warm, so that the trace sees the series alone
+    tracemalloc.start()
+    try:
+        for length, n in [(1e300, "1e+302"), (1e17, "1e+19")]:
+            with pytest.raises(ValueError, match=re.escape(f"cannot hold n = {n} steps")):
+                equidistribution_series("geodesic", V0, [1.0, length])
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("length, step", [
@@ -600,9 +621,45 @@ def _per_length_series(kind, v0, lengths, area_means, B=0.0, step=1e-2):
 
 @pytest.mark.parametrize("kind, B, lengths", [
     ("horocyclic", 0.0, [10.0, 100.0, 1000.0]), ("hypercyclic", 5.0, [100.0])])
-def test_one_observable_pass_matches_the_per_length_loop(area_means, kind, B, lengths):
+def test_one_observable_pass_matches_the_per_length_loop(area_means, monkeypatch,
+                                                         kind, B, lengths):
+    # The series sums each block with np.sum and adds its K block sums in turn;
+    # the loop takes np.mean of each prefix.  np.sum is pairwise down to 128
+    # values, then keeps 8 running sums of up to 16 values, joins them in 3
+    # levels and adds up to 7 more, so over N values each value meets at most
+    # ceil(log2 N) + 25 roundings, and the series adds K more.  To first order in
+    # u = 2^-53 each rounding moves a sum of values in [-1, 1] by at most u N, so
+    # the two means differ by at most (2 (ceil(log2 N) + 25) + K + 2) u, the 2 for
+    # the divisions by N, and the discrepancies by 2 u more for the subtraction
+    # of the area mean.  Observed: at most 3.5e-17 over seeds 7 and 8.
+    blocks, real = [], ergodic._observables
+    monkeypatch.setattr(ergodic, "_observables",
+                        lambda *rows: blocks.append(1) or real(*rows))
     rows = equidistribution_series(kind, V0, lengths, B=B)
-    assert rows == _per_length_series(kind, V0, lengths, area_means, B=B)
+    want = _per_length_series(kind, V0, lengths, area_means, B=B)
+    assert [L for L, _ in rows] == [L for L, _ in want]
+    for (L, got), (_, disc) in zip(rows, want):
+        n = round(L / 1e-2) + 1
+        bound = (2 * (math.ceil(math.log2(n)) + 25) + len(blocks) + 4) * 2.0 ** -53
+        assert abs(got - disc) <= bound
+
+
+def test_the_series_samples_are_the_orbits_samples(monkeypatch):
+    # each sample once, with sample_orbit's bits; only their order differs
+    got = []
+
+    def family(x, y, th):
+        got.append((x.copy(), y.copy(), th.copy()))
+        yield "c", np.zeros_like(x)
+
+    _patch_family(monkeypatch, family, {"c": 0.0})
+    for kind, B, length in [("horocyclic", 0.0, 1e3), ("hypercyclic", 5.0, 25.37)]:
+        got.clear()
+        equidistribution_series(kind, _on_side_start(), [length], B=B)
+        orbit = sample_orbit(_on_side_start(), kind, length, B=B)
+        assert len(got) >= (2 if kind == "horocyclic" else 1)  # 100,001 samples: 2 blocks
+        for series_rows, orbit_row in zip(zip(*got), (orbit.xs, orbit.ys, orbit.thetas)):
+            assert np.sort(np.concatenate(series_rows)).tobytes() == np.sort(orbit_row).tobytes()
 
 
 def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
@@ -676,7 +733,7 @@ def test_discrepancy_rejects_a_missing_or_non_finite_area_mean(area_means, monke
     if bad == "missing":
         del means["bump0"]
     _patch_family(monkeypatch, _observables, means)
-    monkeypatch.setattr(ergodic, "sample_orbit",
-                        lambda *args, **kw: pytest.fail("orbit sampled before the check"))
+    monkeypatch.setattr(ergodic, "_restarts",
+                        lambda *args: pytest.fail("pass 1 ran before the check"))
     with pytest.raises(ValueError, match="finite area mean of bump0"):
         equidistribution_series("horocyclic", V0, [10.0])

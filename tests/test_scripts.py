@@ -1,7 +1,6 @@
 """Smoke tests for scripts/: each runs at a small size, exits 0 and prints
 (or writes) its header lines."""
 
-import math
 import os
 import subprocess
 import sys
@@ -30,8 +29,8 @@ def test_run_equidistribution(tmp_path):
         "horocyclic", "hypercyclic", "hypercyclic", "geodesic"]
     assert len(lines) == 8 and all("discrepancy=" in ln for ln in lines)
     assert all(float(ln.split("steps/s=")[1]) > 0 for ln in lines)
-    # the series time minus the orbit time: finite, and negative only by timing noise
-    assert all(math.isfinite(float(ln.split("obs_ms=")[1].split()[0])) for ln in lines)
+    for field in ("series_ms=", "orbit_ms="):
+        assert all(float(ln.split(field)[1].split()[0]) > 0 for ln in lines)
     assert all(float(ln.split("peak_mb=")[1].split()[0]) > 0 for ln in lines)
 
 
