@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,9 @@ _BLOCK = 1000  # steps between determinant renormalizations
 _STEP = 1e-2  # flow time per sample: `sample_orbit`'s default and the series' step
 _CHUNK_CAP = 1e3  # bound on |F|^2 |S|^2 over a chunk of unreduced steps
 _COSH_HALF = math.cosh(0.5)  # the position bumps are evaluated inside d = 0.5 only
-# samples per block of the row passes (x, y and theta in `sample_orbit`, the
-# bump windows in `_bumps`, the streamed blocks of `equidistribution_series`):
-# one block of whole rows raised the seed-7 horocycle's traced peak at length
+# samples per block of x, y and theta in pass 2 (`_orbit_blocks`) and per
+# block of the series' rows (or one per segment, if more): x, y and theta of
+# the whole orbit at once raised the seed-7 horocycle's traced peak at length
 # 1e4 from 25.0 to 31.6 MiB (the orbit)
 _ROW_BLOCK = 1 << 16
 
@@ -84,11 +85,13 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     2. Between two restarts the frames are F <- fl(F S), so all segments
        (at most 1000 steps each) are replayed in lockstep on arrays,
        longest first, with the same IEEE multiplies, adds and divides as
-       the loop (`_replay`).  Each step gives the live segments' sample
-       indices with a c + b d and the frames' c and d, which go into the
-       three output rows (`ndarray.put`); after the replay, one block of
-       samples at a time, `_to_positions` forms x, y and theta in place, so
-       no Python call runs per sample and the one temporary is a block.
+       the loop (`_orbit_blocks`, shared with `equidistribution_series`).
+       Each step puts the live segments' a c + b d, c and d straight into
+       the three output rows at their sample indices (`ndarray.put`; the
+       output's n + 1 columns make the orbit one block); then, one
+       `_ROW_BLOCK` of samples at a time, `_to_positions` forms x, y and
+       theta in place, so no Python call runs per sample and the one
+       temporary is a block.
 
     `step` is flow time, not arc length: a hypercycle moves at speed
     sqrt(1 + B^2), so its arc step is step sqrt(1 + B^2) (0.05 at B = 5 and
@@ -105,17 +108,11 @@ def sample_orbit(v0: TangentVec, kind: str, length: float,
     check_length(length)
     group, step_matrix, frame, n = _start(v0, kind, length, B, step, group)
     try:
-        out = np.empty((3, n + 1))  # x, c, d per step; then x, y, theta
+        out = np.empty((3, n + 1))  # x, y, theta
     except (ValueError, MemoryError):
         raise _too_many_steps(length, step) from None
-    xr, cr, dr = out  # row 0 holds a c + b d until the divide after the replay
-    segments = _segments(*_restarts(group, step_matrix, frame, n), n)
-    for at, q, c, d in _replay(step_matrix, *segments):
-        xr.put(at, q)
-        cr.put(at, c)
-        dr.put(at, d)
-    for j in range(0, n + 1, _ROW_BLOCK):  # x, y, theta a block at a time
-        _to_positions(*out[:, j:j + _ROW_BLOCK])
+    for _ in _orbit_blocks(step_matrix, *_restarts(group, step_matrix, frame, n), n, out):
+        pass  # one block: the orbit, in place
     return OrbitSample(kind, B, step, length, *out)
 
 
@@ -146,25 +143,53 @@ def _too_many_steps(length: float, step: float) -> ValueError:
                       f"(length {length}, step {step})")
 
 
-def _segments(starts: list, frames: list, n: int) -> tuple:
-    """The segments of pass 2 between the restarts of pass 1, longest first:
-    their first sample indices, lengths and start frames (rows a, b, c, d)."""
-    starts = np.array(starts)
+def _orbit_blocks(step_matrix: tuple, starts: array, frames: array, n: int,
+                  rows: np.ndarray):
+    """Pass 2 of `sample_orbit`: write the samples of the segments between
+    the restarts of pass 1 (`_restarts`) into `rows` (x, y, theta; shape
+    (3, width), width at least the number of segments) one block at a
+    time, and yield each block's runs: the first sample index and the
+    length of each.  The rows hold until the next block is drawn.
+
+    The segments are replayed in lockstep, longest first, and a block is
+    the largest number of replay steps whose samples fit in the width.
+    Each step puts a c + b d, c and d of the live segments at their places
+    in orbit order: segment by segment, each a run of consecutive samples,
+    so the samples below any index lead the block, and with width n + 1
+    the one block is the orbit.  Then `_to_positions` runs on `_ROW_BLOCK`
+    samples at a time.  In replay order np.sin, np.cos and the bumps' masks
+    ran 2x and 5x slower (65,536 samples of the seed-7 horocycle, 2-core
+    Xeon VM)."""
+    starts = np.frombuffer(starts, dtype=np.int64)
     lens = np.diff(starts, append=n + 1)
     order = np.argsort(-lens, kind="stable")  # longest first: the live ones are a prefix
-    return starts[order], lens[order], np.array(frames).reshape(-1, 4)[order].T.copy()
-
-
-def _replay(step_matrix: tuple, starts: np.ndarray, lens: np.ndarray, frames: np.ndarray):
-    """Pass 2 of `sample_orbit`: yield (sample indices, a c + b d, c, d) per
-    lockstep step of the segments (`_segments`)."""
+    starts, lens = starts[order], lens[order]
+    a, b, c, d = np.frombuffer(frames).reshape(-1, 4)[order].T
+    del frames, order  # pass 1's arrays go once the caller drops them too
+    by_start = np.argsort(starts)  # the orbit order, filtered per block
+    live = np.searchsorted(-lens, -np.arange(lens[0]))  # the segments longer than each step
+    ends = np.cumsum(live)  # the samples up to each step
     sa, sb, sc, sd = step_matrix
-    a, b, c, d = frames
-    for t, m in enumerate(np.searchsorted(-lens, -np.arange(lens[0])).tolist()):
-        a, b, c, d = a[:m], b[:m], c[:m], d[:m]  # the m segments longer than t
-        yield starts[:m] + t, a * c + b * d, c, d
-        a, b = a * sa + b * sc, a * sb + b * sd
-        c, d = c * sa + d * sc, c * sb + d * sd
+    t0 = 0
+    while t0 < lens[0]:
+        t1 = int(np.searchsorted(ends, ends[t0] - live[t0] + rows.shape[1], side="right"))
+        seg = by_start[by_start < live[t0]]  # the block's segments by start
+        runs = np.minimum(lens[seg] - t0, t1 - t0)
+        at = np.empty(live[t0], dtype=np.intp)
+        at[seg] = np.cumsum(runs) - runs  # each segment's first place in the block
+        for m in live[t0:t1].tolist():
+            a, b, c, d, at = a[:m], b[:m], c[:m], d[:m], at[:m]
+            rows[0].put(at, a * c + b * d)
+            rows[1].put(at, c)
+            rows[2].put(at, d)
+            at += 1
+            a, b = a * sa + b * sc, a * sb + b * sd
+            c, d = c * sa + d * sc, c * sb + d * sd
+        size = int(runs.sum())
+        for j in range(0, size, _ROW_BLOCK):
+            _to_positions(*rows[:, j:min(j + _ROW_BLOCK, size)])
+        yield starts[seg] + t0, runs
+        t0 = t1
 
 
 def _to_positions(q: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
@@ -184,7 +209,8 @@ def _to_positions(q: np.ndarray, c: np.ndarray, d: np.ndarray) -> None:
 
 
 def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) -> tuple:
-    """Pass 1 of `sample_orbit`: the restart steps and their frames, flat."""
+    """Pass 1 of `sample_orbit`: the restart steps and their frames, flat
+    (array('q') and array('d'), 8 bytes a value)."""
     reduce, units = group.reduce_frame, group.unit_dirichlet_forms
     margin = (math.asinh(1e-6 / min(group.dirichlet_norms)) + 1e-11 * _CHUNK_CAP
               * max(abs(u) + abs(v) + abs(w) for u, v, w in units))
@@ -196,7 +222,7 @@ def _restarts(group: FuchsianGroup, step_matrix: tuple, frame: tuple, n: int) ->
     reach = 1.0 / max(delta, 1e-300)  # steps per unit distance; a step that fixes i has delta 0
     cap = _CHUNK_CAP / (sa * sa + sb * sb + sc * sc + sd * sd)
     a, b, c, d = frame
-    starts, frames = [0], [a, b, c, d]
+    starts, frames = array("q", [0]), array("d", frame)
     for start in range(1, n + 1, _BLOCK):
         stop = min(start + _BLOCK, n + 1)
         i = start
@@ -286,37 +312,32 @@ def _observables(xs, ys, thetas):
 
 
 def _bumps(x: np.ndarray, y: np.ndarray):
-    """Yield (name, values) per position bump, all in one row that is zeroed
-    again after each.
+    """Yield (name, values) per position bump on one block of samples
+    (fewer than 2^31), all in one row that is zeroed again after each.
 
     Each bump is evaluated only inside its window d(z, c_k) < 0.5
     (bump(d / 0.8) is 0 from d = 0.4 on), with the bits of the unmasked
-    formula.  One pass over blocks of samples first finds every window's
-    samples as int32 offsets per block, testing the 8 windows only on the
-    near-set cosh d(z, i) < cosh(2 atanh 0.3 + 0.5) that holds them all;
-    then each bump gathers x and y at its own offsets.  No other
-    full-length row is made.
+    formula.  Every window's samples are found first as int32 offsets,
+    testing the 8 windows only on the near-set cosh d(z, i) < cosh(2 atanh
+    0.3 + 0.5) that holds them all; then each bump gathers x and y at its
+    own offsets.  Late blocks of a long orbit lie mostly in the near-set:
+    intp offsets raised the seed-7 horocycle series' traced peak at length
+    1e4 from 3.5 to 3.8 MiB.
     """
-    blocks = [slice(j, j + _ROW_BLOCK) for j in range(0, x.size, _ROW_BLOCK)]
-    hits = [[] for _ in BUMPS]  # per bump, per block: the offsets inside its window
-    for block in blocks:
-        xb, yb = x[block], y[block]
-        rho = xb * xb
-        rho += yb * yb
-        rho += 1.0
-        rho /= yb  # 2 cosh d(z, i)
-        near = np.flatnonzero(rho < 2.0 * _COSH_NEAR)
-        xn, yn = xb.take(near), yb.take(near)
-        for (cx, cy), ats in zip(_CENTRES, hits):
-            ats.append(near[_cosh_dist(xn, yn, cx, cy) < _COSH_HALF].astype(np.int32))
+    rho = x * x
+    rho += y * y
+    rho += 1.0
+    rho /= y  # 2 cosh d(z, i)
+    near = np.flatnonzero(rho < 2.0 * _COSH_NEAR).astype(np.int32)
+    del rho
+    xn, yn = x.take(near), y.take(near)
+    hits = [near[_cosh_dist(xn, yn, cx, cy) < _COSH_HALF] for cx, cy in _CENTRES]
+    del near, xn, yn
     out = np.zeros(x.shape)
-    for name, (cx, cy), ats in zip(BUMPS, _CENTRES, hits):
-        for block, at in zip(blocks, ats):
-            coshd = _cosh_dist(x[block].take(at), y[block].take(at), cx, cy)
-            out[block].put(at, bump(np.arccosh(coshd) / 0.8))
+    for name, (cx, cy), at in zip(BUMPS, _CENTRES, hits):
+        out.put(at, bump(np.arccosh(_cosh_dist(x.take(at), y.take(at), cx, cy)) / 0.8))
         yield name, out
-        for block, at in zip(blocks, ats):
-            out[block].put(at, 0.0)
+        out.put(at, 0.0)
 
 
 def _cosh_dist(x, y, cx, cy):
@@ -370,13 +391,15 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
     of |Birkhoff average - octagon area mean|, computed on prefixes of one
     orbit at `sample_orbit`'s default step.
 
-    No orbit is held: after `sample_orbit`'s checks and pass 1, each block
-    of pass 2 (`_replay_blocks`) goes to (x, y, theta) and through
-    `_observables`, and each observable's block sum is added to every
-    length: all of it to the longest, its leading samples below each
-    shorter prefix to that one.  Every sample has `sample_orbit`'s and the
-    evaluator's bits; only the order of the sums differs from a mean over
-    the orbit.  The area means are checked finite before pass 1."""
+    No orbit is held: after `sample_orbit`'s checks and pass 1, pass 2
+    (`_orbit_blocks`) writes one block of x, y and theta at a time in orbit
+    order, into rows of `_ROW_BLOCK` samples (or one per segment, if more),
+    and each block goes through `_observables`; each observable's block
+    sum is added to every length: all of it to the longest, its leading
+    samples below each shorter prefix to that one.  Every sample has
+    `sample_orbit`'s and the evaluator's bits; only the order of the sums
+    differs from a mean over the orbit.  The area means are checked finite
+    before pass 1."""
     lengths = sorted(float(L) for L in lengths)
     if not lengths:
         raise ValueError("need one or more lengths")
@@ -389,13 +412,15 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
             raise ValueError(f"need a finite area mean of {name}, "
                              f"got {area_means.get(name)}")
     group, step_matrix, frame, n = _start(v0, kind, lengths[-1], B, _STEP, group)
-    segments = _segments(*_restarts(group, step_matrix, frame, n), n)
+    starts, frames = _restarts(group, step_matrix, frame, n)
+    rows = np.empty((3, min(n + 1, max(_ROW_BLOCK, len(starts)))))
+    blocks = _orbit_blocks(step_matrix, starts, frames, n, rows)
+    del starts, frames  # the replay keeps its own copies
     counts = [int(round(L / _STEP)) + 1 for L in lengths]
     sums = {}  # per observable, the Birkhoff sum of each length
-    for xs, ys, thetas, firsts, runs in _replay_blocks(step_matrix, *segments):
+    for firsts, runs in blocks:
         cuts = [int(np.clip(N - firsts, 0, runs).sum()) for N in counts[:-1]]
-        _to_positions(xs, ys, thetas)  # from a c + b d, c and d
-        for name, vals in _observables(xs, ys, thetas):
+        for name, vals in _observables(*rows[:, :runs.sum()]):
             acc = sums.setdefault(name, [0.0] * len(counts))
             for i, cut in enumerate(cuts):
                 acc[i] += float(np.sum(vals[:cut]))
@@ -408,49 +433,6 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
                 raise ValueError(f"non-finite Birkhoff average of {name} at length {L}")
             discs[i] = max(discs[i], abs(avg - area_means[name]))
     return list(zip(lengths, discs))
-
-
-def _replay_blocks(step_matrix: tuple, starts: np.ndarray, lens: np.ndarray,
-                   frames: np.ndarray):
-    """Pass 2 of `sample_orbit` a block at a time: yield each block's rows
-    (a c + b d, c, d), reused and valid until the next block is drawn, with
-    the first sample index and the length of each of its runs.
-
-    A block is the next `_ROW_BLOCK` // m replay steps (one at least) of the
-    m segments live at its first step, gathered in orbit order: segment by
-    segment, each a run of consecutive samples, so the samples below any
-    index lead the block.  In replay order np.sin, np.cos and the bumps'
-    masks ran 2x and 5x slower (65,536 samples of the seed-7 horocycle,
-    2-core Xeon VM)."""
-    cap = max(_ROW_BLOCK, len(lens))
-    store, out = np.empty(3 * cap), np.empty((3, cap))
-    by_start = np.argsort(starts)
-    t0 = span = 0
-    for t, (_, q, c, d) in enumerate(_replay(step_matrix, starts, lens, frames)):
-        if t == t0 + span:
-            if t:
-                yield _gather(block, t0, span, starts, lens, by_start, out)
-            t0, span = t, cap // q.size
-            block = store[:3 * span * q.size].reshape(3, span, q.size)
-        qb, cb, db = block[:, t - t0, :q.size]
-        qb[...], cb[...], db[...] = q, c, d
-    yield _gather(block, t0, t + 1 - t0, starts, lens, by_start, out)
-
-
-def _gather(block, t0, steps, starts, lens, by_start, out) -> tuple:
-    """The first `steps` steps of a block into `out` in orbit order."""
-    m = block.shape[2]
-    live = by_start[by_start < m]  # the block's segments by start
-    runs = np.minimum(lens[live] - t0, steps)
-    ends = np.cumsum(runs)
-    at = np.arange(ends[-1])
-    at -= np.repeat(ends - runs, runs)  # steps into each run
-    at *= m
-    at += np.repeat(live, runs)
-    rows = out[:, :at.size]
-    for row, dest in zip(block.reshape(3, -1), rows):
-        row.take(at, out=dest, mode="clip")  # in range: "clip" skips a buffered copy
-    return (*rows, starts[live] + t0, runs)
 
 
 def seeded_unit_vector(seed: int) -> TangentVec:

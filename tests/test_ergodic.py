@@ -421,7 +421,7 @@ def test_ungated_chunks_keep_the_restarts_with_few_reductions(monkeypatch):
                         lambda self, *frame: calls.append(1) or reduce(self, *frame))
     sample_orbit(V0, "horocyclic", 1e3, group=group)
     assert 0 < len(calls) <= 5000
-    assert ergodic._restarts(group, step_matrix, frame, 100_000) == want
+    assert tuple(map(list, ergodic._restarts(group, step_matrix, frame, 100_000))) == want
     assert len(want[0]) == 742  # 100 renormalizations and 641 side crossings
 
 
@@ -474,7 +474,7 @@ def _traced_peak(monkeypatch, f):
     """tracemalloc peak of f(), with orbit pass 1 replayed from an untraced run.
 
     Under tracemalloc the float loop of pass 1 runs about 60 times slower (31 s
-    against 0.54 s at length 1e4 on a 2-core Xeon VM); its restart lists are
+    against 0.54 s at length 1e4 on a 2-core Xeon VM); its restart arrays are
     unpickled afresh on each replay, so their bytes still count in the peak."""
     real, blobs = ergodic._restarts, []
 
@@ -503,8 +503,9 @@ def test_sample_orbit_memory_peak_at_length_1e4_is_its_output_and_one_block(monk
 
 def test_equidistribution_series_memory_peak_grows_by_at_most_half_from_1e3_to_1e4(
         monkeypatch):
-    # the series streams its blocks: 4.5 and 6.0 MiB (the restart lists grow);
-    # holding its orbit it read 4.0 and 33.0 MiB
+    # the series streams its blocks: 2.6 and 3.5 MiB (the restarts grow, and late
+    # blocks lie mostly in the bumps' near-set); holding its orbit it read 4.0 and
+    # 33.0 MiB
     group = octagon_group()
     equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
     peaks = []
@@ -513,6 +514,16 @@ def test_equidistribution_series_memory_peak_grows_by_at_most_half_from_1e3_to_1
             peaks.append(_traced_peak(patch, lambda: equidistribution_series(
                 "horocyclic", V0, [1e2, length], group=group)))
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_the_streamed_series_at_length_1e4_peaks_below_5_mib(monkeypatch):
+    # pass 2 writes each block's samples in place, in orbit order: 3.5 MiB; a
+    # step-major copy of each block and its gather read 6.0 MiB
+    group = octagon_group()
+    equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
+    peak = _traced_peak(monkeypatch, lambda: equidistribution_series(
+        "horocyclic", V0, [1e2, 1e4], group=group))
+    assert peak < 5 * 2**20
 
 
 def test_a_cold_area_quadrature_peaks_at_2_mib(monkeypatch):
@@ -657,9 +668,37 @@ def test_the_series_samples_are_the_orbits_samples(monkeypatch):
         got.clear()
         equidistribution_series(kind, _on_side_start(), [length], B=B)
         orbit = sample_orbit(_on_side_start(), kind, length, B=B)
+        # the frozen loop shares no pass 2 with the series
+        frozen = _sequential_orbit(_on_side_start(), kind, length, B=B)
         assert len(got) >= (2 if kind == "horocyclic" else 1)  # 100,001 samples: 2 blocks
-        for series_rows, orbit_row in zip(zip(*got), (orbit.xs, orbit.ys, orbit.thetas)):
-            assert np.sort(np.concatenate(series_rows)).tobytes() == np.sort(orbit_row).tobytes()
+        for series_rows, orbit_row, frozen_row in zip(
+                zip(*got), (orbit.xs, orbit.ys, orbit.thetas), frozen):
+            want = np.sort(orbit_row).tobytes()
+            assert np.sort(np.concatenate(series_rows)).tobytes() == want
+            assert np.sort(frozen_row).tobytes() == want
+
+
+@pytest.mark.parametrize("row_block", [1, 7])
+def test_one_step_blocks_and_blocks_that_end_mid_segment_keep_the_samples(
+        area_means, monkeypatch, row_block):
+    # rows of one sample per segment: the first block is one replay step, and
+    # later blocks end inside segments; x, y and theta go 1 or 7 samples at a time
+    monkeypatch.setattr(ergodic, "_ROW_BLOCK", row_block)
+    v0, lengths = _on_side_start(), [10.0, 25.0]  # 2,501 samples
+    blocks, runs, real, real_blocks = [], [], ergodic._observables, ergodic._orbit_blocks
+    monkeypatch.setattr(ergodic, "_observables", lambda *rows: blocks.append(
+        [row.copy() for row in rows]) or real(*rows))  # copies: the evaluator consumes rows
+    monkeypatch.setattr(ergodic, "_orbit_blocks", lambda *args: (
+        runs.append(block[1].copy()) or block for block in real_blocks(*args)))
+    rows = equidistribution_series("horocyclic", v0, lengths)
+    assert max(runs[0]) == 1 and len(runs) >= 3 and max(runs[-1]) > 1
+    for got, frozen_row in zip(zip(*blocks), _sequential_orbit(v0, "horocyclic", lengths[-1])):
+        assert np.sort(np.concatenate(got)).tobytes() == np.sort(frozen_row).tobytes()
+    want = _per_length_series("horocyclic", v0, lengths, area_means)
+    for (L, got), (_, disc) in zip(rows, want):
+        n = round(L / 1e-2) + 1
+        bound = (2 * (math.ceil(math.log2(n)) + 25) + len(blocks) + 4) * 2.0 ** -53
+        assert abs(got - disc) <= bound
 
 
 def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
