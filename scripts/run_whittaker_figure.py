@@ -8,8 +8,9 @@ shifts against 1/a, the per-degree shift at tau = 0 of the turning point
 y_t = (tau + sqrt(tau^2 + s1^2 + 1/4))/a.
 A degree with no peak in [1, 3] is skipped.
 
-Usage: python3 scripts/run_whittaker_figure.py [--out OUTDIR] [--s1 50]
-       [--a 25] [--tau-max 2]
+Usage: python3 scripts/run_whittaker_figure.py [--out OUTDIR] [--s1 S1]
+       [--a A] [--tau-max TAU_MAX]
+--s1, --a and --tau-max default to those of `hyperlab whittaker`.
 """
 
 import argparse
@@ -17,15 +18,17 @@ import json
 import sys
 from pathlib import Path
 
+from hyperlab.cli import build_parser
 from hyperlab.cli import main as hyperlab
 
 
 def main():
+    cli = build_parser()
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="out_whittaker")
-    ap.add_argument("--s1", type=float, default=50.0)
-    ap.add_argument("--a", type=float, default=25.0)
-    ap.add_argument("--tau-max", type=int, default=2)
+    ap.add_argument("--s1", type=float, default=cli.get_default("s1"))
+    ap.add_argument("--a", type=float, default=cli.get_default("a"))
+    ap.add_argument("--tau-max", type=int, default=cli.get_default("tau_max"))
     args = ap.parse_args()
     code = hyperlab(["whittaker", "--out", args.out, "--s1", str(args.s1),
                      "--a", str(args.a), "--tau-max", str(args.tau_max)])

@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,25 +45,6 @@ _DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    s: list[float] = field(default_factory=lambda: [100.0])
-    B: float = 0.0
-    eta0: float = 0.2
-    eps: float = 0.2
-    l: float = 2 * math.pi
-    tau_max: int = 2
-    s1: float = 50.0
-    a: float = 25.0
-    lengths: list[float] = field(default_factory=lambda: [1e2, 1e3, 1e4])
-    flow_kind: str = "horocyclic"
-    out: str = "."
-    do_assert: bool = False
-    json_summary: bool = False
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
-
-
 def _write_csv(path: Path, header: list[str], table) -> None:
     """A float table (rows, len(header)) as CSV, each value with 17 significant digits."""
     table = np.asarray(table, dtype=float)
@@ -73,7 +53,7 @@ def _write_csv(path: Path, header: list[str], table) -> None:
                     encoding="utf-8")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: argparse.Namespace) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -85,7 +65,7 @@ def _write_json(path: Path, obj: dict) -> None:
                     + "\n", encoding="utf-8")
 
 
-def cmd_whittaker(cfg: RunConfig) -> dict:
+def cmd_whittaker(cfg: argparse.Namespace) -> dict:
     from .waves import WhittakerParams, _sweep_peaks, _whittaker_sweep, ascension_norm
 
     check_degree(cfg.tau_max)
@@ -110,14 +90,12 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
         failures.append({"reason": f"no reference peak table for s1={cfg.s1}, a={cfg.a}"})
     elif cfg.do_assert:
         tol_y, tol_v = cfg.tolerances["peak_abscissa_abs"], cfg.tolerances["peak_ordinate_rel"]
-        for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE:
-            if tau > cfg.tau_max:
-                continue
-            cands = [r for r in peak_rows if r["tau"] == tau]
-            if not cands:
+        rows = {r["tau"]: r for r in peak_rows}
+        for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE[:cfg.tau_max + 1]:
+            r = rows.get(tau)
+            if r is None:
                 failures.append({"tau": tau, "reason": "no peak found"})
                 continue
-            r = min(cands, key=lambda r: abs(r["abscissa"] - y_ref))
             if abs(r["abscissa"] - y_ref) > tol_y:
                 failures.append({"tau": tau, "abscissa": r["abscissa"],
                                  "expected": y_ref, "reason": "abscissa"})
@@ -128,7 +106,7 @@ def cmd_whittaker(cfg: RunConfig) -> dict:
             "failures": failures, "passed": not failures}
 
 
-def cmd_ascend(cfg: RunConfig) -> dict:
+def cmd_ascend(cfg: argparse.Namespace) -> dict:
     from .transport import wave_norm_shift
     from .waves import ascend
 
@@ -161,7 +139,7 @@ def cmd_ascend(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_measure_transport(cfg: RunConfig) -> dict:
+def cmd_measure_transport(cfg: argparse.Namespace) -> dict:
     from .quantize import Observable, measure_transport_check
 
     if not cfg.s:
@@ -189,7 +167,7 @@ def cmd_measure_transport(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_flows(cfg: RunConfig) -> dict:
+def cmd_flows(cfg: argparse.Namespace) -> dict:
     from .geometry import (HPoint, TangentVec, flow_hamiltonian,
                            hyperbolic_distance, hypercyclic_flow, phi_B,
                            phi_B_inv, scale)
@@ -223,14 +201,12 @@ def cmd_flows(cfg: RunConfig) -> dict:
     return summary
 
 
-def cmd_equidistribute(cfg: RunConfig) -> dict:
+def cmd_equidistribute(cfg: argparse.Namespace) -> dict:
     from .ergodic import equidistribution_series, seeded_unit_vector
 
     out = _out_dir(cfg)
     kind = {"horocycle": "horocyclic", "hypercycle": "hypercyclic",
             "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
-    if kind not in ("horocyclic", "hypercyclic", "geodesic"):
-        raise ValueError(f"unknown flow kind {cfg.flow_kind!r}")
     rows = equidistribution_series(kind, seeded_unit_vector(7), list(cfg.lengths), B=cfg.B)
     _write_csv(out / "equidistribution.csv", ["length", "discrepancy"], rows)
     discs = [d for _, d in rows]
@@ -262,41 +238,47 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
-# the RunConfig fields a flag can set: (flag, type, help); the flag names the field
+# the value flags: (flag, type, default, help); the flag names its config key
+# (`_` for `-`), and a default given as text is read by the type, as a flag's is
 _VALUE_FLAGS = (
-    ("--s", _float_list, "spectral parameter(s), comma-separated (default 100)"),
-    ("--B", float, "magnetic field intensity (default 0)"),
-    ("--eta0", float, "packet frequency center (default 0.2)"),
-    ("--eps", float, "observable window width (default 0.2)"),
-    ("--l", float, "cylinder circumference (default 2*pi)"),
-    ("--tau-max", int, "top ascension degree, or flow time span for `flows` (default 2)"),
-    ("--s1", float, "Whittaker spectral parameter (default 50)"),
-    ("--a", float, "Whittaker frequency (default 25)"),
-    ("--lengths", _float_list, "orbit lengths, comma-separated (default 1e2,1e3,1e4)"),
-    ("--out", None, "output directory (default .)"),
+    ("--s", _float_list, "100", "spectral parameter(s), comma-separated"),
+    ("--B", float, "0", "magnetic field intensity"),
+    ("--eta0", float, "0.2", "packet frequency center"),
+    ("--eps", float, "0.2", "observable window width"),
+    ("--l", float, 2 * math.pi, "cylinder circumference"),
+    ("--tau-max", int, "2", "top ascension degree, or flow time span for `flows`"),
+    ("--s1", float, "50", "Whittaker spectral parameter"),
+    ("--a", float, "25", "Whittaker frequency"),
+    ("--lengths", _float_list, "1e2,1e3,1e4", "orbit lengths, comma-separated"),
+    ("--out", None, ".", "output directory"),
 )
 
 
 class _FlowKind(argparse.Action):
-    """The optional flow kind positional: only `equidistribute` takes one."""
+    """The optional flow kind positional: only `equidistribute` takes one.
+    Its default is the parser's, so the action runs only on a given kind."""
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value is not None and namespace.subcommand != "equidistribute":
+        if namespace.subcommand != "equidistribute":
             parser.error(f"unrecognized arguments: {value}")
         setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser whose namespace is the run config that each `cmd_*` reads."""
     ap = argparse.ArgumentParser(prog="hyperlab", description="Numerical experiments for "
                                  "magnetic dynamics on hyperbolic surfaces.")
+    # the settings no flag sets; before the flow kind's argument, whose own
+    # default must stay SUPPRESS (see `_FlowKind`)
+    ap.set_defaults(flow_kind="horocyclic", tolerances=dict(_DEFAULT_TOLERANCES))
     ap.add_argument("subcommand", choices=_COMMANDS)
-    ap.add_argument("flow_kind", nargs="?", action=_FlowKind,
+    ap.add_argument("flow_kind", nargs="?", action=_FlowKind, default=argparse.SUPPRESS,
                     help="equidistribute only: geodesic | hypercyclic | horocyclic "
                          "(default horocyclic)")
     ap.add_argument("--config", default=None,
-                    help="optional JSON config file; flags take precedence")
-    for flag, typ, text in _VALUE_FLAGS:
-        ap.add_argument(flag, type=typ, default=None, help=text)
+                    help="optional JSON config file of defaults; flags take precedence")
+    for flag, typ, default, text in _VALUE_FLAGS:
+        ap.add_argument(flag, type=typ, default=default, help=text + " (default %(default)s)")
     ap.add_argument("--assert", dest="do_assert", action="store_true",
                     help="exit nonzero if built-in tolerance checks fail")
     ap.add_argument("--json-summary", action="store_true",
@@ -324,33 +306,30 @@ def _config_value(key: str, typ, val):
         raise ValueError(f"config key {key!r}: {exc}, got {val!r}") from None
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    types = {flag[2:].replace("-", "_"): typ for flag, typ, _ in _VALUE_FLAGS}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(file_cfg, dict):
-            raise ValueError("a config file must hold a JSON object")
-        for key, val in file_cfg.items():
-            if key == "tolerances":
-                cfg.tolerances.update(_config_tolerances(val))
-            elif key in types:
-                setattr(cfg, key, _config_value(key, types[key], val))
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    for key in types:
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.flow_kind = args.flow_kind or cfg.flow_kind
-    cfg.do_assert, cfg.json_summary = args.do_assert, args.json_summary
-    return cfg
+def _config_defaults(path: str) -> dict:
+    """A config file's values, checked, as parser defaults."""
+    file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(file_cfg, dict):
+        raise ValueError("a config file must hold a JSON object")
+    types = {flag[2:].replace("-", "_"): typ for flag, typ, _, _ in _VALUE_FLAGS}
+    defaults = {}
+    for key, val in file_cfg.items():
+        if key == "tolerances":
+            defaults[key] = {**_DEFAULT_TOLERANCES, **_config_tolerances(val)}
+        elif key in types:
+            defaults[key] = _config_value(key, types[key], val)
+        else:
+            raise ValueError(f"unknown config key {key!r}")
+    return defaults
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
+    ap = build_parser()
+    cfg = ap.parse_intermixed_args(argv)
     try:
-        cfg = config_from_args(args)
+        if cfg.config:  # built-in < file < flag: the file's values become the defaults
+            ap.set_defaults(**_config_defaults(cfg.config))
+            cfg = ap.parse_intermixed_args(argv)
         summary = {"schema_version": SCHEMA_VERSION,
                    **_COMMANDS[cfg.subcommand](cfg)}
         text = json.dumps(summary, sort_keys=True, allow_nan=False)

@@ -107,6 +107,12 @@ OBS = qz.Observable(eta0=0.2)
 P = G.CotangentPt(G.HPoint(0.2, 1.5), 0.3, -0.1)
 OFFSETS = [tr.b4, tr.b7, tr.db4_deta, tr.wave_norm_shift]
 
+
+def _cli_config(*argv):
+    """The run config that `cli.main` hands a subcommand for this command line."""
+    return cli.build_parser().parse_args(argv)
+
+
 ENTRY_POINTS = [
     # (id, call, the last frames of the traceback: the entry point down to the check)
     ("flow_hamiltonian-field", lambda: G.flow_hamiltonian(P, -1.0, 1.0),
@@ -196,11 +202,12 @@ ENTRY_POINTS = [
      ("limit_geodesic_sigma", "check_window")),
     ("limit_geodesic_sigma-angle", lambda: qz.limit_geodesic_sigma(0.2, 0.0, [2.0]),
      ("limit_geodesic_sigma", "check_angle")),
-    ("cmd_flows-field", lambda: cli.cmd_flows(cli.RunConfig("flows", B=NAN)),
+    ("cmd_flows-field", lambda: cli.cmd_flows(_cli_config("flows", "--B", "nan")),
      ("cmd_flows", "check_field")),
-    ("cmd_flows-degree", lambda: cli.cmd_flows(cli.RunConfig("flows", tau_max=-1)),
+    ("cmd_flows-degree", lambda: cli.cmd_flows(_cli_config("flows", "--tau-max", "-1")),
      ("cmd_flows", "check_degree")),
-    ("cmd_whittaker-degree", lambda: cli.cmd_whittaker(cli.RunConfig("whittaker", tau_max=-1)),
+    ("cmd_whittaker-degree",
+     lambda: cli.cmd_whittaker(_cli_config("whittaker", "--tau-max", "-1")),
      ("cmd_whittaker", "check_degree")),
 ]
 

@@ -1,7 +1,6 @@
 """Tests for the batch front end: artifacts, determinism, exit codes."""
 
 import argparse
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,8 +9,7 @@ import numpy as np
 import pytest
 
 from hyperlab import cli, waves
-from hyperlab.cli import (_VALUE_FLAGS, RunConfig, _write_csv, _write_json, build_parser,
-                          config_from_args, main)
+from hyperlab.cli import _VALUE_FLAGS, _write_csv, _write_json, build_parser, main
 from hyperlab.waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
 
 
@@ -21,18 +19,42 @@ def run_cli(argv, capsys):
     return code, out
 
 
+# the run config of a bare subcommand, less the subcommand itself
+_DEFAULTS = dict(flow_kind="horocyclic", config=None, s=[100.0], B=0.0, eta0=0.2, eps=0.2,
+                 l=2 * math.pi, tau_max=2, s1=50.0, a=25.0, lengths=[1e2, 1e3, 1e4],
+                 out=".", do_assert=False, json_summary=False,
+                 tolerances=dict(cli._DEFAULT_TOLERANCES))
+
+
+def _typed(cfg):
+    """Each field of a run config with its type: 0 == 0.0, but their JSON differs."""
+    return {key: (type(val), val) for key, val in vars(cfg).items()}
+
+
+def _config(**fields):
+    """The run config of a bare subcommand with `fields` set."""
+    return argparse.Namespace(**{**_DEFAULTS, **fields})
+
+
+def _seen_config(monkeypatch, argv):
+    """The run config that `main` hands the subcommand of `argv`."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, next(a for a in argv if a in cli._COMMANDS),
+                        lambda cfg: seen.append(cfg) or {"passed": True})
+    assert main(argv) == 0 and len(seen) == 1
+    return seen[0]
+
+
 def test_parser_accepts_all_flags():
-    ap = build_parser()
-    args = ap.parse_args([
+    args = build_parser().parse_args([
         "measure-transport", "--s", "100,200", "--B", "0.5", "--eta0", "0.3",
         "--eps", "0.1", "--l", "6.28", "--tau-max", "3", "--s1", "25",
         "--a", "12", "--lengths", "10,100",
         "--out", "x", "--assert", "--json-summary"])
-    cfg = config_from_args(args)
-    assert cfg.s == [100.0, 200.0]
-    assert cfg.B == 0.5 and cfg.eta0 == 0.3 and cfg.eps == 0.1
-    assert cfg.tau_max == 3 and cfg.lengths == [10.0, 100.0]
-    assert cfg.do_assert and cfg.json_summary
+    assert _typed(args) == _typed(_config(
+        subcommand="measure-transport", s=[100.0, 200.0], B=0.5, eta0=0.3, eps=0.1, l=6.28,
+        tau_max=3, s1=25.0, a=12.0, lengths=[10.0, 100.0], out="x", do_assert=True,
+        json_summary=True))
 
 
 def _per_value_csv(header, rows):
@@ -63,13 +85,20 @@ def test_a_stray_positional_exits_2(capsys, argv):
         assert "unrecognized arguments: foo" in capsys.readouterr().err
 
 
-def test_help_exits_0(capsys):
+def test_help_exits_0(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per flag
     with pytest.raises(SystemExit) as exc:
         main(["ascend", "--help"])
-    assert exc.value.code == 0 and "--json-summary" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--json-summary" in out
+    # the one table's defaults, each through %(default)s
+    lines = {ln.split()[0]: ln for ln in out.splitlines() if ln.lstrip().startswith("--")}
+    for flag, _, default, text in _VALUE_FLAGS:
+        assert lines[flag].endswith(f" {text} (default {default})")
+    assert lines["--l"].endswith("(default 6.283185307179586)")
 
 
-_README_LINES = {  # each command line of the README and the RunConfig fields it sets
+_README_LINES = {  # each command line of the README and the run config fields it sets
     "hyperlab whittaker --s1 50 --a 25 --tau-max 2 --out out/ --assert":
         dict(s1=50.0, a=25.0, tau_max=2, out="out/", do_assert=True),
     "hyperlab ascend --s 100 --B 0.5 --eta0 0.2 --out out/":
@@ -92,30 +121,26 @@ def test_readme_command_lines_are_the_pinned_ones():
     # the flow kind may also follow the flags
     ("hyperlab equidistribute --lengths 10 geodesic", dict(flow_kind="geodesic", lengths=[10.0]))])
 def test_command_lines_give_their_configs(monkeypatch, line, fields):
-    argv, seen = line.split()[1:], []
-    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg: seen.append(cfg) or {"passed": True})
-    assert main(argv) == 0
-    assert seen == [RunConfig(subcommand=argv[0], **fields)]
+    argv = line.split()[1:]
+    assert _typed(_seen_config(monkeypatch, argv)) == _typed(_config(subcommand=argv[0],
+                                                                     **fields))
 
 
-def test_value_flags_are_the_config_fields():
-    # one table drives the parser and config_from_args: it must name every
-    # settable RunConfig field, and nothing else
-    dests = {argparse.ArgumentParser().add_argument(flag).dest for flag, _, _ in _VALUE_FLAGS}
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert dests == fields - {"subcommand", "flow_kind", "do_assert",
-                              "json_summary", "tolerances"}
-
-
-def test_config_file_and_flag_precedence(tmp_path, capsys):
+def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
+    # built-in < file < flag, tolerances included: the file's values become the
+    # parser's defaults, so a flag wins even at its built-in value, before or
+    # after the subcommand
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"B": 2.0, "tau_max": 1}))
-    ap = build_parser()
-    args = ap.parse_args(["flows", "--config", str(cfgfile),
-                          "--B", "0.5", "--out", str(tmp_path)])
-    cfg = config_from_args(args)
-    assert cfg.B == 0.5  # flag wins
-    assert cfg.tau_max == 1  # file value survives
+    cfgfile.write_text(json.dumps({"B": 2.0, "tau_max": 1, "eta0": 0.3, "out": "file/",
+                                   "tolerances": {"flow_conjugacy_abs": 0.5}}))
+    flags = ["--config", str(cfgfile), "--B", "0.5", "--eta0", "0.2"]
+    for argv in (["flows"] + flags, flags + ["flows"]):
+        cfg = _seen_config(monkeypatch, argv)
+        assert cfg.B == 0.5  # flag wins
+        assert cfg.tau_max == 1  # file value survives
+        assert _typed(cfg) == _typed(_config(
+            subcommand="flows", config=str(cfgfile), B=0.5, tau_max=1, eta0=0.2, out="file/",
+            tolerances=dict(cli._DEFAULT_TOLERANCES, flow_conjugacy_abs=0.5)))
 
 
 def test_flows_t0_returns_initial_vector(tmp_path, capsys):
@@ -199,11 +224,11 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, subcommand, file
     assert diag["passed"] is False and message in diag["error"]
 
 
-def test_config_lists_and_numbers_read_as_flag_text(tmp_path):
+def test_config_lists_and_numbers_read_as_flag_text(tmp_path, monkeypatch):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"s": [25, 50.5], "tau_max": 3, "B": 1,
                                    "tolerances": {"flow_conjugacy_abs": 1}}))
-    cfg = config_from_args(build_parser().parse_args(["flows", "--config", str(cfgfile)]))
+    cfg = _seen_config(monkeypatch, ["flows", "--config", str(cfgfile)])
     assert cfg.s == [25.0, 50.5] and cfg.tau_max == 3 and cfg.B == 1.0
     assert type(cfg.B) is float and cfg.tolerances["flow_conjugacy_abs"] == 1
 

@@ -503,9 +503,10 @@ def test_sample_orbit_memory_peak_at_length_1e4_is_its_output_and_one_block(monk
 
 def test_equidistribution_series_memory_peak_grows_by_at_most_half_from_1e3_to_1e4(
         monkeypatch):
-    # the series streams its blocks: 2.6 and 3.5 MiB (the restarts grow, and late
-    # blocks lie mostly in the bumps' near-set); holding its orbit it read 4.0 and
-    # 33.0 MiB
+    # the series streams its blocks: 2.56 and 3.46 MiB, 0.90 MiB of growth (the
+    # restarts grow, and late blocks lie mostly in the bumps' near-set); holding
+    # its orbit it grew 29 MiB.  The bound is on the growth, not the ratio, so a
+    # smaller footprint that does not grow with the orbit cannot fail it
     group = octagon_group()
     equidistribution_series("horocyclic", V0, [1.0], group=group)  # warm the area means
     peaks = []
@@ -513,7 +514,7 @@ def test_equidistribution_series_memory_peak_grows_by_at_most_half_from_1e3_to_1
         with monkeypatch.context() as patch:  # each length replays its own pass 1
             peaks.append(_traced_peak(patch, lambda: equidistribution_series(
                 "horocyclic", V0, [1e2, length], group=group)))
-    assert peaks[1] <= 1.5 * peaks[0]
+    assert peaks[1] - peaks[0] <= 1.25 * 2**20
 
 
 def test_the_streamed_series_at_length_1e4_peaks_below_5_mib(monkeypatch):
