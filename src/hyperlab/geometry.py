@@ -31,36 +31,13 @@ DET_TOL = 1e-9
 SPEED_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """Unit-determinant real matrix [[a, b], [c, d]] acting on the half-plane."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        m = self.matrix() @ other.matrix()
-        return mobius_from_matrix(m)
-
-
-def mobius_from_matrix(m: np.ndarray) -> MobiusMap:
-    """Build a MobiusMap from a 2x2 array, normalizing det to +1."""
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det <= 0:
-        raise ValueError("matrix must have positive determinant")
-    m = m / np.sqrt(det)
-    return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+def mobius_from_matrix(m) -> np.ndarray:
+    """The 2x2 array m scaled to determinant +1; its determinant must be finite and positive."""
+    m = np.asarray(m, dtype=float)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] if np.isfinite(m).all() else math.nan
+    if not 0 < det < math.inf:
+        raise ValueError(f"matrix must be finite with a positive determinant, got det={det}")
+    return m / np.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -128,20 +105,22 @@ class CylPoint:
             object.__setattr__(self, "sigma", float(self.sigma % self.l))
 
 
-def mobius_apply(M: MobiusMap, z: HPoint) -> HPoint:
-    """Apply the fractional-linear map (az+b)/(cz+d) to a half-plane point."""
-    if abs(M.det() - 1.0) > DET_TOL:
-        raise ValueError(f"not a unit-determinant map: det={M.det()}")
-    w = (M.a * z.as_complex() + M.b) / (M.c * z.as_complex() + M.d)
+def mobius_apply(M, z: HPoint) -> HPoint:
+    """Apply the fractional-linear map (az+b)/(cz+d) of a 2x2 array [[a, b], [c, d]]."""
+    (a, b), (c, d) = np.asarray(M, dtype=float)
+    if not abs(a * d - b * c - 1.0) <= DET_TOL:
+        raise ValueError(f"not a unit-determinant map: det={a * d - b * c}")
+    w = (a * z.as_complex() + b) / (c * z.as_complex() + d)
     return HPoint(w.real, w.imag)
 
 
-def mobius_derivative(M: MobiusMap, z: HPoint) -> complex:
+def mobius_derivative(M, z: HPoint) -> complex:
     """Complex derivative of the map at z (acts on tangent vectors)."""
-    return 1.0 / (M.c * z.as_complex() + M.d) ** 2
+    c, d = np.asarray(M, dtype=float)[1]
+    return 1.0 / (c * z.as_complex() + d) ** 2
 
 
-def mobius_apply_vec(M: MobiusMap, v: TangentVec) -> TangentVec:
+def mobius_apply_vec(M, v: TangentVec) -> TangentVec:
     """Push a tangent vector forward by an isometry."""
     w = mobius_apply(M, v.base)
     dv = mobius_derivative(M, v.base) * v.as_complex()
@@ -149,9 +128,10 @@ def mobius_apply_vec(M: MobiusMap, v: TangentVec) -> TangentVec:
 
 
 def hyperbolic_distance(z1: HPoint, z2: HPoint) -> float:
-    """Distance induced by ds^2 = (dx^2+dy^2)/y^2."""
-    d2 = (z1.x - z2.x) ** 2 + (z1.y - z2.y) ** 2
-    return float(np.arccosh(1.0 + d2 / (2.0 * z1.y * z2.y)))
+    """Distance induced by ds^2 = (dx^2+dy^2)/y^2, as 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))):
+    arccosh(1 + |z1 - z2|^2 / (2 y1 y2)) cancels to 0 below about 1.5e-8."""
+    d = math.hypot(z1.x - z2.x, z1.y - z2.y)
+    return 2.0 * math.asinh(d / (2.0 * math.sqrt(z1.y) * math.sqrt(z2.y)))
 
 
 def rotate(v: TangentVec, theta: float) -> TangentVec:

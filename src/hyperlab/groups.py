@@ -11,12 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .geometry import (HPoint, MobiusMap, hyperbolic_distance, mobius_apply,
-                       mobius_from_matrix)
+from .geometry import HPoint, hyperbolic_distance, mobius_apply, mobius_from_matrix
 
 # regular octagon with all vertex angles pi/4: right triangle
 # (center, side midpoint, vertex) has angles pi/8, pi/2, pi/8, giving
@@ -25,41 +24,35 @@ _COSH_HALF_T = 1.0 + math.sqrt(2.0)  # cosh of the apothem = half pairing length
 _COSH_R = 3.0 + 2.0 * math.sqrt(2.0)  # cosh of center-to-vertex distance
 
 
-@dataclass(frozen=True)
-class AutomorphyFactor:
-    """Unit-modulus multiplier of a degree-tau form under an isometry."""
-
-    value: complex
-    tau: int
-
-    def __post_init__(self):
-        if abs(abs(self.value) - 1.0) > 1e-12:
-            raise ValueError("automorphy factor must have unit modulus")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuchsianGroup:
     """Finitely generated discrete group, given by its generators, with its
     Dirichlet domain centered at i."""
 
     kind: str  # 'cylinder' or 'octagon'
-    generators: tuple[MobiusMap, ...]
+    generators: np.ndarray  # read-only (n, 2, 2), from any sequence of 2x2 arrays
     vertices: tuple[complex, ...] = ()  # half-plane vertices, octagon only
 
     def __post_init__(self):
-        if any(abs(g.det() - 1.0) > 1e-10 for g in self.generators):
-            raise ValueError("generator must have unit determinant")
+        gens = np.array(self.generators, dtype=float)
+        if not (gens.shape[1:] == (2, 2) and np.isfinite(gens).all()
+                and np.all(np.abs(np.linalg.det(gens) - 1.0) <= 1e-10)):
+            raise ValueError("generators must be finite 2x2 arrays of unit determinant")
+        gens.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
 
     @cached_property
-    def inverses(self) -> tuple[MobiusMap, ...]:
-        """The inverse of each generator, in order."""
-        return tuple(g.inverse() for g in self.generators)
+    def inverses(self) -> np.ndarray:
+        """Each generator's inverse, in order, read-only: the exact adjugate [[d, -b], [-c, a]]."""
+        inv = self.generators[:, ::-1, ::-1].swapaxes(1, 2) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        inv.flags.writeable = False
+        return inv
 
     @cached_property
-    def moves(self) -> list[tuple[float, float, float, float]]:
+    def moves(self) -> tuple[tuple[float, float, float, float], ...]:
         """Generators, then inverses, as (a, b, c, d)."""
-        return [tuple(map(float, (g.a, g.b, g.c, g.d)))
-                for g in self.generators + self.inverses]
+        moves = np.concatenate((self.generators, self.inverses)).reshape(-1, 4)
+        return tuple(map(tuple, moves.tolist()))
 
     @cached_property
     def dirichlet_forms(self) -> list[tuple[float, float, float]]:
@@ -117,12 +110,13 @@ class FuchsianGroup:
         return a, b, c, d
 
 
-def automorphy_factor(M: MobiusMap, z: HPoint, tau: int) -> AutomorphyFactor:
-    """((cz + d) / (c zbar + d))^tau at the point z."""
-    zc = complex(z.x, z.y)
-    base = (M.c * zc + M.d) / (M.c * zc.conjugate() + M.d)
-    val = base ** tau
-    return AutomorphyFactor(value=val / abs(val), tau=tau)
+def automorphy_factor(M, z: HPoint, tau: int) -> complex:
+    """Unit-modulus multiplier ((cz + d) / (c zbar + d))^tau of a degree-tau form under
+    the isometry [[a, b], [c, d]] at the point z."""
+    c, d = np.asarray(M, dtype=float)[1]
+    zc = z.as_complex()
+    val = ((c * zc + d) / (c * zc.conjugate() + d)) ** tau
+    return complex(val / abs(val))
 
 
 def cylinder_group(l: float) -> FuchsianGroup:
@@ -147,7 +141,7 @@ _CAYLEY = np.array([[1.0, -1.0j], [1.0, 1.0j]])
 _CAYLEY_INV = np.linalg.inv(_CAYLEY)
 
 
-def _to_halfplane_matrix(m_disk: np.ndarray) -> MobiusMap:
+def _to_halfplane_matrix(m_disk: np.ndarray) -> np.ndarray:
     m = _CAYLEY_INV @ m_disk @ _CAYLEY
     m = m / np.sqrt(np.linalg.det(m))
     if np.abs(m.imag).max() > 1e-10:
@@ -162,6 +156,7 @@ def octagon_vertices_disk() -> np.ndarray:
     return r * np.exp(1j * (math.pi / 8 + np.arange(8) * math.pi / 4))
 
 
+@cache  # one group: the area means are cached per group
 def octagon_group() -> FuchsianGroup:
     """Side-pairing group of the regular octagon (genus-2 surface).
 
@@ -178,10 +173,7 @@ def octagon_group() -> FuchsianGroup:
 def octagon_relator(G: FuchsianGroup) -> np.ndarray:
     """Matrix of the genus-2 surface relator; identity for the true group."""
     g, gi = G.generators, G.inverses
-    word = [g[0], gi[1], g[2], gi[3], gi[0], g[1], gi[2], g[3]]
-    m = np.eye(2)
-    for w in word:
-        m = m @ w.matrix()
+    m = np.linalg.multi_dot([g[0], gi[1], g[2], gi[3], gi[0], g[1], gi[2], g[3]])
     return m * np.sign(m[0, 0])
 
 
@@ -224,15 +216,14 @@ def side_pairing_error(G: FuchsianGroup) -> float:
     return worst
 
 
-def reduce_to_domain(z: HPoint, G: FuchsianGroup) -> tuple[HPoint, MobiusMap]:
-    """Move z into the Dirichlet domain of `reduce_frame`; returns (point, map)
-    with map(point) = z, and z itself when no move applies."""
+def reduce_to_domain(z: HPoint, G: FuchsianGroup) -> tuple[HPoint, np.ndarray]:
+    """Move z into the Dirichlet domain of `reduce_frame`; returns (point, gamma)
+    with gamma(point) = z, and (z, identity) when no move applies."""
     sq, used = math.sqrt(z.y), []
     a, b, c, d = G.reduce_frame(sq, z.x / sq, 0.0, 1.0 / sq, used)
-    gamma = mobius_from_matrix(np.eye(2))
     if not used:  # the frame round trip would move z by rounding
-        return z, gamma
-    for k in used:  # move k is undone by (inverses + generators)[k]
-        gamma = gamma.compose((G.inverses + G.generators)[k])
+        return z, np.eye(2)
+    # move k is undone by the k-th of the inverses, then the generators
+    gamma = reduce(np.matmul, np.concatenate((G.inverses, G.generators))[used])
     den = c * c + d * d
-    return HPoint((a * c + b * d) / den, 1.0 / den), gamma
+    return HPoint((a * c + b * d) / den, 1.0 / den), mobius_from_matrix(gamma)

@@ -17,8 +17,7 @@ import numpy as np
 from . import transport as tr
 from .base import (bump, check_angle, check_band, check_centre, check_field, check_scale,
                    check_window, gauss_quad, in_band, reached_degree)  # perfbench wraps gauss_quad
-# solve_wave is re-exported: code that wraps quantize.solve_wave finds it here
-from .waves import branch_ic, c1, solve_wave, solve_waves  # noqa: F401
+from .waves import branch_ic, c1, solve_waves
 
 _bump_arr = bump  # the array bump under its former name, called by perfbench
 
@@ -58,26 +57,25 @@ class Observable:
     """Separable symbol phi1(eta) phi2(beta) phi3(sigma) with xi cutoff."""
 
     eta0: float
-    beta0: float = 0.0
     sigma0: float = 0.0
     eps: float = 0.2
 
     def __post_init__(self):
-        if not (all(map(math.isfinite, (self.eta0, self.beta0, self.sigma0)))
+        if not (math.isfinite(self.eta0) and math.isfinite(self.sigma0)
                 and 0 < self.eps < math.inf):
-            raise ValueError(f"need finite eta0, beta0, sigma0 and eps > 0, got eps={self.eps}")
+            raise ValueError(f"need finite eta0, sigma0 and eps > 0, got eps={self.eps}")
 
     def phi1(self, eta):
         return bump((np.asarray(eta) - self.eta0) / self.eps)
 
     def phi2(self, beta):
-        return bump((np.asarray(beta) - self.beta0) / self.eps)
+        return bump(np.asarray(beta) / self.eps)
 
     def phi3(self, sigma):
         return bump((np.asarray(sigma) - self.sigma0) / self.eps)
 
     def beta_support(self) -> tuple[float, float]:
-        return (self.beta0 - self.eps / 2, self.beta0 + self.eps / 2)
+        return (-self.eps / 2, self.eps / 2)
 
     def sigma_ft(self, k):
         """int phi3(sigma) e^{ik sigma} at each k: one quadrature, panels for the largest |k|."""

@@ -164,6 +164,13 @@ def test_flows_conjugacy_assert(tmp_path, capsys):
     assert code == 0
 
 
+def test_flows_summary_resolves_deviations_below_1e_8(tmp_path, capsys):
+    # arccosh(1 + d2 / (2 y1 y2)) read every deviation below about 1.5e-8 as 0.0
+    code, out = run_cli(["flows", "--B", "1", "--tau-max", "5",
+                         "--out", str(tmp_path), "--json-summary"], capsys)
+    assert code == 0 and 0 < json.loads(out)["worst_deviation"] < 1e-8
+
+
 def test_assert_failure_gives_nonzero_exit_and_diagnostic(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(

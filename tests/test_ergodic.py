@@ -166,7 +166,9 @@ def test_geodesic_mixing_trend():
 
 
 def test_tb_shift_zero_field():
-    assert tb_shift_check(V0, 0.0, 5.0) == 0.0
+    # T_0 is the identity, so the two constructions differ by the rounding of a
+    # length-5 frame, about u e^5 = 3e-14; arccosh's cancellation had read it as 0.0
+    assert tb_shift_check(V0, 0.0, 5.0) < 1e-13
 
 
 def test_tb_shift_magnetic():
@@ -228,8 +230,7 @@ def _sequential_frames(v0, kind, length, B=0.0, step=1e-2):
     the frame's c and d."""
     group = octagon_group()
     threshold = 2.0 * (1.0 + math.sqrt(2.0)) + 1e-9
-    moves = [g.matrix() for g in group.generators] + \
-            [g.matrix() for g in group.inverses]
+    moves = [*group.generators, *group.inverses]
     moves = [(m[0, 0], m[0, 1], m[1, 0], m[1, 1]) for m in moves]
     S = flow_step(kind, B, step)
     sa, sb, sc, sd = S[0, 0], S[0, 1], S[1, 0], S[1, 1]

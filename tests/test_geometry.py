@@ -25,23 +25,34 @@ def vec_at(x, y, theta, speed):
 # --- Mobius maps ---
 
 def test_mobius_identity():
-    z = G.mobius_apply(G.MobiusMap(1, 0, 0, 1), G.HPoint(0, 1))
+    z = G.mobius_apply(np.eye(2), G.HPoint(0, 1))
     assert (z.x, z.y) == (0, 1)
 
 
 def test_mobius_translation():
-    z = G.mobius_apply(G.MobiusMap(1, 1, 0, 1), G.HPoint(0, 1))
+    z = G.mobius_apply([[1, 1], [0, 1]], G.HPoint(0, 1))
     assert z.x == pytest.approx(1) and z.y == pytest.approx(1)
 
 
 def test_mobius_inversion_fixes_i():
-    z = G.mobius_apply(G.MobiusMap(0, -1, 1, 0), G.HPoint(0, 1))
+    z = G.mobius_apply([[0, -1], [1, 0]], G.HPoint(0, 1))
     assert z.x == pytest.approx(0, abs=1e-15) and z.y == pytest.approx(1)
 
 
 def test_mobius_degenerate_rejected():
     with pytest.raises(ValueError):
-        G.mobius_apply(G.MobiusMap(2, 0, 0, 1), G.HPoint(0, 1))
+        G.mobius_apply([[2, 0], [0, 1]], G.HPoint(0, 1))
+    # det <= 0 was False for the NaN determinant, which gave a NaN map
+    for m in ([[np.nan, 0], [0, 1]], [[1, np.inf], [0, 1]], [[1, 0], [0, -1]], np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            G.mobius_from_matrix(m)
+    with pytest.raises(ValueError):
+        G.mobius_apply([[np.nan, 0], [0, 1]], G.HPoint(0, 1))
+
+
+def test_mobius_from_matrix_scales_to_unit_determinant():
+    m = G.mobius_from_matrix([[2.0, 1.0], [0.0, 2.0]])
+    assert m.tolist() == [[1.0, 0.5], [0.0, 1.0]]
 
 
 @given(coords, ys, st.integers(0, 10**6))
@@ -59,6 +70,12 @@ def test_distance_vertical():
 
 def test_distance_zero():
     assert G.hyperbolic_distance(G.HPoint(0, 1), G.HPoint(0, 1)) == 0
+
+
+def test_distance_at_short_range():
+    # arccosh(1 + d2 / (2 y1 y2)) read 0.0 below about 1.5e-8
+    d = G.hyperbolic_distance(G.HPoint(0, 1), G.HPoint(1e-11, 1))
+    assert d == pytest.approx(1e-11, rel=1e-15, abs=0)
 
 
 def test_distance_horizontal_closed_form():

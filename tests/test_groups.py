@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperlab import groups as gr
-from hyperlab.geometry import (HPoint, MobiusMap, hyperbolic_distance,
-                               mobius_apply, mobius_from_matrix)
+from hyperlab.geometry import HPoint, hyperbolic_distance, mobius_apply, mobius_from_matrix
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -30,10 +29,10 @@ def test_automorphy_trivial_cases():
     z = HPoint(0.7, 2.1)
     for _ in range(10):
         M = _rand_map(rng)
-        assert gr.automorphy_factor(M, z, 0).value == 1.0
+        assert gr.automorphy_factor(M, z, 0) == 1.0
     upper = mobius_from_matrix(np.array([[2.0, 1.5], [0.0, 0.5]]))
     for tau in range(-3, 4):
-        assert gr.automorphy_factor(upper, z, tau).value == pytest.approx(1.0)
+        assert gr.automorphy_factor(upper, z, tau) == pytest.approx(1.0)
 
 
 def test_automorphy_sign_flip_invariance():
@@ -41,9 +40,8 @@ def test_automorphy_sign_flip_invariance():
     z = HPoint(-0.3, 0.9)
     for _ in range(10):
         M = _rand_map(rng)
-        Mn = MobiusMap(-M.a, -M.b, -M.c, -M.d)
-        f1 = gr.automorphy_factor(M, z, 3).value
-        f2 = gr.automorphy_factor(Mn, z, 3).value
+        f1 = gr.automorphy_factor(M, z, 3)
+        f2 = gr.automorphy_factor(-M, z, 3)
         assert f1 == pytest.approx(f2, abs=1e-12)
 
 
@@ -58,9 +56,9 @@ def test_automorphy_cocycle(x, y, tau, seed):
     rng = np.random.default_rng(seed)
     g1, g2 = _rand_map(rng), _rand_map(rng)
     z = HPoint(x, y)
-    lhs = gr.automorphy_factor(g1.compose(g2), z, tau).value
-    rhs = (gr.automorphy_factor(g1, mobius_apply(g2, z), tau).value
-           * gr.automorphy_factor(g2, z, tau).value)
+    lhs = gr.automorphy_factor(mobius_from_matrix(g1 @ g2), z, tau)
+    rhs = (gr.automorphy_factor(g1, mobius_apply(g2, z), tau)
+           * gr.automorphy_factor(g2, z, tau))
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -91,7 +89,7 @@ def test_cylinder_reduction():
     red, gamma = gr.reduce_to_domain(z, G)
     assert 0.0 <= 0.5 * math.log(red.x**2 + red.y**2) < 1.0
     assert red.y == pytest.approx(math.exp(0.1), rel=1e-12)
-    assert gamma.matrix() == pytest.approx(G.generators[0].matrix())
+    assert gamma == pytest.approx(G.generators[0])
     back = mobius_apply(gamma, red)
     assert (back.x, back.y) == pytest.approx((z.x, z.y), abs=1e-9)
 
@@ -101,7 +99,7 @@ def test_cylinder_reduction_interior_identity():
     z = HPoint(0.3, 1.2)
     red, gamma = gr.reduce_to_domain(z, G)
     assert (red.x, red.y) == (z.x, z.y)
-    assert gamma.matrix() == pytest.approx(np.eye(2))
+    assert gamma == pytest.approx(np.eye(2))
 
 
 def test_cylinder_has_one_fundamental_domain():
@@ -143,7 +141,44 @@ def test_octagon_side_pairing_endpoints():
 def test_octagon_generators_unit_det():
     G = gr.octagon_group()
     for g in G.generators:
-        assert g.det() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_generators_are_one_read_only_array_with_exact_inverses():
+    G = gr.octagon_group()
+    assert G.generators.shape == (4, 2, 2) and not G.generators.flags.writeable
+    assert not G.inverses.flags.writeable and isinstance(G.moves, tuple)
+    for g, gi in zip(G.generators, G.inverses):  # adjugates: no division, so no rounding
+        assert gi.tolist() == [[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]
+    assert gr.octagon_group() is G  # one group, so the per-group area means are shared
+
+
+@pytest.mark.parametrize("gens", [[[[np.nan, 0.0], [0.0, 1.0]]], [[[1.0, np.inf], [0.0, 1.0]]],
+                                  [[[2.0, 0.0], [0.0, 1.0]]], [[1.0, 0.0, 0.0, 1.0]]],
+                         ids=["nan", "inf", "det-2", "not-2x2"])
+def test_fuchsian_group_rejects_non_finite_or_non_unit_generators(gens):
+    # abs(det - 1) > 1e-10 was False for a NaN entry, which was accepted
+    with pytest.raises(ValueError):
+        gr.FuchsianGroup(kind="cylinder", generators=gens)
+
+
+# (a, b, c, d) of each octagon move as float.hex: a change of representation that
+# moved one bit of a move would move the orbits that reduce by it
+_OCTAGON_MOVES_HEX = [
+    ("0x1.272427f1fa3f3p+2", "0x0.0p+0", "0x0.0p+0", "0x1.bc19683ff3ed5p-3"),
+    ("0x1.fbe703fde4beep+1", "-0x1.8dc42193d5c07p+0", "-0x1.8dc42193d5c07p+0", "0x1.b88b89a83bf95p-1"),
+    ("0x1.3504f333f9de6p+1", "-0x1.19435caffa9f9p+1", "-0x1.19435caffa9f9p+1", "0x1.3504f333f9de6p+1"),
+    ("0x1.b88b89a83bf99p-1", "-0x1.8dc42193d5c0ap+0", "-0x1.8dc42193d5c0ap+0", "0x1.fbe703fde4bf0p+1"),
+    ("0x1.bc19683ff3ed5p-3", "-0x0.0p+0", "-0x0.0p+0", "0x1.272427f1fa3f3p+2"),
+    ("0x1.b88b89a83bf95p-1", "0x1.8dc42193d5c07p+0", "0x1.8dc42193d5c07p+0", "0x1.fbe703fde4beep+1"),
+    ("0x1.3504f333f9de6p+1", "0x1.19435caffa9f9p+1", "0x1.19435caffa9f9p+1", "0x1.3504f333f9de6p+1"),
+    ("0x1.fbe703fde4bf0p+1", "0x1.8dc42193d5c0ap+0", "0x1.8dc42193d5c0ap+0", "0x1.b88b89a83bf99p-1"),
+]
+
+
+def test_octagon_moves_keep_their_bits():
+    moves = gr.octagon_group().moves
+    assert [tuple(x.hex() for x in m) for m in moves] == _OCTAGON_MOVES_HEX
 
 
 def test_octagon_reduction_roundtrip():
@@ -172,7 +207,7 @@ def test_octagon_reduction_idempotent():
     red, _ = gr.reduce_to_domain(z, G)
     red2, gamma2 = gr.reduce_to_domain(red, G)
     assert (red2.x, red2.y) == pytest.approx((red.x, red.y), abs=1e-12)
-    assert gamma2.matrix() == pytest.approx(np.eye(2))
+    assert gamma2 == pytest.approx(np.eye(2))
 
 
 def test_octagon_greedy_steps_decrease_distance():

@@ -50,8 +50,7 @@ def test_bump_maps_arrays_to_arrays_and_scalars_to_floats():
     assert qz._bump_arr is qz.bump
 
 
-@pytest.mark.parametrize("kw", [{"eta0": math.nan}, {"eta0": 0.2, "beta0": math.inf},
-                                {"eta0": 0.2, "sigma0": -math.inf},
+@pytest.mark.parametrize("kw", [{"eta0": math.nan}, {"eta0": 0.2, "sigma0": -math.inf},
                                 {"eta0": 0.2, "eps": math.nan},
                                 {"eta0": 0.2, "eps": 0.0}, {"eta0": 0.2, "eps": -0.2}])
 def test_observable_rejects_non_finite_or_non_positive_width(kw):
@@ -125,8 +124,8 @@ def test_entries_pin_the_dict_read_by_perfbench():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: qz.solve_wave(0.0, 1.0, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
-    lambda: qz.solve_wave(0.0, 1.5, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
+    lambda: solve_wave(0.0, 1.0, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
+    lambda: solve_wave(0.0, 1.5, 100.0, "I", np.linspace(-0.1, 0.1, 5)),
     lambda: qz.branch_ic(math.nan, 0.2, 100.0, "I"),
     lambda: qz.energy_shell_test(WaveCoeffs(L, [150.0], [1.0]), 100.0, 0.0, np.ones_like),
     lambda: qz.packet_position_density(WaveCoeffs(L, [150.0], [1.0]), 100.0,
