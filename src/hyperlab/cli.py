@@ -12,8 +12,14 @@ One parser takes the subcommand, every flag and, for `equidistribute` only,
 the flow kind.  Data files are deterministic: a CSV is a float table written
 by one "%.17g" format string in a fixed row order, so identical configs yield
 byte-identical CSVs.  JSON outputs are UTF-8 with snake_case keys and carry a
-``schema_version`` field.  With ``--assert`` a subcommand exits nonzero
-and prints a JSON diagnostic if its built-in tolerance checks fail.
+``schema_version`` field.
+
+Each `cmd_*` returns (files, summary, failures): `files` maps a file name to
+a CSV's (header, table) or to a JSON object, and `failures` lists what its
+tolerance checks found on this run.  `main` alone writes: it keeps the
+failures only under ``--assert``, adds them and ``passed`` to the summary,
+then writes every file and the summary file `_COMMANDS` names.  With
+``--assert`` a failed check exits 1 and prints the summary as a diagnostic.
 """
 
 from __future__ import annotations
@@ -53,42 +59,35 @@ def _write_csv(path: Path, header: list[str], table) -> None:
                     encoding="utf-8")
 
 
-def _out_dir(cfg: argparse.Namespace) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, obj: dict) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
                     + "\n", encoding="utf-8")
 
 
-def cmd_whittaker(cfg: argparse.Namespace) -> dict:
+def cmd_whittaker(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .waves import WhittakerParams, _sweep_peaks, _whittaker_sweep, ascension_norm
 
     check_degree(cfg.tau_max)
-    out = _out_dir(cfg)
     # one sweep per degree on the peak scan; the CSV grid reads its dense output
     ys, scan = np.linspace(1.0, 3.0, 801), np.linspace(1.0, 3.0, 2000)
-    peak_rows = []
+    files, peak_rows = {}, []
     for tau in range(cfg.tau_max + 1):
         p = WhittakerParams(tau=tau, s1=cfg.s1, a=cfg.a)
         states, dense = _whittaker_sweep(p, scan)
         norm = ascension_norm(tau, cfg.s1)
-        _write_csv(out / f"whittaker_tau{tau}.csv", ["y", "abs_w_scaled"],
-                   np.column_stack((ys, np.abs(dense(ys)[0]) / norm)))
+        files[f"whittaker_tau{tau}.csv"] = (["y", "abs_w_scaled"],
+                                            np.column_stack((ys, np.abs(dense(ys)[0]) / norm)))
         all_peaks = _sweep_peaks(p, scan, states, dense)
         if all_peaks:
             y_pk, v_pk = max(all_peaks, key=lambda pk: pk[1])
             peak_rows.append({"tau": tau, "abscissa": y_pk, "ordinate": v_pk / norm})
-    _write_json(out / "whittaker_peaks.json", {"peaks": peak_rows})
+    files["whittaker_peaks.json"] = {"peaks": peak_rows}
 
     failures = []
-    if cfg.do_assert and (cfg.s1, cfg.a) != (50.0, 25.0):
+    if (cfg.s1, cfg.a) != (50.0, 25.0):
         failures.append({"reason": f"no reference peak table for s1={cfg.s1}, a={cfg.a}"})
-    elif cfg.do_assert:
+    else:
         tol_y, tol_v = cfg.tolerances["peak_abscissa_abs"], cfg.tolerances["peak_ordinate_rel"]
         rows = {r["tau"]: r for r in peak_rows}
         for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE[:cfg.tau_max + 1]:
@@ -102,79 +101,62 @@ def cmd_whittaker(cfg: argparse.Namespace) -> dict:
             if abs(r["ordinate"] - v_ref) > tol_v * v_ref:
                 failures.append({"tau": tau, "ordinate": r["ordinate"],
                                  "expected": v_ref, "reason": "ordinate"})
-    return {"subcommand": "whittaker", "peaks": peak_rows,
-            "failures": failures, "passed": not failures}
+    return files, {"subcommand": "whittaker", "peaks": peak_rows}, failures
 
 
-def cmd_ascend(cfg: argparse.Namespace) -> dict:
+def cmd_ascend(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .transport import wave_norm_shift
     from .waves import ascend
 
     if len(cfg.s) != 1:
         raise ValueError(f"ascend takes exactly one --s value, got {cfg.s}")
-    out = _out_dir(cfg)
     s, grid = cfg.s[0], np.linspace(-1.0, 1.0, 401)
     exact, closed, prod, base = ascend(cfg.eta0 * s, s, cfg.B, grid)
-    _write_csv(out / "ascend_wave.csv",
-               ["beta", "re_omega", "im_omega", "re_closed", "im_closed",
-                "re_w0", "im_w0"],
-               np.column_stack((grid, exact.values.real, exact.values.imag,
-                                closed.real, closed.imag,
-                                base.values.real, base.values.imag)))
+    wave = (["beta", "re_omega", "im_omega", "re_closed", "im_closed", "re_w0", "im_w0"],
+            np.column_stack((grid, exact.values.real, exact.values.imag,
+                             closed.real, closed.imag, base.values.real, base.values.imag)))
     b1 = exact.B1  # the reached field [Bs]/s
-    shift = wave_norm_shift(b1, cfg.eta0)
     # the ascended wave is one branch-I wave times the c1 product
     mono = float(np.max(np.abs(exact.values - closed))
                  / np.max(np.abs(exact.values)))
     failures = []
-    if cfg.do_assert and not mono <= cfg.tolerances["ascend_monochromatic_rel"]:
+    if not mono <= cfg.tolerances["ascend_monochromatic_rel"]:
         failures.append({"reason": "ascended wave not monochromatic",
                          "monochromatic_rel": mono})
     summary = {"subcommand": "ascend", "s": s, "b_field_requested": cfg.B,
                "b_field_reached": b1, "eta0": cfg.eta0,
                "c1_product_modulus": abs(prod), "monochromatic_rel": mono,
-               "wave_norm_shift": shift, "failures": failures,
-               "passed": not failures}
-    _write_json(out / "ascend_summary.json", summary)
-    return summary
+               "wave_norm_shift": wave_norm_shift(b1, cfg.eta0)}
+    return {"ascend_wave.csv": wave}, summary, failures
 
 
-def cmd_measure_transport(cfg: argparse.Namespace) -> dict:
+def cmd_measure_transport(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .quantize import Observable, measure_transport_check
 
     if not cfg.s:
         raise ValueError("need one or more --s values")
-    out = _out_dir(cfg)
     obs = Observable(eta0=cfg.eta0, eps=cfg.eps)
     rows = measure_transport_check([float(s) for s in cfg.s], cfg.B, obs, l=cfg.l)
     header = ["s", "b_field", "eta0", "eps", "lhs_re", "lhs_im", "rhs_re", "rhs_im", "rel_diff"]
-    _write_csv(out / "measure_transport.csv", header,
-               [[r[k] for k in header] for r in rows])
     diffs = [r["rel_diff"] for r in rows]
     non_increasing = all(a >= b for a, b in zip(diffs, diffs[1:]))
     failures = []
-    if cfg.do_assert:
-        if not non_increasing:
-            failures.append({"reason": "rel_diff not non-increasing",
-                             "rel_diff": diffs})
-        if diffs and diffs[-1] >= cfg.tolerances["transport_rel_diff_max"]:
-            failures.append({"reason": "final rel_diff too large",
-                             "rel_diff": diffs[-1]})
-    summary = {"subcommand": "measure_transport", "rel_diff": diffs,
-               "non_increasing": non_increasing,
-               "failures": failures, "passed": not failures}
-    _write_json(out / "measure_transport_summary.json", summary)
-    return summary
+    if not non_increasing:
+        failures.append({"reason": "rel_diff not non-increasing", "rel_diff": diffs})
+    if diffs and diffs[-1] >= cfg.tolerances["transport_rel_diff_max"]:
+        failures.append({"reason": "final rel_diff too large", "rel_diff": diffs[-1]})
+    return ({"measure_transport.csv": (header, [[r[k] for k in header] for r in rows])},
+            {"subcommand": "measure_transport", "rel_diff": diffs,
+             "non_increasing": non_increasing}, failures)
 
 
-def cmd_flows(cfg: argparse.Namespace) -> dict:
+def cmd_flows(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .geometry import (HPoint, TangentVec, flow_hamiltonian,
                            hyperbolic_distance, hypercyclic_flow, phi_B,
                            phi_B_inv, scale)
 
     check_degree(cfg.tau_max)
     check_field(cfg.B)  # before the start vector is scaled to sqrt(B^2 + 1)
-    out = _out_dir(cfg)
     B, t_max = cfg.B, float(cfg.tau_max)
     v0 = scale(TangentVec(HPoint(0.3, 1.2), 0.6 * 1.2, 0.8 * 1.2), math.sqrt(B * B + 1.0))
     ts = np.linspace(0.0, t_max, max(2, int(20 * t_max) + 1)) if t_max > 0 \
@@ -186,51 +168,41 @@ def cmd_flows(cfg: argparse.Namespace) -> dict:
         worst = max(worst, dev)
         rows.append([t, closed.base.x, closed.base.y, closed.vx, closed.vy,
                      numeric.base.x, numeric.base.y, dev])
-    _write_csv(out / "flows.csv",
-               ["t", "x", "y", "vx", "vy", "x_numeric", "y_numeric",
-                "deviation"], rows)
     failures = []
-    if cfg.do_assert and t_max == 0:
+    if t_max == 0:
         failures.append({"reason": "no check ran: need a positive --tau-max"})
-    elif cfg.do_assert and worst > cfg.tolerances["flow_conjugacy_abs"]:
+    elif worst > cfg.tolerances["flow_conjugacy_abs"]:
         failures.append({"reason": "conjugacy deviation", "worst": worst})
-    summary = {"subcommand": "flows", "b_field": B, "t_max": t_max,
-               "worst_deviation": worst,
-               "failures": failures, "passed": not failures}
-    _write_json(out / "flows_summary.json", summary)
-    return summary
+    return ({"flows.csv": (["t", "x", "y", "vx", "vy", "x_numeric", "y_numeric",
+                            "deviation"], rows)},
+            {"subcommand": "flows", "b_field": B, "t_max": t_max, "worst_deviation": worst},
+            failures)
 
 
-def cmd_equidistribute(cfg: argparse.Namespace) -> dict:
+def cmd_equidistribute(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .ergodic import equidistribution_series, seeded_unit_vector
 
-    out = _out_dir(cfg)
     kind = {"horocycle": "horocyclic", "hypercycle": "hypercyclic",
             "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
     rows = equidistribution_series(kind, seeded_unit_vector(7), list(cfg.lengths), B=cfg.B)
-    _write_csv(out / "equidistribution.csv", ["length", "discrepancy"], rows)
     discs = [d for _, d in rows]
     non_increasing = all(a >= b for a, b in zip(discs, discs[1:]))
     failures = []
-    if cfg.do_assert and len(discs) < 2:
+    if len(discs) < 2:
         failures.append({"reason": "no check ran: need at least two lengths"})
-    elif cfg.do_assert and not non_increasing:
-        failures.append({"reason": "discrepancy not non-increasing",
-                         "discrepancy": discs})
-    summary = {"subcommand": "equidistribute", "flow_kind": kind,
-               "b_field": cfg.B, "discrepancy": discs,
-               "non_increasing": non_increasing,
-               "failures": failures, "passed": not failures}
-    _write_json(out / "equidistribution_summary.json", summary)
-    return summary
+    elif not non_increasing:
+        failures.append({"reason": "discrepancy not non-increasing", "discrepancy": discs})
+    return ({"equidistribution.csv": (["length", "discrepancy"], rows)},
+            {"subcommand": "equidistribute", "flow_kind": kind, "b_field": cfg.B,
+             "discrepancy": discs, "non_increasing": non_increasing}, failures)
 
 
-_COMMANDS = {
-    "whittaker": cmd_whittaker,
-    "ascend": cmd_ascend,
-    "measure-transport": cmd_measure_transport,
-    "flows": cmd_flows,
-    "equidistribute": cmd_equidistribute,
+_COMMANDS = {  # subcommand: (command, the file its summary goes to, if any)
+    "whittaker": (cmd_whittaker, None),
+    "ascend": (cmd_ascend, "ascend_summary.json"),
+    "measure-transport": (cmd_measure_transport, "measure_transport_summary.json"),
+    "flows": (cmd_flows, "flows_summary.json"),
+    "equidistribute": (cmd_equidistribute, "equidistribution_summary.json"),
 }
 
 
@@ -330,18 +302,29 @@ def main(argv=None) -> int:
         if cfg.config:  # built-in < file < flag: the file's values become the defaults
             ap.set_defaults(**_config_defaults(cfg.config))
             cfg = ap.parse_intermixed_args(argv)
-        summary = {"schema_version": SCHEMA_VERSION,
-                   **_COMMANDS[cfg.subcommand](cfg)}
+        command, summary_file = _COMMANDS[cfg.subcommand]
+        files, summary, failures = command(cfg)
+        failures = failures if cfg.do_assert else []
+        summary = {"schema_version": SCHEMA_VERSION, **summary,
+                   "failures": failures, "passed": not failures}
         text = json.dumps(summary, sort_keys=True, allow_nan=False)
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            if isinstance(data, dict):
+                _write_json(out / name, data)
+            else:
+                _write_csv(out / name, *data)
+        if summary_file:
+            _write_json(out / summary_file, summary)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         diag = {"schema_version": SCHEMA_VERSION, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(diag, sort_keys=True))
         return 2
-    failed = cfg.do_assert and not summary.get("passed", False)
-    if cfg.json_summary or failed:
+    if cfg.json_summary or failures:
         print(text)
-    return 1 if failed else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ def _seen_config(monkeypatch, argv):
     """The run config that `main` hands the subcommand of `argv`."""
     seen = []
     monkeypatch.setitem(cli._COMMANDS, next(a for a in argv if a in cli._COMMANDS),
-                        lambda cfg: seen.append(cfg) or {"passed": True})
+                        (lambda cfg: seen.append(cfg) or ({}, {}, []), None))
     assert main(argv) == 0 and len(seen) == 1
     return seen[0]
 
@@ -190,6 +190,30 @@ def test_bad_input_exits_nonzero_with_json(tmp_path, capsys):
     assert code == 2
     diag = json.loads(out)
     assert diag["passed"] is False and "error" in diag
+
+
+def test_a_run_that_fails_before_writing_leaves_no_output_directory(tmp_path, capsys):
+    # the directory used to be made first, and left behind empty
+    out = tmp_path / "out"
+    code, _ = run_cli(["equidistribute", "elliptic", "--lengths", "10", "--out", str(out)],
+                      capsys)
+    assert code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["whittaker", "--s1", "24", "--a", "12", "--tau-max", "0"], ["ascend", "--s", "25"],
+    ["measure-transport", "--s", "25", "--B", "0.5"], ["flows", "--tau-max", "1"],
+    ["equidistribute", "--lengths", "10,20"]])
+def test_commands_return_their_files_and_write_nothing(tmp_path, monkeypatch, argv):
+    # `main` alone writes; a command returns (files, summary, failures)
+    monkeypatch.chdir(tmp_path)
+    command, _ = cli._COMMANDS[argv[0]]
+    result = command(build_parser().parse_args(argv + ["--out", str(tmp_path / "out")]))
+    assert type(result) is tuple and len(result) == 3
+    files, summary, failures = result
+    assert files and summary["subcommand"] and type(failures) is list
+    assert not {"failures", "passed"} & set(summary)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.2", "nan"])
