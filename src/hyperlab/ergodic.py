@@ -345,24 +345,20 @@ def _cosh_dist(x, y, cx, cy):
     return 1.0 + ((x - cx) ** 2 + (y - cy) ** 2) / (2.0 * y * cy)
 
 
-def octagon_area_means(group: FuchsianGroup | None = None) -> dict:
+def octagon_area_means() -> dict:
     """Area means of `OBSERVABLES` by polar quadrature, keyed by name.
 
     Positions are sampled on a 220 x 440 grid of geodesic polar coordinates
     over the octagon's circumdisk with the Dirichlet indicator, and only the
     8 position bumps are evaluated there; the direction harmonics average to
-    zero exactly.  The quadrature runs once per group; every call returns a
-    fresh dict.
+    zero exactly.  The quadrature runs once; every call returns a fresh dict.
     """
-    if group is None:
-        group = octagon_group()
-    if group.kind != "octagon":
-        raise ValueError(f"area means need the octagon group, got {group.kind!r}")
-    return dict(_area_means(group))
+    return dict(_area_means())
 
 
-@functools.lru_cache(maxsize=4)
-def _area_means(group: FuchsianGroup) -> tuple:
+@functools.cache
+def _area_means() -> tuple:
+    forms = octagon_group().dirichlet_forms
     nr, nth, R = 220, 440, math.acosh(_COSH_R) + 1e-9
     band = 20  # radial rows per band: a traced peak of 1.4 MiB, 11.4 MiB for the whole grid
     ths = (np.arange(nth) + 0.5) * 2 * math.pi / nth
@@ -376,7 +372,7 @@ def _area_means(group: FuchsianGroup) -> tuple:
         x, y = z.real.copy(), z.imag.copy()  # contiguous, for the gathers of `_bumps`
         p, q, r = (x * x + y * y) / y, x / y, 1.0 / y
         inside = np.all([fp * p + fq * q + fr * r >= -2e-12
-                         for fp, fq, fr in group.dirichlet_forms], axis=0)
+                         for fp, fq, fr in forms], axis=0)
         weight = np.sinh(rr) * (R / nr) * (2 * math.pi / nth) * inside
         area += float(np.sum(weight))
         for name, vals in _bumps(x, y):
@@ -406,7 +402,9 @@ def equidistribution_series(kind: str, v0: TangentVec, lengths,
     check_length(lengths)
     check_field(B)
     group = group or octagon_group()
-    area_means = octagon_area_means(group)
+    if group.kind != "octagon":
+        raise ValueError(f"area means need the octagon group, got {group.kind!r}")
+    area_means = octagon_area_means()
     for name in OBSERVABLES:  # max(0.0, nan) is 0.0: a NaN mean would vanish
         if not math.isfinite(area_means.get(name, math.nan)):
             raise ValueError(f"need a finite area mean of {name}, "

@@ -249,7 +249,7 @@ def flow_step(kind: str, B: float, t: float) -> np.ndarray:
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, got t={t}")
     try:
-        if kind == "geodesic":
+        if kind == "geodesic" or (kind == "hypercyclic" and B == 0):  # X_0 = X_geo, exactly
             g = np.array([[math.exp(t / 2), 0.0], [0.0, math.exp(-t / 2)]])
         elif kind == "horocyclic":
             g = np.eye(2) + t * (_X_GEO - _X_ROT)

@@ -55,26 +55,26 @@ class FuchsianGroup:
         return tuple(map(tuple, moves.tolist()))
 
     @cached_property
-    def dirichlet_forms(self) -> list[tuple[float, float, float]]:
+    def dirichlet_forms(self) -> tuple[tuple[float, float, float], ...]:
         """|MF|^2 - |F|^2 = <M^T M - I, F F^T> per move M as coefficients of
         (a^2 + b^2, ac + bd, c^2 + d^2) for a frame F = [[a, b], [c, d]]:
         F i is in the Dirichlet domain iff all are >= 0 (|F|^2 = 2 cosh d)."""
-        return [(ma * ma + mc * mc - 1.0, 2.0 * (ma * mb + mc * md),
-                 mb * mb + md * md - 1.0) for ma, mb, mc, md in self.moves]
+        return tuple((ma * ma + mc * mc - 1.0, 2.0 * (ma * mb + mc * md),
+                      mb * mb + md * md - 1.0) for ma, mb, mc, md in self.moves)
 
     @cached_property
-    def dirichlet_norms(self) -> list[float]:
+    def dirichlet_norms(self) -> tuple[float, ...]:
         """Minkowski norm sqrt((fp - fr)^2 + fq^2 - (fp + fr)^2) of each Dirichlet form,
         4 sinh(D/2) = 2 sqrt(|M|^2 - 2) for a move M carrying i a distance D, evaluated
         without the cancellation of the squares."""
-        return [2.0 * math.hypot(ma - md, mb + mc) for ma, mb, mc, md in self.moves]
+        return tuple(2.0 * math.hypot(ma - md, mb + mc) for ma, mb, mc, md in self.moves)
 
     @cached_property
-    def unit_dirichlet_forms(self) -> list[tuple[float, float, float]]:
+    def unit_dirichlet_forms(self) -> tuple[tuple[float, float, float], ...]:
         """Each Dirichlet form divided by its norm: on a unit-determinant frame it
         reads sinh of the signed distance from F i to its side (positive inside)."""
-        return [(fp / n, fq / n, fr / n)
-                for (fp, fq, fr), n in zip(self.dirichlet_forms, self.dirichlet_norms)]
+        return tuple((fp / n, fq / n, fr / n)
+                     for (fp, fq, fr), n in zip(self.dirichlet_forms, self.dirichlet_norms))
 
     @cached_property
     def reduce_threshold(self) -> float:
@@ -156,7 +156,7 @@ def octagon_vertices_disk() -> np.ndarray:
     return r * np.exp(1j * (math.pi / 8 + np.arange(8) * math.pi / 4))
 
 
-@cache  # one group: the area means are cached per group
+@cache  # one group, shared by every caller
 def octagon_group() -> FuchsianGroup:
     """Side-pairing group of the regular octagon (genus-2 surface).
 

@@ -120,7 +120,7 @@ def _patch_family(monkeypatch, family, means):
     names = tuple(name for name, _ in family(*[np.ones(1)] * 3))
     monkeypatch.setattr(ergodic, "OBSERVABLES", names)
     monkeypatch.setattr(ergodic, "_observables", family)
-    monkeypatch.setattr(ergodic, "octagon_area_means", lambda group: dict(means))
+    monkeypatch.setattr(ergodic, "octagon_area_means", lambda: dict(means))
 
 
 def test_birkhoff_constant_observables(monkeypatch):
@@ -163,6 +163,13 @@ def test_larger_b_hypercycles_equidistribute_faster():
 def test_geodesic_mixing_trend():
     rows = equidistribution_series("geodesic", V0, [1e2, 1e4])
     assert rows[1][1] < rows[0][1]
+
+
+def test_the_field_free_hypercyclic_orbit_is_the_geodesic_orbit():
+    # both step by the one geodesic matrix; the cosh/sinh step moved the orbit's bits
+    hyper, geo = (sample_orbit(V0, kind, 1e3, B=0.0) for kind in ("hypercyclic", "geodesic"))
+    for a, b in zip((hyper.xs, hyper.ys, hyper.thetas), (geo.xs, geo.ys, geo.thetas)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_tb_shift_zero_field():
@@ -530,8 +537,7 @@ def test_the_streamed_series_at_length_1e4_peaks_below_5_mib(monkeypatch):
 
 def test_a_cold_area_quadrature_peaks_at_2_mib(monkeypatch):
     # one band of radial rows at a time: 1.4 MiB; the whole grid read 11.4 MiB
-    group = octagon_group()
-    peak = _traced_peak(monkeypatch, lambda: ergodic._area_means.__wrapped__(group))
+    peak = _traced_peak(monkeypatch, ergodic._area_means.__wrapped__)
     assert peak <= 2 * 2**20
 
 
@@ -610,8 +616,6 @@ def test_orbit_step_overflow_is_a_value_error():
 def test_area_means_need_the_octagon():
     # the quadrature covers the octagon's circumdisk; the cylinder has
     # infinite area, so its "means" (bump0 0.0067) meant nothing
-    with pytest.raises(ValueError, match="octagon"):
-        octagon_area_means(cylinder_group(1.0))
     with pytest.raises(ValueError, match="octagon"):
         equidistribution_series("geodesic", V0, [10, 20], group=cylinder_group(1.0))
 
@@ -704,16 +708,15 @@ def test_one_step_blocks_and_blocks_that_end_mid_segment_keep_the_samples(
 
 
 def test_area_means_run_once_per_group_and_return_a_fresh_dict(monkeypatch):
-    group = octagon_group()
-    first = octagon_area_means(group)
+    first = octagon_area_means()
     first["bump0"] = math.nan
     quadratures = []
     real_bumps = ergodic._bumps  # the quadrature's one evaluator call
     monkeypatch.setattr(ergodic, "_bumps",
                         lambda *args: quadratures.append(1) or real_bumps(*args))
-    again = octagon_area_means(octagon_group())  # an equal group shares the entry
+    again = octagon_area_means()
     assert again is not first and math.isfinite(again["bump0"])
-    assert again == octagon_area_means(group)
+    assert again == octagon_area_means()
     assert quadratures == []
 
 

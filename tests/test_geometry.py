@@ -270,6 +270,15 @@ def test_closed_form_flows_read_the_generator_table(t):
         assert (got.base, got.vx, got.vy) == (ref.base, ref.vx, ref.vy)
 
 
+@pytest.mark.parametrize("t", [1e-2, 20.0, 40.0])
+def test_the_field_free_hypercyclic_step_is_the_geodesic_step(t):
+    # cosh(t/2) I + 2 sinh(t/2) X_geo cancelled: det 1.00012 at t = 30, and the
+    # [1, 1] entry read 0.0 at t = 40 against e^-20 = 2.06e-9
+    got = G.flow_step("hypercyclic", 0.0, t)
+    assert got.tobytes() == G.flow_step("geodesic", 0.0, t).tobytes()
+    assert got[1, 1] == np.exp(-t / 2) and np.linalg.det(got) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_hypercyclic_step_tends_to_horocyclic_step():
     # X_B = B N + X_geo/(B + sqrt(B^2+1)): at time 1/B the error is O(1/B^2)
     horo = G.flow_step("horocyclic", 0.0, 1.0)

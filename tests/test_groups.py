@@ -150,7 +150,19 @@ def test_generators_are_one_read_only_array_with_exact_inverses():
     assert not G.inverses.flags.writeable and isinstance(G.moves, tuple)
     for g, gi in zip(G.generators, G.inverses):  # adjugates: no division, so no rounding
         assert gi.tolist() == [[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]
-    assert gr.octagon_group() is G  # one group, so the per-group area means are shared
+    assert gr.octagon_group() is G  # one group, shared by every caller
+
+
+@pytest.mark.parametrize("name", ["dirichlet_forms", "dirichlet_norms", "unit_dirichlet_forms"])
+def test_dirichlet_data_of_the_shared_group_is_read_only(name):
+    # lists on the one cached octagon group: a write by one caller used to move
+    # every later reduction and orbit in the process
+    data = getattr(gr.octagon_group(), name)
+    with pytest.raises(TypeError):
+        data[0] = 0.0
+    if isinstance(data[0], tuple):
+        with pytest.raises(TypeError):
+            data[0][0] = 0.0
 
 
 @pytest.mark.parametrize("gens", [[[[np.nan, 0.0], [0.0, 1.0]]], [[[1.0, np.inf], [0.0, 1.0]]],
