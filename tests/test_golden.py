@@ -1,5 +1,6 @@
 """Golden artifacts: the bits of the README's command lines, eight octagon
-orbits and three discrepancy series, pinned in `golden.json` beside this file.
+orbits, three discrepancy series and three packet-wave batches, pinned in
+`golden.json` beside this file.
 
 `PYTHONPATH=src python tests/test_golden.py` rewrites the file; do so only for
 a change whose outputs are meant to move, and say which entries moved.  The
@@ -18,8 +19,9 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from hyperlab import cli
+from hyperlab import cli, waves
 from hyperlab.ergodic import equidistribution_series, sample_orbit, seeded_unit_vector
+from hyperlab.quantize import _SHELL_GRID, ascend_coeffs, geodesic_packet
 
 GOLDEN = Path(__file__).with_name("golden.json")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -69,9 +71,36 @@ def _series() -> dict:
             for kind, B, _ in _ORBITS[1:]}
 
 
+def _wave_bytes(values, derivs) -> str:
+    return _sha256(b"".join(np.asarray(a, dtype="<c16").tobytes() for a in (values, derivs)))
+
+
+def _waves() -> dict:
+    """The sha256 of `solve_waves`' values then derivatives as raw '<c16' bytes: the
+    branch-I waves of the two energy-shell packets on the shell grid, and the
+    three-wave batch of the README's `ascend` line."""
+    digests = {}
+    for name, coeffs, s, B1 in [
+            ("shell s=100 B1=0", geodesic_packet(100.0, 0.2, 6, 2 * np.pi), 100.0, 0.0),
+            ("shell s=25 B1=8", ascend_coeffs(geodesic_packet(25.0, 0.2, 2, 2 * np.pi),
+                                              25.0, 8.0), 25.0, 8.0)]:
+        mts = coeffs.ms / s
+        digests[name] = _wave_bytes(*waves.solve_waves(
+            B1, mts, s, *waves.branch_ic(B1, mts, s, "I"), _SHELL_GRID, derivs=True))
+    solve, batches = waves.solve_waves, []
+    waves.solve_waves = lambda *a, **kw: batches.append(solve(*a, **kw)) or batches[-1]
+    try:
+        waves.ascend(20.0, 100.0, 0.5, np.linspace(-1.0, 1.0, 401))
+    finally:
+        waves.solve_waves = solve
+    (batch,) = batches
+    digests["ascend s=100 B=0.5 m=20"] = _wave_bytes(*batch)
+    return digests
+
+
 def _golden(tmp: Path) -> dict:
     return {"versions": _versions(), "cli_files": _cli_files(tmp),
-            "orbits": _orbits(), "series": _series()}
+            "orbits": _orbits(), "series": _series(), "waves": _waves()}
 
 
 def test_golden_artifacts(tmp_path):
@@ -79,7 +108,7 @@ def test_golden_artifacts(tmp_path):
     assert _versions() == golden["versions"], (
         f"the golden bits are of {golden['versions']}, this run has {_versions()}")
     got = _golden(tmp_path)
-    for section in ("cli_files", "orbits", "series"):
+    for section in ("cli_files", "orbits", "series", "waves"):
         assert got[section] == golden[section], section
 
 
