@@ -106,6 +106,7 @@ _RICCATI_RATIO = 1.3  # outer/inner edge of a Riccati panel
 _RICCATI_TOL = 1e-13  # residual a Riccati panel must reach to be used
 _COLLOCATION_TOL = 1e-12  # trailing Chebyshev coefficients of every collocated panel
 _CHUNK = 256  # systems per batched linear solve
+_BLOCK = 3072  # (point, wave) pairs per evaluation block
 
 
 def _panel_edges(B1, mtilde, s: float, L: float) -> np.ndarray:
@@ -180,7 +181,8 @@ def _bary(t):
     """Barycentric interpolation (n, 32) from the nodes to t (n, 1) in [-1, 1]; only a
     row whose weight sum is not finite (t on a node) is masked, to its exact one-hot row."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        M = _BARY / (t - _NODES)
+        M = t - _NODES
+        np.divide(_BARY, M, out=M)
         total = M.sum(axis=1, keepdims=True)
         M /= total
     bad = np.flatnonzero(~np.isfinite(total[:, 0]))
@@ -196,13 +198,13 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  For
     phi = w e^{-i tau beta}, phi'' = -s^2 Q phi is collocated at 32 Chebyshev
     nodes per panel.  The side beta < 0 is mirrored (mtilde -> -mtilde,
-    phi'(0) -> -phi'(0)), so both sides are one batch of 2K waves on
-    [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase.
-    Batched linear solves give two fundamental solutions per panel and wave;
-    chaining their 2x2 transfer matrices from beta = 0 fixes phi, which is
-    interpolated on each point's panel (`_bary`) and multiplied by the carrier
-    e^{i tau beta} only when some tau != 0.  `_refined` holds every panel to
-    _COLLOCATION_TOL.
+    phi'(0) -> -phi'(0)), so both sides are 2K waves on [0, max|grid|], cut
+    into panels of 10 radians of the fastest wave's phase.  Batched linear
+    solves give two fundamental solutions per panel and distinct system (a
+    B1 = 0 wave and its mirror, or repeated waves, share one); chaining their
+    2x2 transfer matrices from beta = 0 gives phi and phi' at the nodes of
+    every panel and wave, which `_evaluate` interpolates.  `_refined` holds
+    every panel to _COLLOCATION_TOL.
     With derivs=False the derivatives are not formed (None is returned).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
@@ -226,34 +228,52 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     if not (K and x.any()):
         return values, dvals
     # rows K..2K-1 are the side beta < 0, mirrored
-    Bm, mm, dphi0 = np.r_[B1, B1], np.r_[mtilde, -mtilde], dw0 - 1j * tau * w0
-    state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
+    Bm, mm, dphi0 = np.tile(B1, 2), np.concatenate((mtilde, -mtilde)), dw0 - 1j * tau * w0
+    state = np.stack((np.tile(w0, 2), np.concatenate((dphi0, -dphi0))), axis=-1)
     qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
-    edges = _panel_edges(Bm, mm, s, x.max())
-    edges, U, dU = _refined(lambda e: _fundamental(qa, qb, s, e), edges)
-    order, spin = np.argsort(x, kind="stable"), tau.any()
-    bounds = np.searchsorted(x[order], edges, side="right")
-    for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        # phi and phi' at the nodes, (32, 2K); the next panel starts where this one ends
-        phi, dphi = (np.einsum("wnj,wj->nw", F[:, p], state, order="C") for F in (U, dU))
-        state = np.stack((phi[-1], dphi[-1]), axis=-1)
-        # barycentric interpolation on the panel, exact at the nodes, by real
-        # products of at most 256 points: larger or complex ones go to threaded
-        # BLAS, which stalls for milliseconds when the other cores are busy
-        for lo in range(bounds[p], bounds[p + 1], 256):
-            idx = order[lo:min(lo + 256, bounds[p + 1])]
-            M = _bary((2 * x[idx, None] - a - b) / (b - a))
-            neg, v = grid[idx] < 0, (M @ phi.view(float)).view(complex).T.reshape(2, K, -1)
-            v = np.where(neg, v[1], v[0])
-            if spin:  # w = e^{i tau beta} phi; the carrier is 1 when every tau is 0
-                carrier = np.exp(np.multiply.outer(1j * tau, grid[idx]))
-                v = carrier * v
-            values[:, idx] = v
-            if derivs:  # w' = e^{i tau beta} (phi' + i tau phi), phi' mirrored for beta < 0
-                d = (M @ dphi.view(float)).view(complex).T.reshape(2, K, -1)
-                d = np.where(neg, -d[1], d[0])
-                dvals[:, idx] = carrier * d + 1j * tau[:, None] * v if spin else d
+    # one system per distinct qa + i qb: qa = -0.0 and 0.0 are one, and give the same F
+    systems, row = np.unique(qa + 1j * qb, return_inverse=True)
+    edges, U, dU = _refined(lambda e: _fundamental(systems.real, systems.imag, s, e),
+                            _panel_edges(Bm, mm, s, x.max()))
+    nodes = np.empty((1 + derivs, len(edges) - 1, 32, 2 * K), dtype=complex)
+    for p in range(len(edges) - 1):  # the next panel starts where this one ends
+        phi, dphi = (np.einsum("wnj,wj->nw", F[row, p], state, order="C") for F in (U, dU))
+        nodes[:, p], state = (phi, dphi)[:1 + derivs], np.stack((phi[-1], dphi[-1]), axis=-1)
+    _evaluate(edges, nodes, tau, grid, values, dvals)
     return values, dvals
+
+
+def _evaluate(edges, nodes, tau, grid, values, dvals=None):
+    """Fill values (K, n), and dvals if given, at the nonzero points of grid from phi (and
+    phi') at the nodes (1 or 2, P, 32, 2K) of the panels between edges.  The points, sorted
+    by |beta|, go in chunks of at most 256 points of one panel, each one real product with
+    the (32, 4K) nodes: larger or complex ones go to threaded BLAS, which stalls for
+    milliseconds when the other cores are busy.  Whole chunks of up to _BLOCK / K points
+    (or one chunk) share one `_bary`, side select, carrier and scatter."""
+    K, x, rows = len(tau), np.abs(grid), len(nodes)
+    order = np.argsort(x, kind="stable")
+    bounds = np.searchsorted(x[order], edges, side="right")
+    cuts = np.array([c for lo, hi in zip(bounds[:-1], bounds[1:]) for c in range(lo, hi, 256)]
+                    + [len(x)])
+    panel, k = np.searchsorted(bounds, cuts[:-1], side="right") - 1, 0
+    taus, tau_row = np.unique(tau, return_inverse=True)  # one carrier row per distinct tau
+    while k < len(panel):
+        j = max(k + 1, np.searchsorted(cuts, cuts[k] + _BLOCK // K, side="right") - 1)
+        idx, at = order[cuts[k]:cuts[j]], np.repeat(panel[k:j], np.diff(cuts[k:j + 1]))
+        a, b, n = edges[at], edges[at + 1], len(idx)
+        M, u = _bary(((2 * x[idx] - a - b) / (b - a))[:, None]), np.empty((rows, n, 4 * K))
+        for c, c_next, p in zip(cuts[k:j] - cuts[k], cuts[k + 1:j + 1] - cuts[k], panel[k:j]):
+            for out, F in zip(u, nodes[:, p]):
+                np.matmul(M[c:c_next], F.view(float), out=out[c:c_next])
+        u, neg, k = u.view(complex).transpose(0, 2, 1).reshape(rows, 2, K, n), grid[idx] < 0, j
+        v = np.where(neg, u[0, 1], u[0, 0])
+        if tau.any():  # w = e^{i tau beta} phi; the carrier is 1 when every tau is 0
+            carrier = np.exp(np.multiply.outer(1j * taus, grid[idx]))[tau_row]
+            v = carrier * v
+        values[:, idx] = v
+        if dvals is not None:  # w' = e^{i tau beta} (phi' + i tau phi), phi' mirrored for beta < 0
+            d = np.where(neg, -u[1, 1], u[1, 0])
+            dvals[:, idx] = carrier * d + 1j * tau[:, None] * v if tau.any() else d
 
 
 def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid) -> CylWave:

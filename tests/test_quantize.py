@@ -598,7 +598,8 @@ def test_energy_shell_spectrum_is_read_only():
 
 
 def test_energy_shell_first_call_memory():
-    # a solve and FFT loop per call peaked at 3.16 MiB here
+    # 2.14 MiB with one system per wave and its mirror and the node states of every
+    # panel; 3.22 MiB when both rows were solved apart
     qz.energy_shell_test(qz.geodesic_packet(100.0, 0.3, 6, L), 100.0, 0.0, np.ones_like)
     qz._shell_spectrum.cache_clear()
     u = qz.geodesic_packet(100.0, 0.2, 6, L)
@@ -609,6 +610,20 @@ def test_energy_shell_first_call_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * 2**20
+
+
+def test_wide_field_form_memory():
+    # the s = 400, K = 20, B = 0.5 form at n_grid 801 peaks at 10.57 MiB (its pair
+    # arrays); an evaluation block holding the whole 16,000-point grid would pass 11 MiB
+    u, obs = qz.geodesic_packet(400.0, 0.2, 20, L), qz.Observable(eta0=0.2)
+    qz.quad_form(u, obs, 0.5, 400.0)
+    tracemalloc.start()
+    try:
+        qz.quad_form(u, obs, 0.5, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 _BAD_SHELL_INPUT = [

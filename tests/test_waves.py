@@ -313,6 +313,67 @@ def test_kernel_equals_the_masked_chunk_loop_bit_for_bit(B1, derivs):
     assert (got[1] is ref[1] is None) if not derivs else np.array_equal(got[1], ref[1])
 
 
+def _counted(monkeypatch, name):
+    """Wrap W.<name> so that each call appends its first argument's shape."""
+    shapes, f = [], getattr(W, name)
+    monkeypatch.setattr(W, name, lambda *a: shapes.append(np.shape(a[0])) or f(*a))
+    return shapes
+
+
+@pytest.mark.parametrize("K", [1, 6])
+def test_kernel_solves_a_field_free_wave_and_its_mirror_once(monkeypatch, K):
+    # at B1 = 0 the mirrored row of the side beta < 0 has the same potential
+    shapes = _counted(monkeypatch, "_collocate")
+    mts = np.linspace(0.05, 0.4, K)
+    W.solve_waves(0.0, mts, 100.0, 1.0, W.branch_ic(0.0, mts, 100.0, "I")[1], GRID)
+    assert [shape[0] for shape in shapes] == [K]
+
+
+def test_ascend_solves_three_systems_for_its_three_waves(monkeypatch):
+    # the chain and closed-form waves share B1 and mtilde; with the base wave, 3 of 6 rows
+    shapes = _counted(monkeypatch, "_collocate")
+    W.ascend(20.0, 100.0, 0.5, np.linspace(-1.0, 1.0, 401))
+    assert [shape[0] for shape in shapes] == [3]
+
+
+def test_kernel_gives_repeated_waves_the_same_bits():
+    B1, mts = [0.5, 0.2, 0.5, 0.0, 0.0], [0.1, -0.3, 0.1, 0.25, 0.25]
+    w0, dw0 = [1.0, 2j, 1.0, 1.0, 1.0], [3j, -1.0, 3j, 0.5j, 0.5j]
+    values, derivs = W.solve_waves(B1, mts, 60.0, w0, dw0, np.linspace(-1.2, 1.2, 301))
+    for got in (values, derivs):
+        assert np.array_equal(got[0], got[2]) and np.array_equal(got[3], got[4])
+        assert not np.array_equal(got[0], got[1])
+
+
+@pytest.mark.parametrize("K", [2, 20])
+def test_kernel_permutes_with_its_grid_bit_for_bit(monkeypatch, K):
+    # K = 2: blocks of 1536 points span panels; K = 20: blocks of one chunk, shorter
+    # than a panel.  Spin, beta = 0, both signs and repeated points, in one grid.
+    rng = np.random.default_rng(5)
+    mts = np.linspace(-0.45, 0.45, K)
+    w0, dw0 = rng.normal(size=K) + 1j, W.branch_ic(0.5, mts, 25.0, "I")[1]
+    grid = np.r_[np.linspace(-1.2, 1.2, 3001), 0.0, 0.0, rng.uniform(-1.2, 1.2, 40)]
+    grid = np.r_[grid, grid[::7]]
+    panels, barys = _counted(monkeypatch, "_collocate"), _counted(monkeypatch, "_bary")
+    values, derivs = W.solve_waves(0.5, mts, 25.0, w0, dw0, grid)
+    n_panels = panels[0][1]
+    assert len(barys) < n_panels if K == 2 else len(barys) > n_panels
+    perm = rng.permutation(len(grid))
+    got, dgot = W.solve_waves(0.5, mts, 25.0, w0, dw0, grid[perm])
+    assert np.array_equal(got, values[:, perm]) and np.array_equal(dgot, derivs[:, perm])
+
+
+@pytest.mark.parametrize("block", [1, 10**9])
+def test_kernel_block_size_changes_no_bit(monkeypatch, block):
+    # one chunk per block, or every point in one block
+    args = ([0.0, 0.4, 0.0], [0.1, -0.3, 0.45], 60.0, 1.0, [3j, -1.0, 0.25],
+            np.r_[np.linspace(-1.2, 1.2, 2001), 0.0])
+    values, derivs = W.solve_waves(*args)
+    monkeypatch.setattr(W, "_BLOCK", block)
+    got, dgot = W.solve_waves(*args)
+    assert np.array_equal(got, values) and np.array_equal(dgot, derivs)
+
+
 def test_ode_residual_small():
     B1, mt, s = 0.3, 0.2, 100.0
     w = W.solve_wave(B1, mt, s, "I", GRID)
