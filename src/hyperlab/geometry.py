@@ -232,8 +232,13 @@ def vec_of_frame(g: np.ndarray, speed: float) -> TangentVec:
     return TangentVec(HPoint(z.real, z.imag), speed * direction.real, speed * direction.imag)
 
 
-def _flow_frame(v: TangentVec, subgroup_elt: np.ndarray, speed: float) -> TangentVec:
-    return vec_of_frame(frame_of(v) @ subgroup_elt, speed)
+def _flow_frame(v: TangentVec, kind: str, B: float, t: float, speed: float) -> TangentVec:
+    """v's frame times `flow_step`.  Its base point is known to u |F|^2 hyperbolically (u =
+    2^-53, |F|^2 = 2 cosh d(F i, i)), so past u |F|^2 = 1e-10 (d > 13.7) it raises."""
+    F = frame_of(v) @ flow_step(kind, B, t)
+    if not 2.0 ** -53 * np.sum(F * F) <= 1e-10:
+        raise ValueError(f"{kind} flow at t={t} passes the float horizon |F|^2 <= 9.0e5")
+    return vec_of_frame(F, speed)
 
 
 _X_GEO = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -274,7 +279,7 @@ def check_speed(v: TangentVec, B: float) -> float:
 
 def geodesic_flow(v: TangentVec, t: float) -> TangentVec:
     """Move v along its geodesic for arclength |v| * t; `frame_of` rejects v = 0."""
-    return _flow_frame(v, flow_step("geodesic", 0.0, t), v.speed())
+    return _flow_frame(v, "geodesic", 0.0, t, v.speed())
 
 
 def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
@@ -285,13 +290,13 @@ def hypercyclic_flow(v: TangentVec, B: float, t: float) -> TangentVec:
     """
     check_field(B)
     level = check_speed(v, B)
-    return _flow_frame(v, flow_step("hypercyclic", B, t), level)
+    return _flow_frame(v, "hypercyclic", B, t, level)
 
 
 def horocyclic_flow(v: TangentVec, t: float) -> TangentVec:
     """Unit-speed flow along clockwise curves of geodesic curvature 1."""
     check_speed(v, 0.0)
-    return _flow_frame(v, flow_step("horocyclic", 0.0, t), 1.0)
+    return _flow_frame(v, "horocyclic", 0.0, t, 1.0)
 
 
 def transport_T_B(v: TangentVec, B: float) -> TangentVec:

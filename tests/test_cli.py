@@ -171,6 +171,16 @@ def test_flows_summary_resolves_deviations_below_1e_8(tmp_path, capsys):
     assert code == 0 and 0 < json.loads(out)["worst_deviation"] < 1e-8
 
 
+def test_flows_past_the_float_horizon_exit_2_naming_it(tmp_path, capsys):
+    # at B = 5 the frame passes |F|^2 = 9.0e5 at t = 10.25; --tau-max 25 used to
+    # report worst_deviation 0.371 and pass
+    code, out = run_cli(["flows", "--tau-max", "40", "--B", "5", "--out", str(tmp_path)],
+                        capsys)
+    diag = json.loads(out)
+    assert code == 2 and diag["passed"] is False
+    assert "t=10.25" in diag["error"] and "horizon" in diag["error"]
+
+
 def test_assert_failure_gives_nonzero_exit_and_diagnostic(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(

@@ -183,6 +183,12 @@ def test_tb_shift_magnetic():
         assert tb_shift_check(V0, B, 5.0) < 1e-6
 
 
+def test_tb_shift_past_the_float_horizon_fails_loudly():
+    # length 40 used to read 0.89, where length 5 reads 1.7e-14
+    with pytest.raises(ValueError, match="horizon"):
+        tb_shift_check(V0, 0.5, 40.0)
+
+
 def test_tb_shift_isometry_invariance():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(2, 2))

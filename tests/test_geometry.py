@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +301,58 @@ def test_flow_times_fail_loudly_in_the_table(call):
     # at t = 1419 sinh stays finite while the element overflows to inf
     with pytest.raises(ValueError, match="t="):
         call(vec_at(0.2, 1.3, 0.9, 1.0))
+
+
+# --- the float horizon of the unreduced flows ---
+
+_U = 2.0 ** -53
+_GENERATORS = {"geodesic": lambda B: [[0.5, 0.0], [0.0, -0.5]],
+               "horocyclic": lambda B: [[0.5, -0.5], [0.5, -0.5]],
+               "hypercyclic": lambda B: [[0.5 * mpmath.sqrt(B * B + 1), -0.5 * B],
+                                         [0.5 * B, -0.5 * mpmath.sqrt(B * B + 1)]]}
+
+
+def _flow(kind, B, v, t):
+    if kind == "hypercyclic":
+        return G.hypercyclic_flow(v, B, t)
+    return G.geodesic_flow(v, t) if kind == "geodesic" else G.horocyclic_flow(v, t)
+
+
+@pytest.mark.parametrize("kind, B, ts", [
+    ("geodesic", 0.0, [1.0, 5.0, 9.0, 12.0, 13.5]),
+    ("horocyclic", 0.0, [1.0, 10.0, 100.0, 500.0, 800.0]),
+    ("hypercyclic", 0.5, [1.0, 5.0, 10.0, 12.5]),
+    ("hypercyclic", 5.0, [0.5, 2.0, 5.0, 8.0, 9.8])])
+def test_flows_match_mpmath_expm_inside_the_horizon(kind, B, ts):
+    # the frame F = frame_of(v) exp(tX) at 50 digits, out to |F|^2 = 4.8e5-8.7e5: the
+    # base point's distance is within 4 u |F|^2 (u = 2^-53; the worst reads 1.02 u |F|^2)
+    v = vec_at(0.4, 0.8, 2.0, np.sqrt(B * B + 1))
+    with mpmath.workdps(50):
+        F0, X = mpmath.matrix(G.frame_of(v).tolist()), mpmath.matrix(_GENERATORS[kind](B))
+        for t in ts:
+            F = F0 * mpmath.expm(mpmath.mpf(t) * X)
+            z = (F[0, 0] * 1j + F[0, 1]) / (F[1, 0] * 1j + F[1, 1])
+            got = _flow(kind, B, v, t).base
+            dist = 2 * mpmath.asinh(abs(z - mpmath.mpc(got.x, got.y))
+                                    / (2 * mpmath.sqrt(z.imag * got.y)))
+            assert float(dist) <= 4 * _U * float(sum(f * f for f in F))
+
+
+@pytest.mark.parametrize("kind, B", [("geodesic", 0.0), ("horocyclic", 0.0),
+                                     ("hypercyclic", 0.5), ("hypercyclic", 5.0)])
+def test_flows_fail_loudly_just_past_the_horizon(kind, B):
+    # from the upward vector at i, F = exp(tX): |F|^2 = 2 + t^2 on the horocycle and
+    # 2 (B^2 + 1) cosh t - 2 B^2 otherwise; the horizon is u |F|^2 = 1e-10
+    bound = 1e-10 / _U
+    if kind == "horocyclic":
+        t_h = np.sqrt(bound - 2.0)
+    else:
+        t_h = np.arccosh((bound + 2 * B * B) / (2 * (B * B + 1)))
+    v = G.TangentVec(G.HPoint(0.0, 1.0), 0.0, np.sqrt(B * B + 1))
+    _flow(kind, B, v, t_h - 1e-3)
+    for t in (t_h + 1e-3, -(t_h + 1e-3)):
+        with pytest.raises(ValueError, match=f"t={t}.*horizon"):
+            _flow(kind, B, v, t)
 
 
 @given(coords, ys, angles, fields,
