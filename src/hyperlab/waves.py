@@ -13,7 +13,9 @@ beta = 0 and first-derivative data matching the WKB phases.
 stays out of the numerics, and solves the K waves of a packet (each with its
 own B1, mt and initial data) without stepping: Chebyshev collocation on
 panels of equal phase, both sides of beta = 0 and all waves in one batched
-linear solve.  `solve_wave` and `solve_wave_ic` are its K = 1 cases.
+linear solve of their distinct systems, then phi and phi' at the nodes of
+every panel, interpolated a block of points at a time (`_evaluate`).
+`solve_wave` and `solve_wave_ic` are its K = 1 cases.
 The raising operator sends a degree-tau wave to a degree-(tau+1) wave of
 the same eigenvalue; iterating [Bs] normalized raisings ("ascension")
 keeps the wave on the w^I branch up to O(1/s^2) per step, with
@@ -161,15 +163,16 @@ def _collocate(F, half):
 
 
 def _refined(solve, edges):
-    """(edges, U, dU) for (U, dU) = solve(edges) of shape (W, P, 32, 2), with panels halved
+    """(edges, F) for F = (U, dU) = solve(edges) of shape (2, W, P, 32, 2), with panels halved
     while their last two Chebyshev coefficients exceed _COLLOCATION_TOL relative to U;
     RuntimeError once halving stops helping (round-off)."""
     worst = np.inf
     while True:
-        U, dU = solve(edges)
-        tail = (np.abs(_TAIL @ U) / np.abs(U).max(axis=-2, keepdims=True)).max(axis=(0, 2, 3))
+        F = solve(edges)
+        tail = (np.abs(_TAIL @ F[0]) / np.abs(F[0]).max(axis=-2, keepdims=True)).max(
+            axis=(0, 2, 3))
         if np.all(tail <= _COLLOCATION_TOL):
-            return edges, U, dU
+            return edges, F
         if not tail.max() < 0.1 * worst:
             raise RuntimeError(f"tol={_COLLOCATION_TOL} out of reach: "
                                f"trailing coefficients {tail.max():.1e}")
@@ -195,16 +198,14 @@ def _bary(t):
 def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     """K waves in one solve: values and beta-derivatives, each of shape (K, n).
 
-    B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  For
-    phi = w e^{-i tau beta}, phi'' = -s^2 Q phi is collocated at 32 Chebyshev
-    nodes per panel.  The side beta < 0 is mirrored (mtilde -> -mtilde,
-    phi'(0) -> -phi'(0)), so both sides are 2K waves on [0, max|grid|], cut
-    into panels of 10 radians of the fastest wave's phase.  Batched linear
-    solves give two fundamental solutions per panel and distinct system (a
-    B1 = 0 wave and its mirror, or repeated waves, share one); chaining their
-    2x2 transfer matrices from beta = 0 gives phi and phi' at the nodes of
-    every panel and wave, which `_evaluate` interpolates.  `_refined` holds
-    every panel to _COLLOCATION_TOL.
+    B1, mtilde, w0 and dw0 broadcast to K entries, one wave each.  For phi = w e^{-i tau
+    beta}, phi'' = -s^2 Q phi is collocated at 32 Chebyshev nodes per panel.  The side
+    beta < 0 is mirrored (mtilde -> -mtilde, phi'(0) -> -phi'(0)), so both sides are 2K
+    waves on [0, max|grid|], cut into panels of 10 radians of the fastest wave's phase,
+    each held to _COLLOCATION_TOL (`_refined`).  Batched linear solves give two
+    fundamental solutions per panel and distinct system (a B1 = 0 wave and its mirror, or
+    repeated waves, share one); chaining their 2x2 transfer matrices from beta = 0 gives
+    phi and phi' at the nodes of every panel and wave, which `_evaluate` interpolates.
     With derivs=False the derivatives are not formed (None is returned).
     """
     B1, mtilde, w0, dw0 = (np.atleast_1d(v) for v in np.broadcast_arrays(
@@ -233,12 +234,12 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
     qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
     # one system per distinct qa + i qb: qa = -0.0 and 0.0 are one, and give the same F
     systems, row = np.unique(qa + 1j * qb, return_inverse=True)
-    edges, U, dU = _refined(lambda e: _fundamental(systems.real, systems.imag, s, e),
-                            _panel_edges(Bm, mm, s, x.max()))
+    edges, F = _refined(lambda e: _fundamental(systems.real, systems.imag, s, e),
+                        _panel_edges(Bm, mm, s, x.max()))
     nodes = np.empty((1 + derivs, len(edges) - 1, 32, 2 * K), dtype=complex)
-    for p in range(len(edges) - 1):  # the next panel starts where this one ends
-        phi, dphi = (np.einsum("wnj,wj->nw", F[row, p], state, order="C") for F in (U, dU))
-        nodes[:, p], state = (phi, dphi)[:1 + derivs], np.stack((phi[-1], dphi[-1]), axis=-1)
+    for p in range(len(edges) - 1):  # phi and phi'; the next panel starts where this one ends
+        at_nodes = np.einsum("kwnj,wj->knw", F[:, row, p], state)
+        nodes[:, p], state = at_nodes[:1 + derivs], at_nodes[:, -1].T
     _evaluate(edges, nodes, tau, grid, values, dvals)
     return values, dvals
 
@@ -246,18 +247,18 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
 def _evaluate(edges, nodes, tau, grid, values, dvals=None):
     """Fill values (K, n), and dvals if given, at the nonzero points of grid from phi (and
     phi') at the nodes (1 or 2, P, 32, 2K) of the panels between edges.  The points, sorted
-    by |beta|, go in chunks of at most 256 points of one panel, each one real product with
-    the (32, 4K) nodes: larger or complex ones go to threaded BLAS, which stalls for
-    milliseconds when the other cores are busy.  Whole chunks of up to _BLOCK / K points
-    (or one chunk) share one `_bary`, side select, carrier and scatter."""
+    by |beta|, go in chunks of at most 256 of one panel, one real product with the (32, 4K)
+    nodes each (larger or complex ones go to threaded BLAS, which stalls when other cores
+    are busy); whole chunks of up to _BLOCK / K points, or one chunk, form a block."""
     K, x, rows = len(tau), np.abs(grid), len(nodes)
     order = np.argsort(x, kind="stable")
     bounds = np.searchsorted(x[order], edges, side="right")
     cuts = np.array([c for lo, hi in zip(bounds[:-1], bounds[1:]) for c in range(lo, hi, 256)]
                     + [len(x)])
-    panel, k = np.searchsorted(bounds, cuts[:-1], side="right") - 1, 0
+    panel = np.searchsorted(bounds, cuts[:-1], side="right") - 1
     taus, tau_row = np.unique(tau, return_inverse=True)  # one carrier row per distinct tau
-    while k < len(panel):
+    k = 0
+    while k < len(panel):  # one `_bary`, side select, carrier and scatter per block
         j = max(k + 1, np.searchsorted(cuts, cuts[k] + _BLOCK // K, side="right") - 1)
         idx, at = order[cuts[k]:cuts[j]], np.repeat(panel[k:j], np.diff(cuts[k:j + 1]))
         a, b, n = edges[at], edges[at + 1], len(idx)
@@ -486,7 +487,7 @@ def _whittaker_sweep(p: WhittakerParams, ys):
     edges = np.interp(np.linspace(steps[-1], 0.0, n_lin), steps, g)  # exactly y_h down to lo
     kept = []
     for i in range(0, len(edges) - 1, 64):  # 64 panels at a time: a sweep stays under 1 MiB
-        e, (U,), (dU,) = _refined(solve, edges[i:i + 65])
+        e, ((U,), (dU,)) = _refined(solve, edges[i:i + 65])
         for k, ((u0, u1), (d0, d1)) in enumerate(np.stack((U[:, -1], dU[:, -1]), 1).tolist()):
             if e[k + 1] <= hi:
                 kept.append((e[k], e[k + 1], U[k] @ (w, dw), dU[k] @ (w, dw), logfac))

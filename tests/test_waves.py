@@ -277,8 +277,8 @@ def _chunk_loop_solve_waves(B1, mtilde, s, w0, dw0, grid, derivs=True):
     Bm, mm, dphi0 = np.r_[B1, B1], np.r_[mtilde, -mtilde], dw0 - 1j * tau * w0
     state = np.stack((np.r_[w0, w0], np.r_[dphi0, -dphi0]), axis=-1)
     qa, qb = -2 * s * s * Bm * mm, s * s * (mm * mm - Bm * Bm)
-    edges, U, dU = W._refined(lambda e: W._fundamental(qa, qb, s, e),
-                              W._panel_edges(Bm, mm, s, x.max()))
+    edges, (U, dU) = W._refined(lambda e: W._fundamental(qa, qb, s, e),
+                                W._panel_edges(Bm, mm, s, x.max()))
     order = np.argsort(x, kind="stable")
     bounds = np.searchsorted(x[order], edges, side="right")
     for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
