@@ -246,19 +246,18 @@ def solve_waves(B1, mtilde, s: float, w0, dw0, grid, derivs: bool = True):
 
 def _evaluate(edges, nodes, tau, grid, values, dvals=None):
     """Fill values (K, n), and dvals if given, at the nonzero points of grid from phi (and
-    phi') at the nodes (1 or 2, P, 32, 2K) of the panels between edges.  The points, sorted
-    by |beta|, go in chunks of at most 256 of one panel, one real product with the (32, 4K)
-    nodes each (larger or complex ones go to threaded BLAS, which stalls when other cores
-    are busy); whole chunks of up to _BLOCK / K points, or one chunk, form a block."""
+    phi') at the nodes (1 or 2, P, 32, 2K) of the panels between edges.  Sorted by |beta|, the
+    points go in chunks of at most 256 of one panel, one real product with the nodes each
+    (larger or complex ones go to threaded BLAS, which stalls when other cores are busy); whole
+    chunks of up to _BLOCK // K points, or one chunk, share one `_bary`, select and carrier."""
     K, x, rows = len(tau), np.abs(grid), len(nodes)
     order = np.argsort(x, kind="stable")
     bounds = np.searchsorted(x[order], edges, side="right")
-    cuts = np.array([c for lo, hi in zip(bounds[:-1], bounds[1:]) for c in range(lo, hi, 256)]
-                    + [len(x)])
+    cuts = np.append([c for lo, hi in zip(bounds, bounds[1:]) for c in range(lo, hi, 256)], len(x))
     panel = np.searchsorted(bounds, cuts[:-1], side="right") - 1
     taus, tau_row = np.unique(tau, return_inverse=True)  # one carrier row per distinct tau
     k = 0
-    while k < len(panel):  # one `_bary`, side select, carrier and scatter per block
+    while k < len(panel):  # the block of chunks k..j-1
         j = max(k + 1, np.searchsorted(cuts, cuts[k] + _BLOCK // K, side="right") - 1)
         idx, at = order[cuts[k]:cuts[j]], np.repeat(panel[k:j], np.diff(cuts[k:j + 1]))
         a, b, n = edges[at], edges[at + 1], len(idx)
@@ -266,7 +265,7 @@ def _evaluate(edges, nodes, tau, grid, values, dvals=None):
         for c, c_next, p in zip(cuts[k:j] - cuts[k], cuts[k + 1:j + 1] - cuts[k], panel[k:j]):
             for out, F in zip(u, nodes[:, p]):
                 np.matmul(M[c:c_next], F.view(float), out=out[c:c_next])
-        u, neg, k = u.view(complex).transpose(0, 2, 1).reshape(rows, 2, K, n), grid[idx] < 0, j
+        u, neg = u.view(complex).transpose(0, 2, 1).reshape(rows, 2, K, n), grid[idx] < 0
         v = np.where(neg, u[0, 1], u[0, 0])
         if tau.any():  # w = e^{i tau beta} phi; the carrier is 1 when every tau is 0
             carrier = np.exp(np.multiply.outer(1j * taus, grid[idx]))[tau_row]
@@ -275,6 +274,7 @@ def _evaluate(edges, nodes, tau, grid, values, dvals=None):
         if dvals is not None:  # w' = e^{i tau beta} (phi' + i tau phi), phi' mirrored for beta < 0
             d = np.where(neg, -u[1, 1], u[1, 0])
             dvals[:, idx] = carrier * d + 1j * tau[:, None] * v if tau.any() else d
+        k = j
 
 
 def solve_wave(B1: float, mtilde: float, s: float, branch: str, grid) -> CylWave:
