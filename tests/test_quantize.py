@@ -613,8 +613,8 @@ def test_energy_shell_first_call_memory():
 
 
 def test_wide_field_form_memory():
-    # the s = 400, K = 20, B = 0.5 form at n_grid 801 peaks at 10.57 MiB (its pair
-    # arrays); an evaluation block holding the whole 16,000-point grid would pass 11 MiB
+    # the s = 400, K = 20, B = 0.5 form at n_grid 801 peaks at 10.57 MiB; an evaluation
+    # block holding its whole union grid (about 16,000 points) peaked at 35.0 MiB
     u, obs = qz.geodesic_packet(400.0, 0.2, 20, L), qz.Observable(eta0=0.2)
     qz.quad_form(u, obs, 0.5, 400.0)
     tracemalloc.start()
