@@ -9,10 +9,11 @@ flows              numeric Hamiltonian flow vs closed-form orbits
 equidistribute     Birkhoff discrepancy series on the octagon surface
 
 One parser takes the subcommand, every flag and, for `equidistribute` only,
-the flow kind.  Data files are deterministic: a CSV is a float table written
-by one "%.17g" format string in a fixed row order, so identical configs yield
-byte-identical CSVs.  JSON outputs are UTF-8 with snake_case keys and carry a
-``schema_version`` field.
+the flow kind.  Every setting of a run is its flag, and `--assert` checks
+each claim against one fixed table, `_TOLERANCES`.  Data files are
+deterministic: a CSV is a float table written by one "%.17g" format string
+in a fixed row order, so identical configs yield byte-identical CSVs.  JSON
+outputs are UTF-8 with snake_case keys and carry a ``schema_version`` field.
 
 Each `cmd_*` returns (files, summary, failures): `files` maps a file name to
 a CSV's (header, table) or to a JSON object, and `failures` lists what its
@@ -42,7 +43,7 @@ _WHITTAKER_PEAK_TABLE = [
     (1, 1.922, 2.499e-34),
     (2, 1.962, 2.510e-34),
 ]
-_DEFAULT_TOLERANCES = {
+_TOLERANCES = {  # the built-in checks of --assert
     "peak_abscissa_abs": 0.002,
     "peak_ordinate_rel": 0.01,
     "transport_rel_diff_max": 0.1,
@@ -88,7 +89,7 @@ def cmd_whittaker(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     if (cfg.s1, cfg.a) != (50.0, 25.0):
         failures.append({"reason": f"no reference peak table for s1={cfg.s1}, a={cfg.a}"})
     else:
-        tol_y, tol_v = cfg.tolerances["peak_abscissa_abs"], cfg.tolerances["peak_ordinate_rel"]
+        tol_y, tol_v = _TOLERANCES["peak_abscissa_abs"], _TOLERANCES["peak_ordinate_rel"]
         rows = {r["tau"]: r for r in peak_rows}
         for tau, y_ref, v_ref in _WHITTAKER_PEAK_TABLE[:cfg.tau_max + 1]:
             r = rows.get(tau)
@@ -120,7 +121,7 @@ def cmd_ascend(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     mono = float(np.max(np.abs(exact.values - closed))
                  / np.max(np.abs(exact.values)))
     failures = []
-    if not mono <= cfg.tolerances["ascend_monochromatic_rel"]:
+    if not mono <= _TOLERANCES["ascend_monochromatic_rel"]:
         failures.append({"reason": "ascended wave not monochromatic",
                          "monochromatic_rel": mono})
     summary = {"subcommand": "ascend", "s": s, "b_field_requested": cfg.B,
@@ -143,7 +144,7 @@ def cmd_measure_transport(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     failures = []
     if not non_increasing:
         failures.append({"reason": "rel_diff not non-increasing", "rel_diff": diffs})
-    if diffs and diffs[-1] >= cfg.tolerances["transport_rel_diff_max"]:
+    if diffs and diffs[-1] >= _TOLERANCES["transport_rel_diff_max"]:
         failures.append({"reason": "final rel_diff too large", "rel_diff": diffs[-1]})
     return ({"measure_transport.csv": (header, [[r[k] for k in header] for r in rows])},
             {"subcommand": "measure_transport", "rel_diff": diffs,
@@ -161,9 +162,11 @@ def cmd_flows(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     v0 = scale(TangentVec(HPoint(0.3, 1.2), 0.6 * 1.2, 0.8 * 1.2), math.sqrt(B * B + 1.0))
     ts = np.linspace(0.0, t_max, max(2, int(20 * t_max) + 1)) if t_max > 0 \
         else np.array([0.0])
+    # the closed form first: past its float horizon it raises before the oracle runs
+    closed_flow = [hypercyclic_flow(v0, B, float(t)) for t in ts]
     rows, worst = [], 0.0
-    for t, q in zip(ts, flow_hamiltonian(phi_B_inv(v0, B), B, ts)):
-        closed, numeric = hypercyclic_flow(v0, B, float(t)), phi_B(q, B)
+    for t, closed, q in zip(ts, closed_flow, flow_hamiltonian(phi_B_inv(v0, B), B, ts)):
+        numeric = phi_B(q, B)
         dev = hyperbolic_distance(closed.base, numeric.base)
         worst = max(worst, dev)
         rows.append([t, closed.base.x, closed.base.y, closed.vx, closed.vy,
@@ -171,7 +174,7 @@ def cmd_flows(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     failures = []
     if t_max == 0:
         failures.append({"reason": "no check ran: need a positive --tau-max"})
-    elif worst > cfg.tolerances["flow_conjugacy_abs"]:
+    elif worst > _TOLERANCES["flow_conjugacy_abs"]:
         failures.append({"reason": "conjugacy deviation", "worst": worst})
     return ({"flows.csv": (["t", "x", "y", "vx", "vy", "x_numeric", "y_numeric",
                             "deviation"], rows)},
@@ -182,9 +185,8 @@ def cmd_flows(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
 def cmd_equidistribute(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     from .ergodic import equidistribution_series, seeded_unit_vector
 
-    kind = {"horocycle": "horocyclic", "hypercycle": "hypercyclic",
-            "geodesic": "geodesic"}.get(cfg.flow_kind, cfg.flow_kind)
-    rows = equidistribution_series(kind, seeded_unit_vector(7), list(cfg.lengths), B=cfg.B)
+    rows = equidistribution_series(cfg.flow_kind, seeded_unit_vector(7), list(cfg.lengths),
+                                   B=cfg.B)
     discs = [d for _, d in rows]
     non_increasing = all(a >= b for a, b in zip(discs, discs[1:]))
     failures = []
@@ -193,7 +195,7 @@ def cmd_equidistribute(cfg: argparse.Namespace) -> tuple[dict, dict, list]:
     elif not non_increasing:
         failures.append({"reason": "discrepancy not non-increasing", "discrepancy": discs})
     return ({"equidistribution.csv": (["length", "discrepancy"], rows)},
-            {"subcommand": "equidistribute", "flow_kind": kind, "b_field": cfg.B,
+            {"subcommand": "equidistribute", "flow_kind": cfg.flow_kind, "b_field": cfg.B,
              "discrepancy": discs, "non_increasing": non_increasing}, failures)
 
 
@@ -210,8 +212,8 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t]
 
 
-# the value flags: (flag, type, default, help); the flag names its config key
-# (`_` for `-`), and a default given as text is read by the type, as a flag's is
+# the value flags: (flag, type, default, help); a default given as text is
+# read by the type, as a flag's is
 _VALUE_FLAGS = (
     ("--s", _float_list, "100", "spectral parameter(s), comma-separated"),
     ("--B", float, "0", "magnetic field intensity"),
@@ -240,15 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser whose namespace is the run config that each `cmd_*` reads."""
     ap = argparse.ArgumentParser(prog="hyperlab", description="Numerical experiments for "
                                  "magnetic dynamics on hyperbolic surfaces.")
-    # the settings no flag sets; before the flow kind's argument, whose own
-    # default must stay SUPPRESS (see `_FlowKind`)
-    ap.set_defaults(flow_kind="horocyclic", tolerances=dict(_DEFAULT_TOLERANCES))
+    # before the flow kind's argument, whose own default must stay SUPPRESS
+    # (see `_FlowKind`)
+    ap.set_defaults(flow_kind="horocyclic")
     ap.add_argument("subcommand", choices=_COMMANDS)
     ap.add_argument("flow_kind", nargs="?", action=_FlowKind, default=argparse.SUPPRESS,
                     help="equidistribute only: geodesic | hypercyclic | horocyclic "
                          "(default horocyclic)")
-    ap.add_argument("--config", default=None,
-                    help="optional JSON config file of defaults; flags take precedence")
     for flag, typ, default, text in _VALUE_FLAGS:
         ap.add_argument(flag, type=typ, default=default, help=text + " (default %(default)s)")
     ap.add_argument("--assert", dest="do_assert", action="store_true",
@@ -258,50 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_tolerances(val) -> dict:
-    """The `tolerances` object of a config file: known keys, finite numbers."""
-    if not (isinstance(val, dict) and set(val) <= set(_DEFAULT_TOLERANCES)
-            and all(type(t) in (int, float) and math.isfinite(t) for t in val.values())):
-        raise ValueError(f"config tolerances must map keys of {sorted(_DEFAULT_TOLERANCES)} "
-                         f"to finite numbers, got {val!r}")
-    return val
-
-
-def _config_value(key: str, typ, val):
-    """A config file value read as its flag reads text: lists joined by commas."""
-    text = ",".join(map(str, val)) if isinstance(val, list) else val
-    try:
-        if type(text) not in (str, int, float):
-            raise ValueError("need a number, a string or a list")
-        return (typ or str)(str(text))
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}, got {val!r}") from None
-
-
-def _config_defaults(path: str) -> dict:
-    """A config file's values, checked, as parser defaults."""
-    file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(file_cfg, dict):
-        raise ValueError("a config file must hold a JSON object")
-    types = {flag[2:].replace("-", "_"): typ for flag, typ, _, _ in _VALUE_FLAGS}
-    defaults = {}
-    for key, val in file_cfg.items():
-        if key == "tolerances":
-            defaults[key] = {**_DEFAULT_TOLERANCES, **_config_tolerances(val)}
-        elif key in types:
-            defaults[key] = _config_value(key, types[key], val)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return defaults
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    cfg = ap.parse_intermixed_args(argv)
+    cfg = build_parser().parse_intermixed_args(argv)
     try:
-        if cfg.config:  # built-in < file < flag: the file's values become the defaults
-            ap.set_defaults(**_config_defaults(cfg.config))
-            cfg = ap.parse_intermixed_args(argv)
         command, summary_file = _COMMANDS[cfg.subcommand]
         files, summary, failures = command(cfg)
         failures = failures if cfg.do_assert else []
@@ -317,7 +276,7 @@ def main(argv=None) -> int:
                 _write_csv(out / name, *data)
         if summary_file:
             _write_json(out / summary_file, summary)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         diag = {"schema_version": SCHEMA_VERSION, "passed": False,
                 "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(diag, sort_keys=True))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperlab import cli, waves
+from hyperlab import cli, geometry, waves
 from hyperlab.cli import _VALUE_FLAGS, _write_csv, _write_json, build_parser, main
 from hyperlab.waves import WhittakerParams, ascension_norm, whittaker_W, whittaker_peaks
 
@@ -20,10 +20,9 @@ def run_cli(argv, capsys):
 
 
 # the run config of a bare subcommand, less the subcommand itself
-_DEFAULTS = dict(flow_kind="horocyclic", config=None, s=[100.0], B=0.0, eta0=0.2, eps=0.2,
+_DEFAULTS = dict(flow_kind="horocyclic", s=[100.0], B=0.0, eta0=0.2, eps=0.2,
                  l=2 * math.pi, tau_max=2, s1=50.0, a=25.0, lengths=[1e2, 1e3, 1e4],
-                 out=".", do_assert=False, json_summary=False,
-                 tolerances=dict(cli._DEFAULT_TOLERANCES))
+                 out=".", do_assert=False, json_summary=False)
 
 
 def _typed(cfg):
@@ -85,6 +84,15 @@ def test_a_stray_positional_exits_2(capsys, argv):
         assert "unrecognized arguments: foo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["flows", "--config", "x.json"], ["flows", "--config=x.json"]])
+def test_config_is_no_option_exits_2(capsys, argv):
+    # every setting is its flag: there is no config file to read defaults from
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # one line per flag
     with pytest.raises(SystemExit) as exc:
@@ -120,27 +128,11 @@ def test_readme_command_lines_are_the_pinned_ones():
     *_README_LINES.items(),
     # the flow kind may also follow the flags
     ("hyperlab equidistribute --lengths 10 geodesic", dict(flow_kind="geodesic", lengths=[10.0]))])
-def test_command_lines_give_their_configs(monkeypatch, line, fields):
+def test_command_lines_give_their_configs(tmp_path, monkeypatch, line, fields):
+    monkeypatch.chdir(tmp_path)  # `main` makes the --out directory
     argv = line.split()[1:]
     assert _typed(_seen_config(monkeypatch, argv)) == _typed(_config(subcommand=argv[0],
                                                                      **fields))
-
-
-def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
-    # built-in < file < flag, tolerances included: the file's values become the
-    # parser's defaults, so a flag wins even at its built-in value, before or
-    # after the subcommand
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"B": 2.0, "tau_max": 1, "eta0": 0.3, "out": "file/",
-                                   "tolerances": {"flow_conjugacy_abs": 0.5}}))
-    flags = ["--config", str(cfgfile), "--B", "0.5", "--eta0", "0.2"]
-    for argv in (["flows"] + flags, flags + ["flows"]):
-        cfg = _seen_config(monkeypatch, argv)
-        assert cfg.B == 0.5  # flag wins
-        assert cfg.tau_max == 1  # file value survives
-        assert _typed(cfg) == _typed(_config(
-            subcommand="flows", config=str(cfgfile), B=0.5, tau_max=1, eta0=0.2, out="file/",
-            tolerances=dict(cli._DEFAULT_TOLERANCES, flow_conjugacy_abs=0.5)))
 
 
 def test_flows_t0_returns_initial_vector(tmp_path, capsys):
@@ -181,12 +173,18 @@ def test_flows_past_the_float_horizon_exit_2_naming_it(tmp_path, capsys):
     assert "t=10.25" in diag["error"] and "horizon" in diag["error"]
 
 
-def test_assert_failure_gives_nonzero_exit_and_diagnostic(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(
-        {"tolerances": {"flow_conjugacy_abs": -1.0}}))
+def test_flows_checks_the_horizon_before_the_oracle_runs(tmp_path, capsys, monkeypatch):
+    # the closed form is formed first, so DOP853 is not run to t = 40 in vain
+    calls = []
+    monkeypatch.setattr(geometry, "flow_hamiltonian", lambda *args: calls.append(args))
+    code, out = run_cli(["flows", "--B", "5", "--tau-max", "40", "--out", str(tmp_path)],
+                        capsys)
+    assert code == 2 and "horizon" in json.loads(out)["error"] and calls == []
+
+
+def test_assert_failure_gives_nonzero_exit_and_diagnostic(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._TOLERANCES, "flow_conjugacy_abs", -1.0)
     code, out = run_cli(["flows", "--B", "1", "--tau-max", "2",
-                         "--config", str(cfgfile),
                          "--out", str(tmp_path), "--assert"], capsys)
     assert code == 1
     diag = json.loads(out)
@@ -200,6 +198,13 @@ def test_bad_input_exits_nonzero_with_json(tmp_path, capsys):
     assert code == 2
     diag = json.loads(out)
     assert diag["passed"] is False and "error" in diag
+
+
+def test_flow_kind_is_one_of_the_three_names(tmp_path, capsys):
+    # "horocycle" used to be read as "horocyclic" by an undocumented alias
+    code, out = run_cli(["equidistribute", "horocycle", "--lengths", "10",
+                         "--out", str(tmp_path)], capsys)
+    assert code == 2 and "unknown flow kind 'horocycle'" in json.loads(out)["error"]
 
 
 def test_a_run_that_fails_before_writing_leaves_no_output_directory(tmp_path, capsys):
@@ -234,44 +239,6 @@ def test_measure_transport_bad_eps_exits_2(tmp_path, capsys, eps):
     assert code == 2
     diag = json.loads(out)
     assert diag["passed"] is False and "eps" in diag["error"]
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"does_not_exist": 1}))
-    code, out = run_cli(["flows", "--config", str(cfgfile),
-                         "--out", str(tmp_path)], capsys)
-    assert code == 2
-
-
-@pytest.mark.parametrize("subcommand, file_cfg, message", [
-    # a config key that is no value flag used to switch the subcommand or the flow kind
-    ("whittaker", {"subcommand": "flows", "tau_max": 0}, "subcommand"),
-    ("equidistribute", {"flow_kind": "geodesic", "lengths": [10]}, "flow_kind"),
-    # a non-object `tolerances` used to escape as a TypeError traceback
-    ("flows", {"tolerances": 5}, "tolerances"),
-    # values go through the flag's own type: 2.7 is no int, "a" no float list
-    ("flows", {"tau_max": 2.7}, "tau_max"),
-    ("ascend", {"s": "a"}, "'s'"),
-    # a file that is no JSON object used to escape as an AttributeError traceback
-    ("flows", [1], "object")])
-def test_config_values_are_checked_like_flags(tmp_path, capsys, subcommand, file_cfg, message):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(file_cfg))
-    code, out = run_cli([subcommand, "--config", str(cfgfile), "--out", str(tmp_path),
-                         "--json-summary"], capsys)
-    assert code == 2
-    diag = json.loads(out)
-    assert diag["passed"] is False and message in diag["error"]
-
-
-def test_config_lists_and_numbers_read_as_flag_text(tmp_path, monkeypatch):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"s": [25, 50.5], "tau_max": 3, "B": 1,
-                                   "tolerances": {"flow_conjugacy_abs": 1}}))
-    cfg = _seen_config(monkeypatch, ["flows", "--config", str(cfgfile)])
-    assert cfg.s == [25.0, 50.5] and cfg.tau_max == 3 and cfg.B == 1.0
-    assert type(cfg.B) is float and cfg.tolerances["flow_conjugacy_abs"] == 1
 
 
 def test_equidistribute_artifacts(tmp_path, capsys):
@@ -339,19 +306,16 @@ def test_ascend_artifacts(tmp_path, capsys):
     assert len(lines) == 402
 
 
-def test_ascend_assert_checks_monochromaticity(tmp_path, capsys):
+def test_ascend_assert_checks_monochromaticity(tmp_path, capsys, monkeypatch):
     code, out = run_cli(["ascend", "--s", "50", "--B", "0.5", "--out",
                          str(tmp_path), "--json-summary", "--assert"], capsys)
     assert code == 0
     summary = json.loads(out)
     assert summary["passed"] is True
     assert 0 < summary["monochromatic_rel"] < 1e-2
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(
-        {"tolerances": {"ascend_monochromatic_rel": 1e-6}}))
-    code, out = run_cli(["ascend", "--s", "50", "--B", "0.5", "--config",
-                         str(cfgfile), "--out", str(tmp_path), "--assert"],
-                        capsys)
+    monkeypatch.setitem(cli._TOLERANCES, "ascend_monochromatic_rel", 1e-6)
+    code, out = run_cli(["ascend", "--s", "50", "--B", "0.5", "--out", str(tmp_path),
+                         "--assert"], capsys)
     assert code == 1
     diag = json.loads(out)
     assert diag["passed"] is False
